@@ -25,6 +25,7 @@ mode.
 from __future__ import annotations
 
 import enum
+from functools import partial
 
 from .jetalgebra import Expr, JetVariable, expr_sum, p, u
 from .multiindex import MultiIndex, unit, zero
@@ -32,6 +33,7 @@ from .totalderiv import (
     derive,
     laplacian,
     laplacian_primed,
+    second_derivative_sum,
     total_derivative,
     total_derivative_multi,
 )
@@ -217,23 +219,11 @@ def restricted_derivative_multi(ctx: ReductionContext, i: MultiIndex, f: Expr) -
 
 
 def restricted_laplacian(ctx: ReductionContext, f: Expr) -> Expr:
-    return sum(
-        (
-            restricted_derivative(ctx, mu, restricted_derivative(ctx, mu, f))
-            for mu in range(1, ctx.m + 1)
-        ),
-        Expr.zero(),
-    )
+    return second_derivative_sum(partial(restricted_derivative, ctx), f, range(1, ctx.m + 1))
 
 
 def restricted_laplacian_primed(ctx: ReductionContext, f: Expr) -> Expr:
-    return sum(
-        (
-            restricted_derivative(ctx, a, restricted_derivative(ctx, a, f))
-            for a in range(2, ctx.m + 1)
-        ),
-        Expr.zero(),
-    )
+    return second_derivative_sum(partial(restricted_derivative, ctx), f, range(2, ctx.m + 1))
 
 
 def velocity_gradient_entry(ctx: ReductionContext, la: int, mu: int) -> Expr:

@@ -75,6 +75,23 @@ class Characteristic:
         return self.pressure.is_zero() and all(c.is_zero() for c in self.velocity)
 
 
+def _field_action(ctx: ReductionContext, f: Characteristic, g: Expr, cache: dict) -> Expr:
+    """Sum over the u/p jets v in g of g.diff(v) times the matching derivative of f.
+
+    cache maps (slot, multi-index) to that derivative of f.component(slot)
+    and may be shared between calls with the same f.
+    """
+    result = Expr.zero()
+    for v in g.variables():
+        if v.kind not in ("u", "p"):
+            continue
+        key = (v.mu if v.kind == "u" else 0, v.index)
+        if key not in cache:
+            cache[key] = restricted_derivative_multi(ctx, v.index, f.component(key[0]))
+        result = result + g.diff(v) * cache[key]
+    return result
+
+
 def ev_apply(ctx: ReductionContext, f: Characteristic, g: Expr) -> Expr:
     """Apply the evolutionary field of f to g.
 
@@ -82,21 +99,7 @@ def ev_apply(ctx: ReductionContext, f: Characteristic, g: Expr) -> Expr:
     u-variable contributes the matching derivative of a velocity
     component, each p-variable of the pressure component.
     """
-    cache: dict[tuple[int, MultiIndex], Expr] = {}
-
-    def derived(slot: int, index: MultiIndex) -> Expr:
-        key = (slot, index)
-        if key not in cache:
-            cache[key] = restricted_derivative_multi(ctx, index, f.component(slot))
-        return cache[key]
-
-    result = Expr.zero()
-    for v in g.variables():
-        if v.kind == "u":
-            result = result + g.diff(v) * derived(v.mu, v.index)
-        elif v.kind == "p":
-            result = result + g.diff(v) * derived(0, v.index)
-    return result
+    return _field_action(ctx, f, g, {})
 
 
 def commutator_with_total(
@@ -196,25 +199,10 @@ def linearize_evolution(field: EvolutionField, f: Characteristic) -> Characteris
     """
     ctx = field.context
     cache: dict[tuple[int, MultiIndex], Expr] = {}
-
-    def derived(slot: int, index: MultiIndex) -> Expr:
-        key = (slot, index)
-        if key not in cache:
-            cache[key] = restricted_derivative_multi(ctx, index, f.component(slot))
-        return cache[key]
-
-    def linearized(component: Expr) -> Expr:
-        total = Expr.zero()
-        for v in component.variables():
-            if v.kind == "u":
-                total = total + component.diff(v) * derived(v.mu, v.index)
-            elif v.kind == "p":
-                total = total + component.diff(v) * derived(0, v.index)
-        return total
-
     e = field.characteristic
     return Characteristic(
-        tuple(linearized(comp) for comp in e.velocity), linearized(e.pressure)
+        tuple(_field_action(ctx, f, comp, cache) for comp in e.velocity),
+        _field_action(ctx, f, e.pressure, cache),
     )
 
 

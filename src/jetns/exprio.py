@@ -16,9 +16,16 @@ Tuples use named components separated by ';', e.g.
     f1: u1_[1,0,0]; f2: u2_[1,0,0]; f3: u3_[1,0,0]; f: p_[1,0,0]
 
 Component names: f1..fm and f for characteristics and cotuples, j1..jm
-for currents, chi01 / chi[a,i1] / chi[i1] for the continuity tuple shape
-and chi01 / chi[a,i1] / chi0 / chi1 for the joint shape.  Missing
-components default to zero.
+for currents.  The reduced-complex tuples name their labels as follows:
+
+    label                name        shapes
+    ("chi01",)           chi01       chi_ce, chi_cpe
+    ("chi_alpha", i1, a) chi[a,i1]   chi_ce, chi_cpe   (a in 2..m)
+    ("chi_p", i1)        chi[i1]     chi_ce
+    ("chi0",)            chi0        chi_cpe
+    ("chi1",)            chi1        chi_cpe
+
+Missing components default to zero.
 
 The structured serialization mirrors the canonical monomial map: a list
 of records with integer numerator and denominator and a factor list of
@@ -44,7 +51,7 @@ from .jetalgebra import (
     xvar,
 )
 from .multiindex import MultiIndex
-from .reducedcomplex import ChiTupleCE, ChiTupleCPE
+from .reducedcomplex import ChiTuple, ChiTupleCE, ChiTupleCPE
 from .variational import Cotuple, CurrentTuple
 
 
@@ -246,7 +253,31 @@ def print_expr(f: Expr) -> str:
 
 _CHI_NAME = re.compile(r"^chi\[(\d+)(?:,(\d+))?\]$")
 
-SHAPES = ("characteristic", "cotuple", "current", "chi_ce", "chi_cpe")
+_SHAPE_TYPES = {
+    "characteristic": Characteristic,
+    "cotuple": Cotuple,
+    "current": CurrentTuple,
+    "chi_ce": ChiTupleCE,
+    "chi_cpe": ChiTupleCPE,
+}
+SHAPES = tuple(_SHAPE_TYPES)
+
+
+def _chi_label(name: str) -> tuple | None:
+    """The tuple label a component name denotes, or None."""
+    match = _CHI_NAME.match(name)
+    if match is None:
+        return (name,) if name in ("chi01", "chi0", "chi1") else None
+    first, second = match.groups()
+    return ("chi_p", int(first)) if second is None else ("chi_alpha", int(second), int(first))
+
+
+def _chi_name(label: tuple) -> str:
+    if label[0] == "chi_alpha":
+        return f"chi[{label[2]},{label[1]}]"
+    if label[0] == "chi_p":
+        return f"chi[{label[1]}]"
+    return label[0]
 
 
 def parse_tuple(text: str, shape: str, m: int):
@@ -285,22 +316,13 @@ def _validate_component(name: str, shape: str, m: int, span: SourceSpan) -> None
         if name.startswith("j") and name[1:].isdigit() and 1 <= int(name[1:]) <= m:
             return
     else:
-        if name == "chi01":
-            return
-        if shape == "chi_cpe" and name in ("chi0", "chi1"):
-            return
-        match = _CHI_NAME.match(name)
-        if match:
-            if match.group(2) is None:
-                if shape == "chi_ce":
-                    return
-            else:
-                a = int(match.group(1))
-                if 2 <= a <= m:
-                    return
+        label = _chi_label(name)
+        if label is not None and _SHAPE_TYPES[shape].allows(label):
+            if label[0] == "chi_alpha" and not 2 <= label[2] <= m:
                 raise ExprSyntaxError(
-                    f"velocity component {a} out of range 2..{m}", span
+                    f"velocity component {label[2]} out of range 2..{m}", span
                 )
+            return
     raise ExprSyntaxError(f"unknown component {name!r} for shape {shape}", span)
 
 
@@ -315,19 +337,9 @@ def _build_tuple(components: dict[str, Expr], shape: str, m: int):
         return Cotuple(velocity, get("f"))
     if shape == "current":
         return CurrentTuple(tuple(get(f"j{mu}") for mu in range(1, m + 1)))
-    chi_alpha: dict[tuple[int, int], Expr] = {}
-    chi_p: dict[int, Expr] = {}
-    for name, expr in components.items():
-        match = _CHI_NAME.match(name)
-        if not match:
-            continue
-        if match.group(2) is None:
-            chi_p[int(match.group(1))] = expr
-        else:
-            chi_alpha[(int(match.group(2)), int(match.group(1)))] = expr
-    if shape == "chi_ce":
-        return ChiTupleCE(get("chi01"), chi_alpha, chi_p)
-    return ChiTupleCPE(get("chi01"), chi_alpha, get("chi0"), get("chi1"))
+    return _SHAPE_TYPES[shape].from_entries(
+        {_chi_label(name): expr for name, expr in components.items()}
+    )
 
 
 def print_tuple(value) -> str:
@@ -342,35 +354,16 @@ def print_tuple(value) -> str:
         return "; ".join(
             f"j{mu}: {comp}" for mu, comp in enumerate(value.components, start=1)
         )
-    if isinstance(value, (ChiTupleCE, ChiTupleCPE)):
-        parts = []
-        if not value.chi01.is_zero():
-            parts.append(f"chi01: {value.chi01}")
-        for (i1, a) in sorted(value.chi_alpha):
-            parts.append(f"chi[{a},{i1}]: {value.chi_alpha[(i1, a)]}")
-        if isinstance(value, ChiTupleCE):
-            for i1 in sorted(value.chi_p):
-                parts.append(f"chi[{i1}]: {value.chi_p[i1]}")
-        else:
-            if not value.chi0.is_zero():
-                parts.append(f"chi0: {value.chi0}")
-            if not value.chi1.is_zero():
-                parts.append(f"chi1: {value.chi1}")
+    if isinstance(value, ChiTuple):
+        parts = [f"{_chi_name(label)}: {expr}" for label, expr in value.items()]
         return "; ".join(parts) if parts else "chi01: 0"
     raise TypeError(f"cannot print value of type {type(value).__name__}")
 
 
 def tuple_shape(value) -> str:
-    if isinstance(value, Characteristic):
-        return "characteristic"
-    if isinstance(value, Cotuple):
-        return "cotuple"
-    if isinstance(value, CurrentTuple):
-        return "current"
-    if isinstance(value, ChiTupleCE):
-        return "chi_ce"
-    if isinstance(value, ChiTupleCPE):
-        return "chi_cpe"
+    for shape, cls in _SHAPE_TYPES.items():
+        if isinstance(value, cls):
+            return shape
     raise TypeError(f"no tuple shape for {type(value).__name__}")
 
 

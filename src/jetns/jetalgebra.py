@@ -208,15 +208,17 @@ class Expr:
     def __pow__(self, n: int) -> Expr:
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"exponent must be a non-negative integer, got {n!r}")
-        result = Expr.const(1)
+        if n == 0:
+            return Expr.const(1)
+        result = None
         base = self
-        k = n
-        while k:
-            if k & 1:
-                result = result * base
+        while True:
+            if n & 1:
+                result = base if result is None else result * base
+            n >>= 1
+            if not n:
+                return result
             base = base * base
-            k >>= 1
-        return result
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)

@@ -11,8 +11,9 @@ constraint per output monomial and solving over the rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Mapping
 
 from . import linalg
 from .constraints import (
@@ -39,41 +40,101 @@ from .multiindex import indices_up_to, unit
 from .variational import euler_collect
 
 
-def _clean(mapping: dict) -> dict:
-    return {k: v for k, v in mapping.items() if not v.is_zero()}
+_KIND_RANK = {"chi01": 0, "chi_alpha": 1, "chi_p": 2, "chi0": 2, "chi1": 3}
 
 
-@dataclass
-class ChiTupleCE:
-    """Tuple for the continuity-setting complex.
+class ChiTuple:
+    """A tuple of the reduced complex: its nonzero entries keyed by label.
 
-    chi01 is the single entry dual to the unconstrained first velocity
-    component; chi_alpha maps (first-direction order, spatial component)
-    to an entry; chi_p maps the first-direction order to a pressure
-    entry.  Finite support throughout.
+    ("chi01",) is the entry dual to the unconstrained first velocity
+    component and ("chi_alpha", i1, a) the entry at first-direction order
+    i1 and spatial component a in 2..m.  Each subclass declares its
+    pressure block by pressure_labels(max_order): the pressure labels of
+    an ansatz up to that first-direction order, indexed by order.  Entries
+    are kept in canonical order: chi01, chi_alpha by (i1, a), pressure.
     """
 
-    chi01: Expr = field(default_factory=Expr.zero)
-    chi_alpha: dict[tuple[int, int], Expr] = field(default_factory=dict)
-    chi_p: dict[int, Expr] = field(default_factory=dict)
+    def __init__(self, chi01: Expr, chi_alpha: Mapping | None, pressure: dict) -> None:
+        velocity = {("chi_alpha",) + key: v for key, v in (chi_alpha or {}).items()}
+        self._set({("chi01",): chi01, **velocity, **pressure})
 
-    def __post_init__(self) -> None:
-        self.chi_alpha = _clean(self.chi_alpha)
-        self.chi_p = _clean(self.chi_p)
+    def __init_subclass__(cls) -> None:
+        cls._kinds = frozenset(["chi01", "chi_alpha"] + [p[0] for p in cls.pressure_labels(0)])
+
+    def _set(self, entries: Mapping[tuple, Expr]) -> None:
+        if not {label[0] for label in entries} <= self._kinds:
+            raise ValueError(f"{type(self).__name__} has no entry for one of {list(entries)}")
+        nonzero = [(k, v) for k, v in entries.items() if not v.is_zero()]
+        self._entries = dict(sorted(nonzero, key=lambda kv: (_KIND_RANK[kv[0][0]], kv[0][1:])))
+
+    @classmethod
+    def allows(cls, label: tuple) -> bool:
+        return label[0] in cls._kinds
+
+    @classmethod
+    def from_entries(cls, entries: Mapping[tuple, Expr]) -> ChiTuple:
+        chi = cls.__new__(cls)
+        chi._set(entries)
+        return chi
+
+    @classmethod
+    def ansatz_labels(cls, m: int, max_order: int) -> list[tuple]:
+        velocity = [
+            ("chi_alpha", i1, a) for i1 in range(max_order + 1) for a in range(2, m + 1)
+        ]
+        return [("chi01",)] + velocity + cls.pressure_labels(max_order)
+
+    def items(self) -> list[tuple[tuple, Expr]]:
+        return list(self._entries.items())
 
     def is_zero(self) -> bool:
-        return self.chi01.is_zero() and not self.chi_alpha and not self.chi_p
+        return not self._entries
 
-    def reduce(self, ctx: ReductionContext) -> ChiTupleCE:
-        return ChiTupleCE(
-            reduce(ctx, self.chi01),
-            {k: reduce(ctx, v) for k, v in self.chi_alpha.items()},
-            {k: reduce(ctx, v) for k, v in self.chi_p.items()},
-        )
+    def reduce(self, ctx: ReductionContext) -> ChiTuple:
+        return self.from_entries({k: reduce(ctx, v) for k, v in self._entries.items()})
+
+    @property
+    def chi01(self) -> Expr:
+        return self._entries.get(("chi01",), Expr.zero())
+
+    @property
+    def chi_alpha(self) -> dict[tuple[int, int], Expr]:
+        """Entries by (first-direction order, spatial component)."""
+        return {label[1:]: v for label, v in self._entries.items() if label[0] == "chi_alpha"}
+
+    def __eq__(self, other) -> bool:
+        return type(self) is type(other) and self._entries == other._entries
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.items())!r})"
 
 
-@dataclass
-class ChiTupleCPE:
+class ChiTupleCE(ChiTuple):
+    """Tuple for the continuity-setting complex.
+
+    The pressure block keeps one entry ("chi_p", i1) per first-direction
+    order i1; chi_p maps i1 to that entry.
+    """
+
+    def __init__(
+        self,
+        chi01: Expr = Expr.zero(),
+        chi_alpha: Mapping[tuple[int, int], Expr] | None = None,
+        chi_p: Mapping[int, Expr] | None = None,
+    ):
+        pressure = {("chi_p", i1): v for i1, v in (chi_p or {}).items()}
+        super().__init__(chi01, chi_alpha, pressure)
+
+    @staticmethod
+    def pressure_labels(max_order: int) -> list[tuple]:
+        return [("chi_p", i1) for i1 in range(max_order + 1)]
+
+    @property
+    def chi_p(self) -> dict[int, Expr]:
+        return {label[1]: v for label, v in self._entries.items() if label[0] == "chi_p"}
+
+
+class ChiTupleCPE(ChiTuple):
     """Tuple for the joint-setting complex.
 
     Velocity entries as in the continuity shape; the pressure block
@@ -81,29 +142,26 @@ class ChiTupleCPE:
     first-direction orders of the pressure survive the reduction.
     """
 
-    chi01: Expr = field(default_factory=Expr.zero)
-    chi_alpha: dict[tuple[int, int], Expr] = field(default_factory=dict)
-    chi0: Expr = field(default_factory=Expr.zero)
-    chi1: Expr = field(default_factory=Expr.zero)
+    def __init__(
+        self,
+        chi01: Expr = Expr.zero(),
+        chi_alpha: Mapping[tuple[int, int], Expr] | None = None,
+        chi0: Expr = Expr.zero(),
+        chi1: Expr = Expr.zero(),
+    ):
+        super().__init__(chi01, chi_alpha, {("chi0",): chi0, ("chi1",): chi1})
 
-    def __post_init__(self) -> None:
-        self.chi_alpha = _clean(self.chi_alpha)
+    @staticmethod
+    def pressure_labels(max_order: int) -> list[tuple]:
+        return [("chi0",), ("chi1",)]
 
-    def is_zero(self) -> bool:
-        return (
-            self.chi01.is_zero()
-            and not self.chi_alpha
-            and self.chi0.is_zero()
-            and self.chi1.is_zero()
-        )
+    @property
+    def chi0(self) -> Expr:
+        return self._entries.get(("chi0",), Expr.zero())
 
-    def reduce(self, ctx: ReductionContext) -> ChiTupleCPE:
-        return ChiTupleCPE(
-            reduce(ctx, self.chi01),
-            {k: reduce(ctx, v) for k, v in self.chi_alpha.items()},
-            reduce(ctx, self.chi0),
-            reduce(ctx, self.chi1),
-        )
+    @property
+    def chi1(self) -> Expr:
+        return self._entries.get(("chi1",), Expr.zero())
 
 
 @dataclass(frozen=True)
@@ -142,8 +200,9 @@ def correction_ce(ctx: ReductionContext, chi: ChiTupleCE) -> ChiTupleCE:
     """The linear correction term of the transported derivative (continuity shape)."""
     m = ctx.m
     alpha_range = range(2, m + 1)
+    source_alpha, source_p = chi.chi_alpha, chi.chi_p
     order_bound = max(
-        [i1 for i1, _ in chi.chi_alpha] + [i1 for i1 in chi.chi_p] + [0]
+        [i1 for i1, _ in source_alpha] + [i1 for i1 in source_p] + [0]
     )
     chi_alpha: dict[tuple[int, int], Expr] = {}
     for i1 in range(order_bound + 2):
@@ -151,11 +210,11 @@ def correction_ce(ctx: ReductionContext, chi: ChiTupleCE) -> ChiTupleCE:
             term = Expr.zero()
             if i1 == 0:
                 term = term + restricted_derivative(ctx, a, chi.chi01)
-            term = term + chi.chi_alpha.get((i1 - 1, a), Expr.zero())
+            term = term + source_alpha.get((i1 - 1, a), Expr.zero())
             if not term.is_zero():
                 chi_alpha[(i1, a)] = term
     chi_p = {
-        i1 + 1: expr for i1, expr in chi.chi_p.items() if not expr.is_zero()
+        i1 + 1: expr for i1, expr in source_p.items() if not expr.is_zero()
     }
     return ChiTupleCE(Expr.zero(), chi_alpha, chi_p)
 
@@ -169,11 +228,12 @@ def correction_cpe(ctx: ReductionContext, chi: ChiTupleCPE) -> ChiTupleCPE:
     div_block = expr_sum(u(b, unit(b, m)) for b in alpha_range)
 
     chi01 = 2 * expr_sum(d(a, u_first(a) * chi.chi1) for a in alpha_range)
-    order_bound = max([i1 for i1, _ in chi.chi_alpha] + [1])
+    source_alpha = chi.chi_alpha
+    order_bound = max([i1 for i1, _ in source_alpha] + [1])
     chi_alpha: dict[tuple[int, int], Expr] = {}
     for i1 in range(order_bound + 2):
         for a in alpha_range:
-            term = chi.chi_alpha.get((i1 - 1, a), Expr.zero())
+            term = source_alpha.get((i1 - 1, a), Expr.zero())
             if i1 == 0:
                 term = term + d(a, chi.chi01)
                 term = term + 2 * d(a, div_block * chi.chi1)
@@ -189,38 +249,26 @@ def correction_cpe(ctx: ReductionContext, chi: ChiTupleCPE) -> ChiTupleCPE:
     return ChiTupleCPE(chi01, chi_alpha, chi0, chi1)
 
 
-def reduced_derivative(ctx: ReductionContext, chi):
+_SHAPES = {
+    Setting.CE: (ChiTupleCE, correction_ce),
+    Setting.CPE: (ChiTupleCPE, correction_cpe),
+}
+
+
+def _shape(ctx: ReductionContext, what: str):
+    """The tuple class and correction of the context's setting."""
+    if ctx.setting not in _SHAPES:
+        raise ValueError(f"{what} requires the ce or cpe setting")
+    return _SHAPES[ctx.setting]
+
+
+def reduced_derivative(ctx: ReductionContext, chi: ChiTuple) -> ChiTuple:
     """Componentwise restricted first derivative plus the setting's correction."""
-    d1 = lambda g: restricted_derivative(ctx, 1, g)
-    if ctx.setting is Setting.CE:
-        corr = correction_ce(ctx, chi)
-        keys = set(chi.chi_alpha) | set(corr.chi_alpha)
-        chi_alpha = {
-            k: d1(chi.chi_alpha.get(k, Expr.zero()))
-            + corr.chi_alpha.get(k, Expr.zero())
-            for k in keys
-        }
-        p_keys = set(chi.chi_p) | set(corr.chi_p)
-        chi_p = {
-            k: d1(chi.chi_p.get(k, Expr.zero())) + corr.chi_p.get(k, Expr.zero())
-            for k in p_keys
-        }
-        return ChiTupleCE(d1(chi.chi01) + corr.chi01, chi_alpha, chi_p)
-    if ctx.setting is Setting.CPE:
-        corr = correction_cpe(ctx, chi)
-        keys = set(chi.chi_alpha) | set(corr.chi_alpha)
-        chi_alpha = {
-            k: d1(chi.chi_alpha.get(k, Expr.zero()))
-            + corr.chi_alpha.get(k, Expr.zero())
-            for k in keys
-        }
-        return ChiTupleCPE(
-            d1(chi.chi01) + corr.chi01,
-            chi_alpha,
-            d1(chi.chi0) + corr.chi0,
-            d1(chi.chi1) + corr.chi1,
-        )
-    raise ValueError("reduced derivative requires the ce or cpe setting")
+    shape, correction = _shape(ctx, "reduced derivative")
+    entries = dict(correction(ctx, chi).items())
+    for label, expr in chi.items():
+        entries[label] = restricted_derivative(ctx, 1, expr) + entries.get(label, Expr.zero())
+    return shape.from_entries(entries)
 
 
 # -- the equivalent first-order system (joint setting) ---------------------
@@ -299,49 +347,24 @@ def reduced_system_residuals(
 
 def reduced_variational_derivative(ctx: ReductionContext, L: Expr):
     """Integration by parts along the directions 2..m, grouped by tuple slot."""
-    collected = euler_collect(L, range(2, ctx.m + 1))
-    chi01 = Expr.zero()
-    chi_alpha: dict[tuple[int, int], Expr] = {}
-    pressure: dict[int, Expr] = {}
-    for (kind, mu, remainder), expr in collected.items():
+    shape, _ = _shape(ctx, "reduced variational derivative")
+    entries: dict[tuple, Expr] = {}
+    for (kind, mu, remainder), expr in euler_collect(L, range(2, ctx.m + 1)).items():
         i1 = remainder[0]
         if kind == "u" and mu == 1:
-            if i1 != 0:
-                raise ValueError("density is not in canonical coordinates")
-            chi01 = chi01 + expr
+            label = ("chi01",) if i1 == 0 else None
         elif kind == "u":
-            chi_alpha[(i1, mu)] = chi_alpha.get((i1, mu), Expr.zero()) + expr
+            label = ("chi_alpha", i1, mu)
         else:
-            pressure[i1] = pressure.get(i1, Expr.zero()) + expr
-    if ctx.setting is Setting.CE:
-        return ChiTupleCE(chi01, chi_alpha, pressure)
-    if ctx.setting is Setting.CPE:
-        if any(i1 > 1 for i1 in pressure):
+            pressure = shape.pressure_labels(i1)  # indexed by first-direction order
+            label = pressure[i1] if i1 < len(pressure) else None
+        if label is None:
             raise ValueError("density is not in canonical coordinates")
-        return ChiTupleCPE(
-            chi01,
-            chi_alpha,
-            pressure.get(0, Expr.zero()),
-            pressure.get(1, Expr.zero()),
-        )
-    raise ValueError("the auxiliary complex lives in the ce or cpe setting")
+        entries[label] = entries.get(label, Expr.zero()) + expr
+    return shape.from_entries(entries)
 
 
 # -- bounded-order kernel search --------------------------------------------
-
-
-def _component_labels(ctx: ReductionContext, ansatz: AnsatzSpec) -> list:
-    labels: list = [("chi01",)]
-    for i1 in range(ansatz.max_order + 1):
-        for a in range(2, ctx.m + 1):
-            labels.append(("chi_alpha", i1, a))
-    if ctx.setting is Setting.CE:
-        for i1 in range(ansatz.max_order + 1):
-            labels.append(("chi_p", i1))
-    else:
-        labels.append(("chi0",))
-        labels.append(("chi1",))
-    return labels
 
 
 def ansatz_monomials(ctx: ReductionContext, ansatz: AnsatzSpec) -> list[Monomial]:
@@ -387,36 +410,12 @@ def ansatz_monomials(ctx: ReductionContext, ansatz: AnsatzSpec) -> list[Monomial
     return monomials
 
 
-def _basis_tuple(ctx: ReductionContext, label, mono: Monomial):
-    expr = _raw({mono: Fraction(1)})
-    if ctx.setting is Setting.CE:
-        chi = ChiTupleCE()
-    else:
-        chi = ChiTupleCPE()
-    if label[0] == "chi01":
-        chi.chi01 = expr
-    elif label[0] == "chi_alpha":
-        chi.chi_alpha = {(label[1], label[2]): expr}
-    elif label[0] == "chi_p":
-        chi.chi_p = {label[1]: expr}
-    elif label[0] == "chi0":
-        chi.chi0 = expr
-    else:
-        chi.chi1 = expr
-    return chi
-
-
-def _tuple_components(ctx: ReductionContext, chi) -> list[tuple[tuple, Expr]]:
-    out = [(("chi01",), chi.chi01)]
-    for key in sorted(chi.chi_alpha):
-        out.append((("chi_alpha",) + key, chi.chi_alpha[key]))
-    if ctx.setting is Setting.CE:
-        for key in sorted(chi.chi_p):
-            out.append((("chi_p", key), chi.chi_p[key]))
-    else:
-        out.append((("chi0",), chi.chi0))
-        out.append((("chi1",), chi.chi1))
-    return out
+def _unknowns(ctx: ReductionContext, ansatz: AnsatzSpec) -> list[tuple[tuple, Monomial]]:
+    """The unknown coefficients as (label, monomial): label-major, then monomial."""
+    shape, _ = _shape(ctx, "kernel search")
+    monomials = ansatz_monomials(ctx, ansatz)
+    labels = shape.ansatz_labels(ctx.m, ansatz.max_order)
+    return [(label, mono) for label in labels for mono in monomials]
 
 
 def _solve_homogeneous(
@@ -428,15 +427,15 @@ def _solve_homogeneous(
     vanish identically; each monomial of each named expression
     contributes one linear constraint on the unknown coefficients.
     """
-    labels = _component_labels(ctx, ansatz)
-    monomials = ansatz_monomials(ctx, ansatz)
-    unknowns = [(label, mono) for label in labels for mono in monomials]
+    shape, _ = _shape(ctx, "kernel search")
+    unknowns = _unknowns(ctx, ansatz)
     if len(unknowns) > max_unknowns:
         raise AnsatzTooLargeError(len(unknowns), max_unknowns)
 
     rows: dict[tuple, dict[int, Fraction]] = {}
     for col, (label, mono) in enumerate(unknowns):
-        for slot, expr in constraint_entries(_basis_tuple(ctx, label, mono)):
+        basis_tuple = shape.from_entries({label: _raw({mono: Fraction(1)})})
+        for slot, expr in constraint_entries(basis_tuple):
             for out_mono, coeff in expr.items():
                 rows.setdefault((slot, out_mono), {})[col] = coeff
 
@@ -445,26 +444,12 @@ def _solve_homogeneous(
 
     basis = []
     for vec in vectors:
-        chi = ChiTupleCE() if ctx.setting is Setting.CE else ChiTupleCPE()
+        entries: dict[tuple, Expr] = {}
         for (label, mono), coeff in zip(unknowns, vec):
-            if coeff == 0:
-                continue
-            expr = _raw({mono: Fraction(coeff)})
-            if label[0] == "chi01":
-                chi.chi01 = chi.chi01 + expr
-            elif label[0] == "chi_alpha":
-                key = (label[1], label[2])
-                chi.chi_alpha[key] = chi.chi_alpha.get(key, Expr.zero()) + expr
-            elif label[0] == "chi_p":
-                chi.chi_p[label[1]] = chi.chi_p.get(label[1], Expr.zero()) + expr
-            elif label[0] == "chi0":
-                chi.chi0 = chi.chi0 + expr
-            else:
-                chi.chi1 = chi.chi1 + expr
-        chi.chi_alpha = _clean(chi.chi_alpha)
-        if ctx.setting is Setting.CE:
-            chi.chi_p = _clean(chi.chi_p)
-        basis.append(chi)
+            if coeff != 0:
+                expr = _raw({mono: Fraction(coeff)})
+                entries[label] = entries.get(label, Expr.zero()) + expr
+        basis.append(shape.from_entries(entries))
     return basis
 
 
@@ -479,12 +464,10 @@ def kernel_search(
     The basis is deterministically ordered and scaled to coprime
     integers.
     """
-    if ctx.setting is Setting.FREE:
-        raise ValueError("kernel search requires the ce or cpe setting")
     return _solve_homogeneous(
         ctx,
         ansatz,
-        lambda chi: _tuple_components(ctx, reduced_derivative(ctx, chi)),
+        lambda chi: reduced_derivative(ctx, chi).items(),
         max_unknowns,
     )
 
@@ -518,16 +501,9 @@ def kernel_vectors(ctx: ReductionContext, ansatz: AnsatzSpec, chi) -> tuple[Frac
 
     Raises if a component involves a monomial outside the ansatz.
     """
-    labels = _component_labels(ctx, ansatz)
-    monomials = ansatz_monomials(ctx, ansatz)
-    position = {
-        (label, mono): k
-        for k, (label, mono) in enumerate(
-            (label, mono) for label in labels for mono in monomials
-        )
-    }
+    position = {unknown: k for k, unknown in enumerate(_unknowns(ctx, ansatz))}
     vec = [Fraction(0)] * len(position)
-    for slot, expr in _tuple_components(ctx, chi):
+    for slot, expr in chi.items():
         for mono, coeff in expr.items():
             key = (slot, mono)
             if key not in position:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .jetalgebra import Expr, JetVariable, _raw, pvar, uvar
+from .jetalgebra import Expr, JetVariable, _raw, expr_sum, pvar, uvar
 from .multiindex import MultiIndex
 
 
@@ -61,20 +61,19 @@ def total_derivative_multi(i: MultiIndex, f: Expr) -> Expr:
     return result
 
 
+def second_derivative_sum(derivative, f: Expr, directions) -> Expr:
+    """Sum of derivative(mu, derivative(mu, f)) over the given directions."""
+    return expr_sum(derivative(mu, derivative(mu, f)) for mu in directions)
+
+
 def laplacian(m: int, f: Expr) -> Expr:
     """Sum of second derivatives over all m directions."""
-    return sum(
-        (total_derivative(mu, total_derivative(mu, f)) for mu in range(1, m + 1)),
-        Expr.zero(),
-    )
+    return second_derivative_sum(total_derivative, f, range(1, m + 1))
 
 
 def laplacian_primed(m: int, f: Expr) -> Expr:
     """Sum of second derivatives over the directions 2..m only."""
-    return sum(
-        (total_derivative(a, total_derivative(a, f)) for a in range(2, m + 1)),
-        Expr.zero(),
-    )
+    return second_derivative_sum(total_derivative, f, range(2, m + 1))
 
 
 @dataclass

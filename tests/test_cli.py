@@ -1,15 +1,22 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
 
 def run_cli(*args, stdin=""):
+    # the child interpreter finds the package from the source tree, so the
+    # suite runs without installing it or setting PYTHONPATH
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "jetns.cli", *args],
         input=stdin,
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -118,6 +125,15 @@ def test_kernel_cpe_contains_constant():
     lines = proc.stdout.splitlines()
     assert "chi01: 1" in lines
     assert lines[-1] == "count: 1"
+
+
+def test_kernel_cpe_basis_is_golden():
+    proc = run_cli(
+        "kernel", "--setting", "cpe", "--dim", "2",
+        "--max-order", "2", "--max-degree", "2", "--max-x-degree", "1",
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == (Path(__file__).parent / "golden" / "kernel_cpe_m2.txt").read_text()
 
 
 def test_kernel_cap_zero_errors():

@@ -107,6 +107,10 @@ def test_tuple_chi_component_range():
         parse_tuple("chi[9,0]: 1", "chi_cpe", 3)
     with pytest.raises(ExprSyntaxError, match="unknown component"):
         parse_tuple("chi[1]: 1", "chi_cpe", 3)
+    with pytest.raises(ExprSyntaxError, match="unknown component"):
+        parse_tuple("chi0: 1", "chi_ce", 3)
+    with pytest.raises(ExprSyntaxError, match="unknown component"):
+        parse_tuple("chi1: 1", "chi_ce", 3)
 
 
 def test_corpus_round_trip_and_golden():

@@ -110,6 +110,29 @@ def test_pow_negative_rejected():
         x(1) ** -1
 
 
+def test_pow_multiplication_count(monkeypatch):
+    # square-and-multiply needs floor(log2 n) squarings and popcount(n) - 1
+    # products, and no multiplication at all for n <= 1
+    mul = Expr.__mul__
+    calls = 0
+
+    def counting_mul(self, other):
+        nonlocal calls
+        calls += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Expr, "__mul__", counting_mul)
+    e = x(1) + 2 * u(2, (0, 1, 0))
+    expected_value = Expr.const(1)
+    for n in range(18):
+        calls = 0
+        value = e ** n
+        expected_calls = 0 if n <= 1 else n.bit_length() - 1 + bin(n).count("1") - 1
+        assert calls == expected_calls, n
+        assert value == expected_value, n
+        expected_value = mul(expected_value, e)
+
+
 def test_canonical_uniqueness():
     # built two different ways, identical monomial maps
     a = (x(1) + p((0, 0, 0))) * (x(1) - p((0, 0, 0)))

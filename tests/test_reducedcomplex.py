@@ -121,6 +121,26 @@ def test_correction_is_linear(cpe_ctx, ce_ctx):
         assert out.chi1 == 2 * out_a.chi1 + 3 * out_b.chi1
 
 
+def test_tuple_value_equality():
+    assert ChiTupleCPE(chi01=Expr.const(1)) == ChiTupleCPE(chi01=Expr.const(1))
+    assert ChiTupleCPE(chi01=Expr.const(1)) != ChiTupleCPE(chi01=Expr.const(2))
+    assert ChiTupleCE(Expr.zero(), {(0, 2): Expr.zero()}, {}) == ChiTupleCE()
+    assert ChiTupleCPE(Expr.const(1), {}, x(1), x(2)) == ChiTupleCPE(
+        chi01=Expr.const(1), chi0=x(1), chi1=x(2)
+    )
+    # a continuity tuple never equals a joint one, not even when both are zero
+    assert ChiTupleCE(chi01=Expr.const(1)) != ChiTupleCPE(chi01=Expr.const(1))
+    assert ChiTupleCE() != ChiTupleCPE()
+
+
+def test_tuple_rejects_labels_of_the_other_shape():
+    with pytest.raises(ValueError):
+        ChiTupleCPE.from_entries({("chi_p", 0): Expr.const(1)})
+    with pytest.raises(ValueError):
+        ChiTupleCE.from_entries({("chi1",): Expr.const(1)})
+    assert ChiTupleCE.from_entries({("chi_p", 0): Expr.const(1)}).chi_p == {0: Expr.const(1)}
+
+
 # -- transported derivative --------------------------------------------------
 
 

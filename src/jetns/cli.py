@@ -20,7 +20,6 @@ from .constraints import (
     restricted_derivative_multi,
 )
 from .evolutionary import (
-    Characteristic,
     EvolutionField,
     symmetry_residuals,
     time_symmetry_residual,
@@ -42,8 +41,6 @@ from .reducedcomplex import (
     reduced_system_residuals,
 )
 from .variational import (
-    Cotuple,
-    CurrentTuple,
     current_divergence,
     euler_operator,
     helmholtz_residual,

@@ -1,21 +1,24 @@
 """Constraint ideals and canonical-coordinate reduction.
 
-Two triangular substitution systems are implemented.  The continuity
-constraint eliminates every u^1 jet carrying a derivative along the first
-direction:
+Reduction is one ring homomorphism: every jet is either a canonical
+coordinate of the setting, which it keeps, or has a canonical image.  The
+continuity constraint gives every u^1 jet carrying a derivative along the
+first direction the image
 
     u1_{i}  ->  -sum_b  ub_{i - (1) + (b)}        (i with i^1 > 0, b in 2..m)
 
-The pressure constraint additionally eliminates every pressure jet with
-more than one derivative along the first direction:
+and the joint setting adds, for every pressure jet with more than one
+derivative along the first direction,
 
     p_{i}   ->  -D_{i - 2(1)} Phi                 (i with i^1 > 1)
 
 where Phi is the reduced pressure source and the derivatives on the right
-are the constrained ones, so the replacement is already in canonical
-coordinates.  Both systems terminate because a substitution never
-reintroduces an eliminated variable: the u-rule produces only u^b jets
-with b >= 2, and the p-rule produces pressure jets with i^1 <= 1.
+are the restricted ones.  Each ReductionContext keeps these images in a
+table filled on first use; reduce, the restricted derivative and the
+velocity gradient all read it.  One substitution pass reduces completely
+because every image is already canonical: the u-rule produces only u^b
+jets with b >= 2, and the p-rule produces restricted derivatives of the
+canonical Phi.
 
 Every operation takes an explicit ReductionContext; the free algebra, the
 continuity setting and the joint setting are values of it, not a global
@@ -27,9 +30,10 @@ from __future__ import annotations
 import enum
 from functools import partial
 
-from .jetalgebra import Expr, JetVariable, expr_sum, p, u
+from .jetalgebra import Expr, JetVariable, expr_sum, p, u, uvar
 from .multiindex import MultiIndex, unit, zero
 from .totalderiv import (
+    _free_image,
     derive,
     laplacian,
     laplacian_primed,
@@ -46,16 +50,44 @@ class Setting(enum.Enum):
 
 
 class ReductionContext:
-    """Immutable bundle of (setting, dimension) with the cached reduced Phi."""
+    """Immutable bundle of (setting, dimension) with the cached reduced Phi.
 
-    __slots__ = ("setting", "m", "phi_reduced")
+    It also memoizes the canonical image of each non-canonical variable it
+    has been asked about; the table is a cache and takes no part in
+    equality.
+    """
+
+    __slots__ = ("setting", "m", "phi_reduced", "_images")
 
     def __init__(self, setting: Setting, m: int):
         if m < 2:
             raise ValueError(f"dimension must be >= 2, got {m}")
         self.setting = setting
         self.m = m
+        self._images: dict[JetVariable, Expr] = {}
         self.phi_reduced = phi_expr(m) if setting is Setting.CPE else None
+
+    def image(self, v: JetVariable) -> Expr | None:
+        """The canonical image of v, or None when v is a canonical coordinate."""
+        if v.kind == "u":
+            if v.mu != 1 or v.index.first == 0 or self.setting is Setting.FREE:
+                return None
+        elif v.kind != "p" or v.index.first < 2 or self.setting is not Setting.CPE:
+            return None
+        if v not in self._images:
+            if v.kind == "u":
+                below = v.index.subtract(unit(1, self.m))
+                img = expr_sum(-u(b, below.bump(b)) for b in range(2, self.m + 1))
+            else:
+                target = v.index.subtract(unit(1, self.m).bump(1))
+                img = -restricted_derivative_multi(self, target, self.phi_reduced)
+            self._images[v] = img
+        return self._images[v]
+
+    def canonical(self, v: JetVariable) -> Expr:
+        """The variable v written in the context's canonical coordinates."""
+        img = self.image(v)
+        return Expr.var(v) if img is None else img
 
     @staticmethod
     def free(m: int = 3) -> ReductionContext:
@@ -113,47 +145,14 @@ def phi_expr(m: int) -> Expr:
 # -- reduction ------------------------------------------------------------
 
 
-def _u1_replacement(index: MultiIndex, m: int) -> Expr:
-    below = index.subtract(unit(1, m))
-    return expr_sum(-u(b, below.bump(b)) for b in range(2, m + 1))
+def reduce(ctx: ReductionContext, f: Expr) -> Expr:
+    """f in the canonical coordinates of the context: one substitution pass."""
+    return f.subs(ctx.image)
 
 
 def reduce_ce(f: Expr, m: int) -> Expr:
     """Eliminate every u^1 jet with a derivative along the first direction."""
-    offenders = sorted(
-        (v for v in f.variables() if v.kind == "u" and v.mu == 1 and v.index.first > 0),
-        key=JetVariable.sort_key,
-    )
-    for v in offenders:
-        f = f.subs(v, _u1_replacement(v.index, m))
-    return f
-
-
-def _p_replacement(ctx: ReductionContext, index: MultiIndex) -> Expr:
-    target = MultiIndex((index.first - 2,) + index.entries[1:])
-    return -restricted_derivative_multi(ctx, target, ctx.phi_reduced)
-
-
-def reduce_cpe(ctx: ReductionContext, f: Expr) -> Expr:
-    """Full reduction: continuity elimination, then pressure elimination."""
-    f = reduce_ce(f, ctx.m)
-    while True:
-        offenders = sorted(
-            (v for v in f.variables() if v.kind == "p" and v.index.first > 1),
-            key=JetVariable.sort_key,
-        )
-        if not offenders:
-            return f
-        for v in offenders:
-            f = f.subs(v, _p_replacement(ctx, v.index))
-
-
-def reduce(ctx: ReductionContext, f: Expr) -> Expr:
-    if ctx.setting is Setting.FREE:
-        return f
-    if ctx.setting is Setting.CE:
-        return reduce_ce(f, ctx.m)
-    return reduce_cpe(ctx, f)
+    return reduce(ReductionContext.ce(m), f)
 
 
 def ideal_member(ctx: ReductionContext, f: Expr) -> tuple[bool, Expr]:
@@ -167,33 +166,11 @@ def ideal_member(ctx: ReductionContext, f: Expr) -> tuple[bool, Expr]:
 
 def _restricted_image(ctx: ReductionContext, v: JetVariable, mu: int) -> Expr:
     """Derivative of a canonical coordinate, re-expressed in canonical coordinates."""
-    m = ctx.m
-    if v.kind == "x":
-        return Expr.const(1) if v.mu == mu else Expr.zero()
-    if v.kind in ("nu", "t"):
-        return Expr.zero()
-    if ctx.setting is Setting.FREE:
-        if v.kind == "u":
-            return u(v.mu, v.index.bump(mu))
-        return p(v.index.bump(mu))
-    if v.kind == "u":
-        if v.mu == 1:
-            if v.index.first > 0:
-                raise ValueError(f"{v.label()} is not a canonical coordinate here")
-            if mu == 1:
-                return _u1_replacement(v.index.bump(1), m)
-            return u(1, v.index.bump(mu))
-        return u(v.mu, v.index.bump(mu))
-    # pressure jets
-    if ctx.setting is Setting.CE:
-        return p(v.index.bump(mu))
-    if v.index.first > 1:
+    if ctx.image(v) is not None:
         raise ValueError(f"{v.label()} is not a canonical coordinate here")
-    bumped = v.index.bump(mu)
-    if bumped.first <= 1:
-        return p(bumped)
-    spatial = MultiIndex((0,) + v.index.entries[1:])
-    return -total_derivative_multi(spatial, ctx.phi_reduced)
+    if v.kind not in ("u", "p"):
+        return _free_image(v, mu)
+    return ctx.canonical(JetVariable(v.kind, v.mu, v.index.bump(mu)))
 
 
 def restricted_derivative(ctx: ReductionContext, mu: int, f: Expr) -> Expr:
@@ -228,8 +205,4 @@ def restricted_laplacian_primed(ctx: ReductionContext, f: Expr) -> Expr:
 
 def velocity_gradient_entry(ctx: ReductionContext, la: int, mu: int) -> Expr:
     """The jet u^la_(mu) expressed in the context's canonical coordinates."""
-    m = ctx.m
-    idx = unit(mu, m)
-    if ctx.setting is not Setting.FREE and la == 1 and mu == 1:
-        return _u1_replacement(idx, m)
-    return u(la, idx)
+    return ctx.canonical(uvar(la, unit(mu, ctx.m)))

@@ -40,34 +40,30 @@ class Characteristic:
     def m(self) -> int:
         return len(self.velocity)
 
-    @staticmethod
-    def zero(m: int) -> Characteristic:
-        return Characteristic(tuple(Expr.zero() for _ in range(m)), Expr.zero())
-
     def component(self, slot: int) -> Expr:
         """Slot 1..m selects a velocity component, slot 0 the pressure one."""
         return self.pressure if slot == 0 else self.velocity[slot - 1]
 
     def reduce(self, ctx: ReductionContext) -> Characteristic:
-        return Characteristic(
+        return type(self)(
             tuple(reduce(ctx, c) for c in self.velocity), reduce(ctx, self.pressure)
         )
 
     def __add__(self, other: Characteristic) -> Characteristic:
-        return Characteristic(
+        return type(self)(
             tuple(a + b for a, b in zip(self.velocity, other.velocity)),
             self.pressure + other.pressure,
         )
 
     def __sub__(self, other: Characteristic) -> Characteristic:
-        return Characteristic(
+        return type(self)(
             tuple(a - b for a, b in zip(self.velocity, other.velocity)),
             self.pressure - other.pressure,
         )
 
     def __mul__(self, scalar) -> Characteristic:
         c = Fraction(scalar)
-        return Characteristic(tuple(c * a for a in self.velocity), c * self.pressure)
+        return type(self)(tuple(c * a for a in self.velocity), c * self.pressure)
 
     __rmul__ = __mul__
 

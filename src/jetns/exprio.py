@@ -332,9 +332,7 @@ def _build_tuple(components: dict[str, Expr], shape: str, m: int):
 
     if shape in ("characteristic", "cotuple"):
         velocity = tuple(get(f"f{mu}") for mu in range(1, m + 1))
-        if shape == "characteristic":
-            return Characteristic(velocity, get("f"))
-        return Cotuple(velocity, get("f"))
+        return _SHAPE_TYPES[shape](velocity, get("f"))
     if shape == "current":
         return CurrentTuple(tuple(get(f"j{mu}") for mu in range(1, m + 1)))
     return _SHAPE_TYPES[shape].from_entries(
@@ -344,7 +342,7 @@ def _build_tuple(components: dict[str, Expr], shape: str, m: int):
 
 def print_tuple(value) -> str:
     """Canonical tuple rendering; inverse of parse_tuple for its shape."""
-    if isinstance(value, Characteristic) or isinstance(value, Cotuple):
+    if isinstance(value, Characteristic):  # a Cotuple is one too
         parts = [
             f"f{mu}: {value.velocity[mu - 1]}" for mu in range(1, value.m + 1)
         ]
@@ -362,7 +360,7 @@ def print_tuple(value) -> str:
 
 def tuple_shape(value) -> str:
     for shape, cls in _SHAPE_TYPES.items():
-        if isinstance(value, cls):
+        if type(value) is cls:
             return shape
     raise TypeError(f"no tuple shape for {type(value).__name__}")
 
@@ -395,12 +393,21 @@ def variable_from_label(label: str, m: int) -> JetVariable:
 
 
 def records_to_expr(records: list[dict], m: int) -> Expr:
+    """The expression the records denote; each factor list is one monomial.
+
+    A variable may occur once per monomial, with an exponent of at least 1,
+    so that equal expressions keep equal monomial maps.
+    """
     terms: dict[Monomial, Fraction] = {}
     for record in records:
         coeff = Fraction(int(record["num"]), int(record["den"]))
         factors = tuple(
             (variable_from_label(label, m), int(e)) for label, e in record["factors"]
         )
+        if len({v for v, _ in factors}) != len(factors):
+            raise ValueError(f"repeated factor in {record['factors']!r}")
+        if any(e < 1 for _, e in factors):
+            raise ValueError(f"exponent below 1 in {record['factors']!r}")
         factors = tuple(sorted(factors, key=lambda ve: ve[0].sort_key()))
         terms[factors] = terms.get(factors, Fraction(0)) + coeff
     return _raw({mono: c for mono, c in terms.items() if c != 0})

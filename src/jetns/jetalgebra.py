@@ -227,7 +227,9 @@ class Expr:
         return self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        # a constant hashes like the int or Fraction it equals
+        value = self.constant_value()
+        return hash(value) if value is not None else hash(frozenset(self._terms.items()))
 
     # -- calculus -----------------------------------------------------
 
@@ -246,22 +248,37 @@ class Expr:
                     break
         return _raw(data)
 
-    def subs(self, v: JetVariable, replacement: Expr) -> Expr:
-        """Replace v by an expression, single pass (the replacement is not revisited)."""
-        result = Expr.zero()
+    def subs(self, image) -> Expr:
+        """The ring homomorphism sending each variable v to image(v).
+
+        image returns the Expr that replaces v, or None to keep v.  All
+        variables are replaced at once, monomial by monomial, and an image
+        is never revisited: f.subs({a: b, b: a}.get) swaps a and b.
+        """
+        data: dict[Monomial, Fraction] = {}
+        powers: dict[tuple[JetVariable, int], Expr] = {}
         for mono, coeff in self._terms.items():
-            exponent = 0
-            rest = mono
-            for pos, (w, e) in enumerate(mono):
-                if w == v:
-                    exponent = e
-                    rest = mono[:pos] + mono[pos + 1:]
-                    break
-            term = _raw({rest: coeff})
-            if exponent:
-                term = term * replacement ** exponent
-            result = result + term
-        return result
+            kept = []
+            product = None
+            for v, e in mono:
+                img = image(v)
+                if img is None:
+                    kept.append((v, e))
+                    continue
+                power = powers.get((v, e))
+                if power is None:
+                    power = powers[(v, e)] = img ** e
+                product = power if product is None else product * power
+            kept = tuple(kept)
+            images = product._terms.items() if product is not None else [((), 1)]
+            for image_mono, c in images:
+                out = _merge_monomials(kept, image_mono) if image_mono else kept
+                new = data.get(out, 0) + coeff * c
+                if new == 0:
+                    data.pop(out, None)
+                else:
+                    data[out] = new
+        return _raw(data)
 
     def evaluate(self, assignment: Mapping[JetVariable, Fraction]) -> Fraction:
         """Exact value at a point; every occurring variable must be assigned."""

@@ -29,6 +29,7 @@ from .jetalgebra import (
     Expr,
     Monomial,
     T_VAR,
+    _monomial_key,
     _raw,
     expr_sum,
     pvar,
@@ -404,9 +405,7 @@ def ansatz_monomials(ctx: ReductionContext, ansatz: AnsatzSpec) -> list[Monomial
                 exponent += 1
 
     extend([], 0, ansatz.max_degree, ansatz.max_x_degree)
-    monomials.sort(
-        key=lambda mo: (sum(e for _, e in mo), tuple((v.sort_key(), e) for v, e in mo))
-    )
+    monomials.sort(key=_monomial_key)
     return monomials
 
 
@@ -493,7 +492,7 @@ def reduced_system_kernel(
 
 def _row_key(key):
     slot, mono = key
-    return (slot, (sum(e for _, e in mono), tuple((v.sort_key(), e) for v, e in mono)))
+    return (slot, _monomial_key(mono))
 
 
 def kernel_vectors(ctx: ReductionContext, ansatz: AnsatzSpec, chi) -> tuple[Fraction, ...]:

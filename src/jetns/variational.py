@@ -18,42 +18,16 @@ from fractions import Fraction
 from typing import Iterable
 
 from .constraints import ReductionContext, reduce
+from .evolutionary import Characteristic
 from .jetalgebra import Expr
-from .multiindex import MultiIndex, sub_indices, zero
+from .multiindex import MultiIndex, sub_indices
 from .totalderiv import total_derivative, total_derivative_multi
 
 PRESSURE_SLOT = 0
 
 
-@dataclass
-class Cotuple:
+class Cotuple(Characteristic):
     """A tuple dual to characteristics: m velocity entries and a pressure entry."""
-
-    velocity: tuple[Expr, ...]
-    pressure: Expr
-
-    def __post_init__(self) -> None:
-        self.velocity = tuple(self.velocity)
-
-    @property
-    def m(self) -> int:
-        return len(self.velocity)
-
-    @staticmethod
-    def zero(m: int) -> Cotuple:
-        return Cotuple(tuple(Expr.zero() for _ in range(m)), Expr.zero())
-
-    def component(self, slot: int) -> Expr:
-        return self.pressure if slot == PRESSURE_SLOT else self.velocity[slot - 1]
-
-    def is_zero(self) -> bool:
-        return self.pressure.is_zero() and all(c.is_zero() for c in self.velocity)
-
-    def __sub__(self, other: Cotuple) -> Cotuple:
-        return Cotuple(
-            tuple(a - b for a, b in zip(self.velocity, other.velocity)),
-            self.pressure - other.pressure,
-        )
 
 
 @dataclass
@@ -179,32 +153,8 @@ def frechet_linearization(chi: Cotuple, m: int) -> OperatorCoefficients:
 
 
 def formal_adjoint(chi: Cotuple, m: int) -> OperatorCoefficients:
-    """Coefficients of the formal adjoint, by the higher Leibniz expansion.
-
-    The coefficient of the k-th derivative of source slot s in target row
-    t collects, over every jet variable of slot t with index i >= k, the
-    signed binomial multiple of the (i-k)-th derivative of the formal
-    partial of the s-entry.
-    """
-    data: dict[tuple[int, int, MultiIndex], Expr] = {}
-    for source in _slots(m):
-        component = chi.component(source)
-        for v in component.variables():
-            if v.kind == "u":
-                target = v.mu
-            elif v.kind == "p":
-                target = PRESSURE_SLOT
-            else:
-                continue
-            i = v.index
-            partial = component.diff(v)
-            sign = Fraction(-1) ** i.total
-            for k in sub_indices(i):
-                l = i.subtract(k)
-                coeff = sign * i.binomial(k) * total_derivative_multi(l, partial)
-                key = (target, source, k)
-                data[key] = data.get(key, Expr.zero()) + coeff
-    return OperatorCoefficients(data)
+    """Coefficients of the formal adjoint: the adjoint of the linearization."""
+    return operator_adjoint(frechet_linearization(chi, m), m)
 
 
 def operator_adjoint(op: OperatorCoefficients, m: int) -> OperatorCoefficients:
@@ -222,7 +172,8 @@ def operator_adjoint(op: OperatorCoefficients, m: int) -> OperatorCoefficients:
 
 def helmholtz_residual(chi: Cotuple, m: int) -> OperatorCoefficients:
     """Linearization minus formal adjoint; empty exactly for variational cotuples."""
-    return frechet_linearization(chi, m) - formal_adjoint(chi, m)
+    linearization = frechet_linearization(chi, m)
+    return linearization - operator_adjoint(linearization, m)
 
 
 def current_divergence(ctx: ReductionContext, current: CurrentTuple) -> Expr:

@@ -141,6 +141,14 @@ def test_cpe_requires_dimension_two():
         ReductionContext(Setting.CPE, 1)
 
 
+def test_reduce_rejects_jets_of_another_dimension(ce_ctx, cpe_ctx):
+    # a pressure jet of the wrong dimension used to be replaced by an image
+    # in the context's dimension instead of being rejected
+    for ctx, f in [(ce_ctx, u(1, (1, 0))), (cpe_ctx, p((2, 0))), (cpe_ctx, p((3, 0, 0, 0)))]:
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            reduce(ctx, f)
+
+
 def test_dimension_two_reduction():
     ctx = ReductionContext(Setting.CPE, 2)
     assert reduce(ctx, continuity_generator(2)).is_zero()

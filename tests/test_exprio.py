@@ -165,3 +165,14 @@ def test_records_shape():
         {"num": 1, "den": 1, "factors": [["nu", 2]]},
         {"num": 2, "den": 3, "factors": [["u1_[1,0,0]", 1], ["p_[0,0,0]", 1]]},
     ]
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [[["x1", 1], ["x1", 1]], [["x1", 1], ["u1_[0,0,0]", 2], ["x1", 2]], [["x1", 0]], [["x1", -1]]],
+)
+def test_records_reject_non_canonical_monomials(factors):
+    # a repeated factor or an exponent below 1 would give an Expr that
+    # differs from its canonical equal (x1*x1 vs x1^2, x1^0 vs 1)
+    with pytest.raises(ValueError):
+        records_to_expr([{"num": 1, "den": 1, "factors": factors}], 3)

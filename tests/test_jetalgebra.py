@@ -55,25 +55,42 @@ def test_partial_derivative_coordinate():
 def test_substitute_to_zero():
     v = uvar(1, (1, 0, 0))
     f = Expr.var(v) * p((0, 0, 0))
-    assert f.subs(v, Expr.zero()).is_zero()
+    assert f.subs({v: Expr.zero()}.get).is_zero()
 
 
 def test_substitute_identity():
     f = x(1) ** 3 + p((0, 0, 0))
-    assert f.subs(xvar(1), x(1)) == f
+    assert f.subs({xvar(1): x(1)}.get) == f
 
 
 def test_substitute_through_powers():
     v = pvar((0, 0, 0))
     f = Expr.var(v) ** 2
-    assert f.subs(v, u(1, (0, 0, 0))) == u(1, (0, 0, 0)) ** 2
+    assert f.subs({v: u(1, (0, 0, 0))}.get) == u(1, (0, 0, 0)) ** 2
 
 
 def test_substitute_single_pass():
     # the replacement may mention the substituted variable without looping
     v = pvar((0, 0, 0))
     f = Expr.var(v)
-    assert f.subs(v, Expr.var(v) + 1) == Expr.var(v) + 1
+    assert f.subs({v: Expr.var(v) + 1}.get) == Expr.var(v) + 1
+
+
+def test_substitute_simultaneous_swap():
+    # every variable is mapped at once, so a swap does not collapse
+    a, b = xvar(1), pvar((0, 0, 0))
+    f = Expr.var(a) ** 2 * Expr.var(b) + 3 * Expr.var(b)
+    swapped = f.subs({a: Expr.var(b), b: Expr.var(a)}.get)
+    assert swapped == Expr.var(b) ** 2 * Expr.var(a) + 3 * Expr.var(a)
+    assert swapped.subs({a: Expr.var(b), b: Expr.var(a)}.get) == f
+
+
+@pytest.mark.parametrize("c", [0, 1, -7, Fraction(2, 3), Fraction(-5, 1)])
+def test_constant_hashes_like_its_value(c):
+    # equal values must hash equally; Expr.const(c) == c already holds
+    assert Expr.const(c) == c
+    assert hash(Expr.const(c)) == hash(c)
+    assert len({Expr.const(c), c}) == 1
 
 
 def test_orders_read_off_indices():

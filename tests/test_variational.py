@@ -173,3 +173,14 @@ def test_free_divergence_identity_exact():
         u(la, zero_index(m)) * total_derivative(la, ce) for la in range(1, m + 1)
     )
     assert (div + pressure_generator(m) - transported).is_zero()
+
+
+def test_cotuple_arithmetic_keeps_its_shape(cpe_ctx):
+    from jetns.exprio import tuple_shape
+
+    a = Cotuple((u(1, (1, 0, 0)), x(2), Expr.zero()), p((2, 0, 0)))
+    b = Cotuple((x(1), Expr.zero(), u(2, (0, 1, 0))), Expr.const(1))
+    for value in (a + b, a - b, 3 * a, a.reduce(cpe_ctx)):
+        assert type(value) is Cotuple
+        assert tuple_shape(value) == "cotuple"
+    assert (a - b).component(0) == p((2, 0, 0)) - 1

@@ -68,11 +68,18 @@ class ReductionContext:
         self.phi_reduced = phi_expr(m) if setting is Setting.CPE else None
 
     def image(self, v: JetVariable) -> Expr | None:
-        """The canonical image of v, or None when v is a canonical coordinate."""
+        """The canonical image of v, or None when v is a canonical coordinate.
+
+        A u or p jet whose dimension is not the context's raises ValueError.
+        """
+        if v.index is None:
+            return None
+        if v.index.dim != self.m:
+            raise ValueError(f"dimension mismatch: {v.label()} in a context of dimension {self.m}")
         if v.kind == "u":
             if v.mu != 1 or v.index.first == 0 or self.setting is Setting.FREE:
                 return None
-        elif v.kind != "p" or v.index.first < 2 or self.setting is not Setting.CPE:
+        elif v.index.first < 2 or self.setting is not Setting.CPE:
             return None
         if v not in self._images:
             if v.kind == "u":

@@ -1,11 +1,11 @@
 """Exact linear algebra over the rationals for sparse constraint systems.
 
-Rows are kept as sparse integer mappings.  Forward elimination is
-fraction-free: denominators are cleared on entry, cross-multiplication
-keeps entries integral, and the content of every reduced row is divided
-out to control growth.  Pivoting is deterministic: each reduced row
-pivots on its smallest column index, and rows are processed in the order
-given.
+Rows are kept as sparse integer mappings.  Elimination is one forward,
+fraction-free pass to echelon pivots: denominators are cleared on entry,
+cross-multiplication keeps entries integral, and the content of every
+reduced row is divided out to control growth.  Each reduced row pivots
+on its smallest column, rows in the order given; solutions back-solve
+the pivots in reverse column order.
 """
 
 from __future__ import annotations
@@ -56,32 +56,21 @@ def _eliminate(row: Row, pivots: dict[int, Row]) -> Row:
 
 
 def row_reduce(rows: list[dict[int, Fraction]]) -> dict[int, Row]:
-    """Echelon pivots, keyed by pivot column, fully back-substituted."""
+    """Echelon pivots keyed by pivot column; each row is zero left of its pivot."""
     pivots: dict[int, Row] = {}
     for raw in rows:
         row = _eliminate(_clear_denominators(raw), pivots)
         if row:
             pivots[min(row)] = row
-    # back-substitute so each pivot row is zero on the other pivot columns
-    for col in sorted(pivots, reverse=True):
-        for other_col, other in list(pivots.items()):
-            if other_col == col or col not in other:
-                continue
-            a = pivots[col][col]
-            b = other[col]
-            merged = {c: a * v for c, v in other.items()}
-            for c, v in pivots[col].items():
-                merged[c] = merged.get(c, 0) - b * v
-            pivots[other_col] = _normalize(merged)
     return pivots
 
 
 def nullspace(rows: list[dict[int, Fraction]], ncols: int) -> list[tuple[Fraction, ...]]:
     """An exact basis of the solution space of the homogeneous system.
 
-    One basis vector per free column, in ascending column order; each
-    vector is scaled to coprime integers with a positive entry at its
-    free column.
+    One vector per free column, in ascending order: that column 1, the
+    other free columns 0, the pivots back-solved in reverse column order.
+    Each is scaled to coprime integers, positive at its free column.
     """
     pivots = row_reduce(rows)
     free_cols = [c for c in range(ncols) if c not in pivots]
@@ -96,10 +85,9 @@ def nullspace(rows: list[dict[int, Fraction]], ncols: int) -> list[tuple[Fractio
                 if c != col:
                     acc += v * vec[c]
             vec[col] = -acc / row[col]
-        scale = lcm(*(v.denominator for v in vec if v != 0))
-        ints = [int(v * scale) for v in vec]
-        content = gcd(*(abs(n) for n in ints if n != 0))
-        basis.append(tuple(Fraction(n // content) for n in ints))
+        # the free entry is 1, so clearing denominators leaves coprime integers
+        scale = lcm(*(v.denominator for v in vec))
+        basis.append(tuple(v * scale for v in vec))
     return basis
 
 

@@ -75,10 +75,6 @@ class MultiIndex:
             result *= math.comb(a, b)
         return result
 
-    def split(self) -> tuple[int, tuple[int, ...]]:
-        """(first entry, remaining entries)."""
-        return self.entries[0], self.entries[1:]
-
     def sort_key(self) -> tuple[int, tuple[int, ...]]:
         """Total degree first, then lexicographic on entries."""
         return (self.total, self.entries)

@@ -143,10 +143,22 @@ def test_cpe_requires_dimension_two():
 
 def test_reduce_rejects_jets_of_another_dimension(ce_ctx, cpe_ctx):
     # a pressure jet of the wrong dimension used to be replaced by an image
-    # in the context's dimension instead of being rejected
-    for ctx, f in [(ce_ctx, u(1, (1, 0))), (cpe_ctx, p((2, 0))), (cpe_ctx, p((3, 0, 0, 0)))]:
+    # in the context's dimension instead of being rejected, and canonical
+    # jets of another dimension passed through unchanged
+    cases = [
+        (ce_ctx, u(1, (1, 0))),
+        (cpe_ctx, p((2, 0))),
+        (cpe_ctx, p((3, 0, 0, 0))),
+        (cpe_ctx, p((1, 0)) + u(2, (1, 1))),
+        (cpe_ctx, u(2, (1, 1))),
+        (ce_ctx, x(1) * p((0, 0))),
+        (ce_ctx, u(3, (0, 0, 0, 1))),
+    ]
+    for ctx, f in cases:
         with pytest.raises(ValueError, match="dimension mismatch"):
             reduce(ctx, f)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        restricted_derivative(cpe_ctx, 1, u(2, (1, 1)))
 
 
 def test_dimension_two_reduction():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -341,10 +342,38 @@ def test_nullspace_known_system():
     assert basis == [(Fraction(2), Fraction(-1), Fraction(1))]
 
 
+def _gauss_jordan_nullspace(dense, ncols):
+    """Reference basis from a dense Fraction Gauss-Jordan elimination."""
+    mat = [list(row) for row in dense]
+    pivot_cols = []
+    for c in range(ncols):
+        r = len(pivot_cols)
+        found = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if found is None:
+            continue
+        mat[r], mat[found] = mat[found], mat[r]
+        mat[r] = [v / mat[r][c] for v in mat[r]]
+        for i, row in enumerate(mat):
+            if i != r and row[c] != 0:
+                mat[i] = [a - row[c] * b for a, b in zip(row, mat[r])]
+        pivot_cols.append(c)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivot_cols):
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for row, c in zip(mat, pivot_cols):
+            vec[c] = -row[free]
+        scale = lcm(*(v.denominator for v in vec))
+        ints = [int(v * scale) for v in vec]
+        basis.append(tuple(Fraction(n, gcd(*ints)) for n in ints))
+    return basis, len(pivot_cols)
+
+
 def test_nullspace_matches_naive_gauss():
     rng = random.Random(44)
-    for _ in range(20):
-        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+    deficient = 0
+    for trial in range(60):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
         rows = [
             {
                 c: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
@@ -353,15 +382,24 @@ def test_nullspace_matches_naive_gauss():
             }
             for _ in range(nrows)
         ]
+        if trial % 2:
+            # every row a combination of fewer than min(nrows, ncols) rows
+            base = rows[: rng.randint(0, min(nrows, ncols) - 1)]
+            weights = [[rng.randint(-2, 2) for _ in base] for _ in range(nrows)]
+            rows = [
+                {c: sum((k * r.get(c, 0) for k, r in zip(ks, base)), Fraction(0)) for c in range(ncols)}
+                for ks in weights
+            ]
         rows = [{c: v for c, v in row.items() if v != 0} for row in rows]
+        dense = [tuple(row.get(c, Fraction(0)) for c in range(ncols)) for row in rows]
+        expected, rank = _gauss_jordan_nullspace(dense, ncols)
+        deficient += rank < min(nrows, ncols)
         basis = linalg.nullspace(rows, ncols)
-        # every basis vector solves the system exactly
+        assert basis == expected
         for vec in basis:
             for row in rows:
                 assert sum((v * vec[c] for c, v in row.items()), Fraction(0)) == 0
-        # dimension agrees with a dense rank computation
-        dense = [tuple(row.get(c, Fraction(0)) for c in range(ncols)) for row in rows]
-        assert len(basis) == ncols - linalg.rank(dense)
+    assert deficient >= 30
 
 
 def test_rank_and_span_helpers():

@@ -45,7 +45,7 @@ from .jetalgebra import (
     Monomial,
     NU_VAR,
     T_VAR,
-    _raw,
+    _nonzero,
     pvar,
     uvar,
     xvar,
@@ -410,4 +410,4 @@ def records_to_expr(records: list[dict], m: int) -> Expr:
             raise ValueError(f"exponent below 1 in {record['factors']!r}")
         factors = tuple(sorted(factors, key=lambda ve: ve[0].sort_key()))
         terms[factors] = terms.get(factors, Fraction(0)) + coeff
-    return _raw({mono: c for mono, c in terms.items() if c != 0})
+    return _nonzero(terms)

@@ -196,12 +196,8 @@ class Expr:
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 mono = _merge_monomials(m1, m2)
-                new = data.get(mono, Fraction(0)) + c1 * c2
-                if new == 0:
-                    data.pop(mono, None)
-                else:
-                    data[mono] = new
-        return _raw(data)
+                data[mono] = data.get(mono, 0) + c1 * c2
+        return _nonzero(data)
 
     __rmul__ = __mul__
 
@@ -240,13 +236,9 @@ class Expr:
             for pos, (w, e) in enumerate(mono):
                 if w == v:
                     rest = mono[:pos] + ((w, e - 1),) * (e > 1) + mono[pos + 1:]
-                    new = data.get(rest, Fraction(0)) + coeff * e
-                    if new == 0:
-                        data.pop(rest, None)
-                    else:
-                        data[rest] = new
+                    data[rest] = data.get(rest, 0) + coeff * e
                     break
-        return _raw(data)
+        return _nonzero(data)
 
     def subs(self, image) -> Expr:
         """The ring homomorphism sending each variable v to image(v).
@@ -273,12 +265,8 @@ class Expr:
             images = product._terms.items() if product is not None else [((), 1)]
             for image_mono, c in images:
                 out = _merge_monomials(kept, image_mono) if image_mono else kept
-                new = data.get(out, 0) + coeff * c
-                if new == 0:
-                    data.pop(out, None)
-                else:
-                    data[out] = new
-        return _raw(data)
+                data[out] = data.get(out, 0) + coeff * c
+        return _nonzero(data)
 
     def evaluate(self, assignment: Mapping[JetVariable, Fraction]) -> Fraction:
         """Exact value at a point; every occurring variable must be assigned."""
@@ -315,6 +303,11 @@ def _raw(data: dict[Monomial, Fraction]) -> Expr:
     e = Expr.__new__(Expr)
     e._terms = data
     return e
+
+
+def _nonzero(data: dict[Monomial, Fraction]) -> Expr:
+    """The expression of summed terms, dropping those that cancelled."""
+    return _raw({mono: c for mono, c in data.items() if c != 0})
 
 
 def _coerce(value) -> Expr:

@@ -2,8 +2,8 @@
 
 A multi-index is a tuple of m non-negative integers.  The first direction
 is distinguished throughout the package (it is the direction that gets
-eliminated by the constraint reductions), so classification of an index
-by its first entry lives here as well.
+eliminated by the constraint reductions), so an index exposes its first
+entry directly.
 """
 
 from __future__ import annotations
@@ -79,28 +79,8 @@ class MultiIndex:
         """Total degree first, then lexicographic on entries."""
         return (self.total, self.entries)
 
-    def classify(self) -> IndexClass:
-        return IndexClass(
-            first_zero=self.first == 0,
-            first_at_most_one=self.first <= 1,
-            first_positive=self.first > 0,
-            first_above_one=self.first > 1,
-            total=self.total,
-        )
-
     def __str__(self) -> str:
         return "[" + ",".join(str(e) for e in self.entries) + "]"
-
-
-@dataclass(frozen=True)
-class IndexClass:
-    """Membership flags for the splits along the first direction."""
-
-    first_zero: bool
-    first_at_most_one: bool
-    first_positive: bool
-    first_above_one: bool
-    total: int
 
 
 def zero(m: int) -> MultiIndex:

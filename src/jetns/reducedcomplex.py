@@ -7,6 +7,24 @@ first derivative plus a linear correction coming from the characteristic
 that generates the restricted derivative.  Kernels of that operator are
 computed exactly at bounded ansatz size by assembling one linear
 constraint per output monomial and solving over the rationals.
+
+The correction is one rule keyed by the entry's label.  An entry f adds
+to the target entries, with a, b in 2..m, D the restricted derivatives,
+u^b_(a) the velocity jet u^b with one derivative along a and div' the
+sum of u^b_(b) and Laplacian' the sum of D_a D_a:
+
+    source              target                contribution
+    chi01               (chi_alpha, 0, a)     D_a f
+    (chi_alpha, i1, a)  (chi_alpha, i1+1, a)  f
+    (chi_p, i1)         (chi_p, i1+1)         f
+    chi0                chi1                  f
+    chi1                chi01                 2 sum_a D_a(u^a_(1) f)
+                        (chi_alpha, 0, a)     2 D_a(div' f) + 2 sum_b D_b(u^b_(a) f)
+                        (chi_alpha, 1, a)     -2 u^1_(a) f
+                        chi0                  -Laplacian' f
+
+The continuity and joint labels are disjoint, so the rule never asks
+for the setting, and each entry does only the work of its own rows.
 """
 
 from __future__ import annotations
@@ -197,79 +215,60 @@ class AnsatzTooLargeError(ValueError):
 # -- the transported derivative -------------------------------------------
 
 
-def correction_ce(ctx: ReductionContext, chi: ChiTupleCE) -> ChiTupleCE:
-    """The linear correction term of the transported derivative (continuity shape)."""
-    m = ctx.m
-    alpha_range = range(2, m + 1)
-    source_alpha, source_p = chi.chi_alpha, chi.chi_p
-    order_bound = max(
-        [i1 for i1, _ in source_alpha] + [i1 for i1 in source_p] + [0]
-    )
-    chi_alpha: dict[tuple[int, int], Expr] = {}
-    for i1 in range(order_bound + 2):
-        for a in alpha_range:
-            term = Expr.zero()
-            if i1 == 0:
-                term = term + restricted_derivative(ctx, a, chi.chi01)
-            term = term + source_alpha.get((i1 - 1, a), Expr.zero())
-            if not term.is_zero():
-                chi_alpha[(i1, a)] = term
-    chi_p = {
-        i1 + 1: expr for i1, expr in source_p.items() if not expr.is_zero()
-    }
-    return ChiTupleCE(Expr.zero(), chi_alpha, chi_p)
-
-
-def correction_cpe(ctx: ReductionContext, chi: ChiTupleCPE) -> ChiTupleCPE:
-    """The linear correction term of the transported derivative (joint shape)."""
+def _correction_entries(ctx: ReductionContext, label: tuple, f: Expr):
+    """The (target label, expression) pairs the entry f at label adds to the correction."""
     m = ctx.m
     alpha_range = range(2, m + 1)
     d = lambda a, g: restricted_derivative(ctx, a, g)
-    u_first = lambda a: u(a, unit(1, m))  # u^a with one first-direction derivative
-    div_block = expr_sum(u(b, unit(b, m)) for b in alpha_range)
-
-    chi01 = 2 * expr_sum(d(a, u_first(a) * chi.chi1) for a in alpha_range)
-    source_alpha = chi.chi_alpha
-    order_bound = max([i1 for i1, _ in source_alpha] + [1])
-    chi_alpha: dict[tuple[int, int], Expr] = {}
-    for i1 in range(order_bound + 2):
+    kind = label[0]
+    if kind == "chi01":
         for a in alpha_range:
-            term = source_alpha.get((i1 - 1, a), Expr.zero())
-            if i1 == 0:
-                term = term + d(a, chi.chi01)
-                term = term + 2 * d(a, div_block * chi.chi1)
-                term = term + 2 * expr_sum(
-                    d(b, u(b, unit(a, m)) * chi.chi1) for b in alpha_range
-                )
-            if i1 == 1:
-                term = term - 2 * u(1, unit(a, m)) * chi.chi1
-            if not term.is_zero():
-                chi_alpha[(i1, a)] = term
-    chi0 = -restricted_laplacian_primed(ctx, chi.chi1)
-    chi1 = chi.chi0
-    return ChiTupleCPE(chi01, chi_alpha, chi0, chi1)
+            yield ("chi_alpha", 0, a), d(a, f)
+    elif kind in ("chi_alpha", "chi_p"):
+        yield (kind, label[1] + 1) + label[2:], f
+    elif kind == "chi0":
+        yield ("chi1",), f
+    else:  # chi1
+        yield ("chi01",), 2 * expr_sum(d(a, u(a, unit(1, m)) * f) for a in alpha_range)
+        div_block = expr_sum(u(b, unit(b, m)) for b in alpha_range)
+        for a in alpha_range:
+            yield ("chi_alpha", 0, a), 2 * d(a, div_block * f) + 2 * expr_sum(
+                d(b, u(b, unit(a, m)) * f) for b in alpha_range
+            )
+            yield ("chi_alpha", 1, a), -2 * u(1, unit(a, m)) * f
+        yield ("chi0",), -restricted_laplacian_primed(ctx, f)
 
 
-_SHAPES = {
-    Setting.CE: (ChiTupleCE, correction_ce),
-    Setting.CPE: (ChiTupleCPE, correction_cpe),
-}
+_SHAPES = {Setting.CE: ChiTupleCE, Setting.CPE: ChiTupleCPE}
 
 
-def _shape(ctx: ReductionContext, what: str):
-    """The tuple class and correction of the context's setting."""
+def _shape(ctx: ReductionContext, what: str) -> type[ChiTuple]:
+    """The tuple class of the context's setting."""
     if ctx.setting not in _SHAPES:
         raise ValueError(f"{what} requires the ce or cpe setting")
     return _SHAPES[ctx.setting]
 
 
+def correction(ctx: ReductionContext, chi: ChiTuple) -> ChiTuple:
+    """The linear correction of the transported derivative: every entry's rule, summed."""
+    shape = _shape(ctx, "correction")
+    if type(chi) is not shape:
+        raise ValueError(
+            f"the {ctx.setting.value} setting takes a {shape.__name__}, not a {type(chi).__name__}"
+        )
+    entries: dict[tuple, Expr] = {}
+    for label, f in chi.items():
+        for target, expr in _correction_entries(ctx, label, f):
+            entries[target] = entries.get(target, Expr.zero()) + expr
+    return shape.from_entries(entries)
+
+
 def reduced_derivative(ctx: ReductionContext, chi: ChiTuple) -> ChiTuple:
-    """Componentwise restricted first derivative plus the setting's correction."""
-    shape, correction = _shape(ctx, "reduced derivative")
+    """Componentwise restricted first derivative plus the correction."""
     entries = dict(correction(ctx, chi).items())
     for label, expr in chi.items():
         entries[label] = restricted_derivative(ctx, 1, expr) + entries.get(label, Expr.zero())
-    return shape.from_entries(entries)
+    return type(chi).from_entries(entries)
 
 
 # -- the equivalent first-order system (joint setting) ---------------------
@@ -348,7 +347,7 @@ def reduced_system_residuals(
 
 def reduced_variational_derivative(ctx: ReductionContext, L: Expr):
     """Integration by parts along the directions 2..m, grouped by tuple slot."""
-    shape, _ = _shape(ctx, "reduced variational derivative")
+    shape = _shape(ctx, "reduced variational derivative")
     entries: dict[tuple, Expr] = {}
     for (kind, mu, remainder), expr in euler_collect(L, range(2, ctx.m + 1)).items():
         i1 = remainder[0]
@@ -375,13 +374,9 @@ def ansatz_monomials(ctx: ReductionContext, ansatz: AnsatzSpec) -> list[Monomial
     if ansatz.include_t:
         pool.append(T_VAR)
     for i in indices_up_to(m, ansatz.max_order):
-        if i.first == 0:
-            pool.append(uvar(1, i))
-        for a in range(2, m + 1):
-            pool.append(uvar(a, i))
-    for i in indices_up_to(m, ansatz.max_order):
-        if ctx.setting is Setting.CE or i.first <= 1:
-            pool.append(pvar(i))
+        for v in [uvar(mu, i) for mu in range(1, m + 1)] + [pvar(i)]:
+            if ctx.image(v) is None:  # a canonical coordinate of the setting
+                pool.append(v)
     pool.sort(key=lambda v: v.sort_key())
 
     monomials: list[Monomial] = []
@@ -411,7 +406,7 @@ def ansatz_monomials(ctx: ReductionContext, ansatz: AnsatzSpec) -> list[Monomial
 
 def _unknowns(ctx: ReductionContext, ansatz: AnsatzSpec) -> list[tuple[tuple, Monomial]]:
     """The unknown coefficients as (label, monomial): label-major, then monomial."""
-    shape, _ = _shape(ctx, "kernel search")
+    shape = _shape(ctx, "kernel search")
     monomials = ansatz_monomials(ctx, ansatz)
     labels = shape.ansatz_labels(ctx.m, ansatz.max_order)
     return [(label, mono) for label in labels for mono in monomials]
@@ -426,7 +421,7 @@ def _solve_homogeneous(
     vanish identically; each monomial of each named expression
     contributes one linear constraint on the unknown coefficients.
     """
-    shape, _ = _shape(ctx, "kernel search")
+    shape = _shape(ctx, "kernel search")
     unknowns = _unknowns(ctx, ansatz)
     if len(unknowns) > max_unknowns:
         raise AnsatzTooLargeError(len(unknowns), max_unknowns)
@@ -443,12 +438,11 @@ def _solve_homogeneous(
 
     basis = []
     for vec in vectors:
-        entries: dict[tuple, Expr] = {}
+        terms: dict[tuple, dict[Monomial, Fraction]] = {}
         for (label, mono), coeff in zip(unknowns, vec):
             if coeff != 0:
-                expr = _raw({mono: Fraction(coeff)})
-                entries[label] = entries.get(label, Expr.zero()) + expr
-        basis.append(shape.from_entries(entries))
+                terms.setdefault(label, {})[mono] = Fraction(coeff)
+        basis.append(shape.from_entries({label: _raw(t) for label, t in terms.items()}))
     return basis
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .jetalgebra import Expr, JetVariable, _raw, expr_sum, pvar, uvar
+from .jetalgebra import Expr, JetVariable, _merge_monomials, _nonzero, expr_sum, pvar, uvar
 from .multiindex import MultiIndex
 
 
@@ -34,15 +34,18 @@ def derive(f: Expr, mu: int, image) -> Expr:
     The image callable sends a variable to an Expr; the derivation extends
     it through the Leibniz rule on every monomial.
     """
-    result = Expr.zero()
+    data: dict = {}
     for mono, coeff in f._terms.items():
         for pos, (v, e) in enumerate(mono):
-            img = image(v, mu)
-            if img.is_zero():
+            img = image(v, mu)._terms
+            if not img:
                 continue
             rest = mono[:pos] + ((v, e - 1),) * (e > 1) + mono[pos + 1:]
-            result = result + _raw({rest: coeff * e}) * img
-    return result
+            scale = coeff * e
+            for image_mono, c in img.items():
+                out = _merge_monomials(rest, image_mono) if image_mono else rest
+                data[out] = data.get(out, 0) + scale * c
+    return _nonzero(data)
 
 
 def total_derivative(mu: int, f: Expr) -> Expr:

@@ -51,15 +51,6 @@ def test_binomial_examples():
     assert MultiIndex((1, 0, 0)).binomial(MultiIndex((2, 0, 0))) == 0
 
 
-def test_classify_examples():
-    c = MultiIndex((0, 3, 1)).classify()
-    assert c.first_zero and c.first_at_most_one
-    c = MultiIndex((1, 0, 0)).classify()
-    assert c.first_at_most_one and c.first_positive and not c.first_zero
-    c = MultiIndex((2, 0, 0)).classify()
-    assert c.first_positive and c.first_above_one
-
-
 @given(entries3, entries3)
 def test_add_commutative(a, b):
     assert MultiIndex(a).add(MultiIndex(b)) == MultiIndex(b).add(MultiIndex(a))
@@ -81,13 +72,6 @@ def test_vandermonde_sum():
     # sum over k <= i of binom(i, k) equals 2^|i|
     for i in indices_up_to(3, 6):
         assert sum(i.binomial(k) for k in sub_indices(i)) == 2 ** i.total
-
-
-def test_classification_partitions():
-    for i in indices_up_to(3, 4):
-        c = i.classify()
-        assert c.first_zero != c.first_positive
-        assert c.first_at_most_one != c.first_above_one
 
 
 def test_sort_key_orders_by_total_then_lex():

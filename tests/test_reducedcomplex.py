@@ -13,8 +13,7 @@ from jetns.reducedcomplex import (
     AnsatzTooLargeError,
     ChiTupleCE,
     ChiTupleCPE,
-    correction_ce,
-    correction_cpe,
+    correction,
     kernel_search,
     kernel_vectors,
     reduced_derivative,
@@ -45,34 +44,53 @@ def density_pool(ctx, max_ord=1):
 
 def test_correction_ce_kills_constants(ce_ctx):
     chi = ChiTupleCE(chi01=Expr.const(1))
-    out = correction_ce(ce_ctx, chi)
+    out = correction(ce_ctx, chi)
     assert out.is_zero()
 
 
-def test_correction_ce_spatial_gradient(ce_ctx):
-    chi = ChiTupleCE(chi01=x(2) ** 2)
-    out = correction_ce(ce_ctx, chi)
+def _spatial_gradient(ctx, shape):
+    # chi01 feeds only the order-zero velocity entries, whatever the shape
+    out = correction(ctx, shape(chi01=x(2) ** 2))
     assert out.chi01.is_zero()
     assert out.chi_alpha[(0, 2)] == 2 * x(2)
     assert (0, 3) not in out.chi_alpha
+    assert out.items() == [(("chi_alpha", 0, 2), 2 * x(2))]
+    return out
+
+
+def test_correction_ce_spatial_gradient(ce_ctx):
+    out = _spatial_gradient(ce_ctx, ChiTupleCE)
     assert not out.chi_p
 
 
-def test_correction_ce_index_shift(ce_ctx):
-    chi = ChiTupleCE(chi_alpha={(0, 2): Expr.const(5)})
-    out = correction_ce(ce_ctx, chi)
+def test_correction_cpe_spatial_gradient(cpe_ctx):
+    out = _spatial_gradient(cpe_ctx, ChiTupleCPE)
+    assert out.chi0.is_zero() and out.chi1.is_zero()
+
+
+def _velocity_index_shift(ctx, shape):
+    out = correction(ctx, shape(chi_alpha={(0, 2): Expr.const(5)}))
     assert out.chi_alpha == {(1, 2): Expr.const(5)}
+    assert out.items() == [(("chi_alpha", 1, 2), Expr.const(5))]
+
+
+def test_correction_ce_index_shift(ce_ctx):
+    _velocity_index_shift(ce_ctx, ChiTupleCE)
     chi = ChiTupleCE(chi_p={0: Expr.const(7)})
-    assert correction_ce(ce_ctx, chi).chi_p == {1: Expr.const(7)}
+    assert correction(ce_ctx, chi).chi_p == {1: Expr.const(7)}
+
+
+def test_correction_cpe_index_shift(cpe_ctx):
+    _velocity_index_shift(cpe_ctx, ChiTupleCPE)
 
 
 def test_correction_cpe_of_constant_tuple(cpe_ctx):
-    assert correction_cpe(cpe_ctx, ChiTupleCPE(chi01=Expr.const(1))).is_zero()
+    assert correction(cpe_ctx, ChiTupleCPE(chi01=Expr.const(1))).is_zero()
 
 
 def test_correction_cpe_of_unit_chi1(cpe_ctx):
     # expand each displayed term for chi1 = 1 and freeze the results
-    out = correction_cpe(cpe_ctx, ChiTupleCPE(chi1=Expr.const(1)))
+    out = correction(cpe_ctx, ChiTupleCPE(chi1=Expr.const(1)))
     assert out.chi01 == 2 * (u(2, (1, 1, 0)) + u(3, (1, 0, 1)))
     assert out.chi0.is_zero()
     assert out.chi1.is_zero()
@@ -84,7 +102,7 @@ def test_correction_cpe_of_unit_chi1(cpe_ctx):
 
 
 def test_correction_cpe_chi0_feeds_chi1(cpe_ctx):
-    out = correction_cpe(cpe_ctx, ChiTupleCPE(chi0=Expr.const(3)))
+    out = correction(cpe_ctx, ChiTupleCPE(chi0=Expr.const(3)))
     assert out.chi1 == Expr.const(3)
     assert out.chi01.is_zero() and not out.chi_alpha and out.chi0.is_zero()
 
@@ -109,9 +127,9 @@ def test_correction_is_linear(cpe_ctx, ce_ctx):
             chi0=3 * b.chi0,
             chi1=2 * a.chi1 + 3 * b.chi1,
         )
-        out_a = correction_cpe(cpe_ctx, a)
-        out_b = correction_cpe(cpe_ctx, b)
-        out = correction_cpe(cpe_ctx, combined)
+        out_a = correction(cpe_ctx, a)
+        out_b = correction(cpe_ctx, b)
+        out = correction(cpe_ctx, combined)
         keys = set(out.chi_alpha) | set(out_a.chi_alpha) | set(out_b.chi_alpha)
         assert out.chi01 == 2 * out_a.chi01 + 3 * out_b.chi01
         for k in keys:
@@ -120,6 +138,31 @@ def test_correction_is_linear(cpe_ctx, ce_ctx):
             ) + 3 * out_b.chi_alpha.get(k, Expr.zero())
         assert out.chi0 == 2 * out_a.chi0 + 3 * out_b.chi0
         assert out.chi1 == 2 * out_a.chi1 + 3 * out_b.chi1
+
+    pool = density_pool(ce_ctx)
+    for _ in range(5):
+        a = ChiTupleCE(
+            chi01=random_expr(rng, pool, n_terms=2),
+            chi_alpha={(0, 2): random_expr(rng, pool, n_terms=2)},
+            chi_p={0: random_expr(rng, pool, n_terms=2)},
+        )
+        b = ChiTupleCE(
+            chi_alpha={(1, 3): random_expr(rng, pool, n_terms=2)},
+            chi_p={0: random_expr(rng, pool, n_terms=2), 1: random_expr(rng, pool, n_terms=2)},
+        )
+        entries_a, entries_b = dict(a.items()), dict(b.items())
+        combined = ChiTupleCE.from_entries({
+            k: 2 * entries_a.get(k, Expr.zero()) + 3 * entries_b.get(k, Expr.zero())
+            for k in set(entries_a) | set(entries_b)
+        })
+        out_a = dict(correction(ce_ctx, a).items())
+        out_b = dict(correction(ce_ctx, b).items())
+        out = dict(correction(ce_ctx, combined).items())
+        assert any(label[0] == "chi_p" for label in out)
+        for k in set(out) | set(out_a) | set(out_b):
+            assert out.get(k, Expr.zero()) == 2 * out_a.get(k, Expr.zero()) + 3 * out_b.get(
+                k, Expr.zero()
+            )
 
 
 def test_tuple_value_equality():
@@ -134,12 +177,18 @@ def test_tuple_value_equality():
     assert ChiTupleCE() != ChiTupleCPE()
 
 
-def test_tuple_rejects_labels_of_the_other_shape():
+def test_tuple_rejects_labels_of_the_other_shape(ce_ctx, cpe_ctx):
     with pytest.raises(ValueError):
         ChiTupleCPE.from_entries({("chi_p", 0): Expr.const(1)})
     with pytest.raises(ValueError):
         ChiTupleCE.from_entries({("chi1",): Expr.const(1)})
     assert ChiTupleCE.from_entries({("chi_p", 0): Expr.const(1)}).chi_p == {0: Expr.const(1)}
+    # a tuple of the other shape is refused even when its labels exist in both
+    for ctx, chi in ((cpe_ctx, ChiTupleCE(chi01=x(2))), (ce_ctx, ChiTupleCPE(chi01=x(2)))):
+        with pytest.raises(ValueError):
+            reduced_derivative(ctx, chi)
+        with pytest.raises(ValueError):
+            correction(ctx, chi)
 
 
 # -- transported derivative --------------------------------------------------

@@ -20,6 +20,15 @@ because every image is already canonical: the u-rule produces only u^b
 jets with b >= 2, and the p-rule produces restricted derivatives of the
 canonical Phi.
 
+The restricted derivative is the derivation that sends a canonical
+coordinate v to the canonical form of its free derivative along mu.  A
+second table of the context holds that image for each (v, mu) it has
+been asked for, so kernel assembly, which derives the same few jets for
+every unknown, builds each image once.  Only images are stored: a jet
+that is not a canonical coordinate, or whose dimension is not the
+context's, raises on every request.  Both tables are caches and take no
+part in the context's equality or hash.
+
 Every operation takes an explicit ReductionContext; the free algebra, the
 continuity setting and the joint setting are values of it, not a global
 mode.
@@ -52,12 +61,12 @@ class Setting(enum.Enum):
 class ReductionContext:
     """Immutable bundle of (setting, dimension) with the cached reduced Phi.
 
-    It also memoizes the canonical image of each non-canonical variable it
-    has been asked about; the table is a cache and takes no part in
-    equality.
+    It also memoizes the canonical image of each non-canonical variable
+    and the restricted derivative of each canonical coordinate it has
+    been asked about; the tables are caches and take no part in equality.
     """
 
-    __slots__ = ("setting", "m", "phi_reduced", "_images")
+    __slots__ = ("setting", "m", "phi_reduced", "_images", "_derivatives")
 
     def __init__(self, setting: Setting, m: int):
         if m < 2:
@@ -65,6 +74,7 @@ class ReductionContext:
         self.setting = setting
         self.m = m
         self._images: dict[JetVariable, Expr] = {}
+        self._derivatives: dict[tuple[JetVariable, int], Expr] = {}
         self.phi_reduced = phi_expr(m) if setting is Setting.CPE else None
 
     def image(self, v: JetVariable) -> Expr | None:
@@ -95,6 +105,13 @@ class ReductionContext:
         """The variable v written in the context's canonical coordinates."""
         img = self.image(v)
         return Expr.var(v) if img is None else img
+
+    def _derivative_image(self, v: JetVariable, mu: int) -> Expr:
+        """The restricted derivative of the canonical coordinate v along mu."""
+        img = self._derivatives.get((v, mu))
+        if img is None:
+            img = self._derivatives[(v, mu)] = _restricted_image(self, v, mu)
+        return img
 
     @staticmethod
     def free(m: int = 3) -> ReductionContext:
@@ -191,7 +208,7 @@ def restricted_derivative(ctx: ReductionContext, mu: int, f: Expr) -> Expr:
         raise ValueError(f"direction {mu} out of range 1..{ctx.m}")
     if ctx.setting is Setting.FREE:
         return total_derivative(mu, f)
-    return derive(f, mu, lambda v, d: _restricted_image(ctx, v, d))
+    return derive(f, mu, ctx._derivative_image)
 
 
 def restricted_derivative_multi(ctx: ReductionContext, i: MultiIndex, f: Expr) -> Expr:

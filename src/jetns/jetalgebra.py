@@ -7,11 +7,22 @@ the viscosity symbol nu and the time symbol t.  Only finitely many
 variables occur in any expression, monomial maps are kept free of zero
 coefficients, and equal expressions have identical internal maps, so zero
 testing is decidable and printing is deterministic.
+
+A coefficient is an int when it is integral and a Fraction otherwise.
+Most coefficients the package meets are integers, and int arithmetic
+avoids the cost of Fraction.  Every coefficient an expression stores
+passes through _coefficient, which gives each rational that one form.
+An int and a Fraction of equal value compare and hash alike, so maps,
+printed text and the num/den records do not depend on the form.
+
+A product refuses to start when the product of its factors' term counts,
+a bound on the size of its result, exceeds MAX_PRODUCT_TERMS; it raises
+ExpressionTooLargeError instead of running without end.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -19,14 +30,31 @@ from .multiindex import MultiIndex
 
 _KIND_RANK = {"nu": 0, "t": 1, "x": 2, "u": 3, "p": 4}
 
+# Term pairs a single product may multiply out, len(f) * len(g).
+MAX_PRODUCT_TERMS = 10**5
+
+
+class ExpressionTooLargeError(ValueError):
+    def __init__(self, pairs: int):
+        super().__init__(
+            f"product of {pairs} term pairs exceeds the limit of {MAX_PRODUCT_TERMS}"
+        )
+        self.pairs = pairs
+
 
 @dataclass(frozen=True)
 class JetVariable:
-    """A single jet coordinate: x^mu, u^mu_i, p_i, nu or t."""
+    """A single jet coordinate: x^mu, u^mu_i, p_i, nu or t.
+
+    Variables key every monomial, so each computes its hash and its sort
+    key once, when it is built.
+    """
 
     kind: str
     mu: int = 0
     index: MultiIndex | None = None
+    _hash: int = field(init=False, repr=False, compare=False)
+    _key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in _KIND_RANK:
@@ -37,14 +65,21 @@ class JetVariable:
             raise ValueError(f"{self.kind}-variable requires a multi-index")
         if self.kind in ("x", "nu", "t") and self.index is not None:
             raise ValueError(f"{self.kind}-variable carries no multi-index")
-
-    def sort_key(self):
         rank = _KIND_RANK[self.kind]
         if self.kind == "u":
-            return (rank, self.mu, self.index.sort_key())
-        if self.kind == "p":
-            return (rank, 0, self.index.sort_key())
-        return (rank, self.mu, ((), ()))
+            key = (rank, self.mu, self.index.sort_key())
+        elif self.kind == "p":
+            key = (rank, 0, self.index.sort_key())
+        else:
+            key = (rank, self.mu, ((), ()))
+        object.__setattr__(self, "_hash", hash((self.kind, self.mu, self.index)))
+        object.__setattr__(self, "_key", key)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def sort_key(self):
+        return self._key
 
     def label(self) -> str:
         """Token form used by the expression grammar."""
@@ -86,6 +121,16 @@ Monomial = tuple[tuple[JetVariable, int], ...]
 _ONE_MONOMIAL: Monomial = ()
 
 
+def _coefficient(value) -> int | Fraction:
+    """The one stored form of a rational: an int when integral, else a Fraction."""
+    if type(value) is not int:
+        if type(value) is not Fraction:
+            value = Fraction(value)
+        if value.denominator == 1:
+            return value.numerator
+    return value
+
+
 def _monomial_key(mono: Monomial):
     degree = sum(e for _, e in mono)
     return (degree, tuple((v.sort_key(), e) for v, e in mono))
@@ -96,11 +141,11 @@ class Expr:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
-        data: dict[Monomial, Fraction] = {}
+    def __init__(self, terms: Mapping[Monomial, int | Fraction] | None = None):
+        data: dict[Monomial, int | Fraction] = {}
         if terms:
             for mono, coeff in terms.items():
-                c = Fraction(coeff)
+                c = _coefficient(coeff)
                 if c != 0:
                     data[mono] = c
         self._terms = data
@@ -113,19 +158,19 @@ class Expr:
 
     @staticmethod
     def const(value) -> Expr:
-        c = Fraction(value)
-        return Expr({_ONE_MONOMIAL: c}) if c != 0 else Expr()
+        c = _coefficient(value)
+        return _raw({_ONE_MONOMIAL: c} if c != 0 else {})
 
     @staticmethod
     def var(v: JetVariable) -> Expr:
-        return Expr({((v, 1),): Fraction(1)})
+        return Expr({((v, 1),): 1})
 
     # -- inspection ---------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self._terms
 
-    def items(self) -> list[tuple[Monomial, Fraction]]:
+    def items(self) -> list[tuple[Monomial, int | Fraction]]:
         """Monomial/coefficient pairs in canonical order."""
         return sorted(self._terms.items(), key=lambda kv: _monomial_key(kv[0]))
 
@@ -134,13 +179,13 @@ class Expr:
         seen = {v for mono in self._terms for v, _ in mono}
         return sorted(seen, key=JetVariable.sort_key)
 
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self._terms.get(mono, Fraction(0))
+    def coefficient(self, mono: Monomial) -> int | Fraction:
+        return self._terms.get(mono, 0)
 
-    def constant_value(self) -> Fraction | None:
+    def constant_value(self) -> int | Fraction | None:
         """The rational value when the expression is constant, else None."""
         if not self._terms:
-            return Fraction(0)
+            return 0
         if len(self._terms) == 1 and _ONE_MONOMIAL in self._terms:
             return self._terms[_ONE_MONOMIAL]
         return None
@@ -164,11 +209,11 @@ class Expr:
             return NotImplemented
         data = dict(self._terms)
         for mono, coeff in other._terms.items():
-            new = data.get(mono, Fraction(0)) + coeff
+            new = data.get(mono, 0) + coeff
             if new == 0:
                 data.pop(mono, None)
             else:
-                data[mono] = new
+                data[mono] = _coefficient(new)
         return _raw(data)
 
     __radd__ = __add__
@@ -192,7 +237,10 @@ class Expr:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        data: dict[Monomial, Fraction] = {}
+        pairs = len(self._terms) * len(other._terms)
+        if pairs > MAX_PRODUCT_TERMS:
+            raise ExpressionTooLargeError(pairs)
+        data: dict[Monomial, int | Fraction] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 mono = _merge_monomials(m1, m2)
@@ -231,7 +279,7 @@ class Expr:
 
     def diff(self, v: JetVariable) -> Expr:
         """Formal partial derivative, treating all jet variables as independent."""
-        data: dict[Monomial, Fraction] = {}
+        data: dict[Monomial, int | Fraction] = {}
         for mono, coeff in self._terms.items():
             for pos, (w, e) in enumerate(mono):
                 if w == v:
@@ -247,7 +295,7 @@ class Expr:
         variables are replaced at once, monomial by monomial, and an image
         is never revisited: f.subs({a: b, b: a}.get) swaps a and b.
         """
-        data: dict[Monomial, Fraction] = {}
+        data: dict[Monomial, int | Fraction] = {}
         powers: dict[tuple[JetVariable, int], Expr] = {}
         for mono, coeff in self._terms.items():
             kept = []
@@ -299,15 +347,15 @@ class Expr:
         return f"Expr({self})"
 
 
-def _raw(data: dict[Monomial, Fraction]) -> Expr:
+def _raw(data: dict[Monomial, int | Fraction]) -> Expr:
     e = Expr.__new__(Expr)
     e._terms = data
     return e
 
 
-def _nonzero(data: dict[Monomial, Fraction]) -> Expr:
+def _nonzero(data: dict[Monomial, int | Fraction]) -> Expr:
     """The expression of summed terms, dropping those that cancelled."""
-    return _raw({mono: c for mono, c in data.items() if c != 0})
+    return _raw({mono: _coefficient(c) for mono, c in data.items() if c != 0})
 
 
 def _coerce(value) -> Expr:
@@ -327,7 +375,7 @@ def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(sorted(merged.items(), key=lambda ve: ve[0].sort_key()))
 
 
-def _monomial_str(mono: Monomial, coeff: Fraction) -> str:
+def _monomial_str(mono: Monomial, coeff: int | Fraction) -> str:
     factors = []
     for v, e in mono:
         factors.append(v.label() if e == 1 else f"{v.label()}^{e}")

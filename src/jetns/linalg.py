@@ -1,11 +1,14 @@
 """Exact linear algebra over the rationals for sparse constraint systems.
 
-Rows are kept as sparse integer mappings.  Elimination is one forward,
-fraction-free pass to echelon pivots: denominators are cleared on entry,
-cross-multiplication keeps entries integral, and the content of every
-reduced row is divided out to control growth.  Each reduced row pivots
-on its smallest column, rows in the order given; solutions back-solve
-the pivots in reverse column order.
+Rows are kept as sparse integer mappings.  Rows arrive integral: their
+entries are expression coefficients, which are ints when integral, so
+clearing denominators reads each entry's numerator and denominator and
+wraps nothing in a Fraction.  A row that does hold a Fraction is scaled
+by the lcm of its denominators.  Elimination is one forward,
+fraction-free pass to echelon pivots: cross-multiplication keeps entries
+integral, and the content of every reduced row is divided out to control
+growth.  Each reduced row pivots on its smallest column, rows in the
+order given; solutions back-solve the pivots in reverse column order.
 """
 
 from __future__ import annotations
@@ -16,12 +19,12 @@ from math import gcd, lcm
 Row = dict[int, int]
 
 
-def _clear_denominators(row: dict[int, Fraction]) -> Row:
-    entries = {c: Fraction(v) for c, v in row.items() if v != 0}
+def _clear_denominators(row: dict[int, int | Fraction]) -> Row:
+    entries = {c: v for c, v in row.items() if v != 0}
     if not entries:
         return {}
     scale = lcm(*(v.denominator for v in entries.values()))
-    cleared = {c: int(v * scale) for c, v in entries.items()}
+    cleared = {c: v.numerator * (scale // v.denominator) for c, v in entries.items()}
     content = gcd(*cleared.values())
     return {c: v // content for c, v in cleared.items()}
 
@@ -55,7 +58,7 @@ def _eliminate(row: Row, pivots: dict[int, Row]) -> Row:
     return {}
 
 
-def row_reduce(rows: list[dict[int, Fraction]]) -> dict[int, Row]:
+def row_reduce(rows: list[dict[int, int | Fraction]]) -> dict[int, Row]:
     """Echelon pivots keyed by pivot column; each row is zero left of its pivot."""
     pivots: dict[int, Row] = {}
     for raw in rows:
@@ -65,7 +68,7 @@ def row_reduce(rows: list[dict[int, Fraction]]) -> dict[int, Row]:
     return pivots
 
 
-def nullspace(rows: list[dict[int, Fraction]], ncols: int) -> list[tuple[Fraction, ...]]:
+def nullspace(rows: list[dict[int, int | Fraction]], ncols: int) -> list[tuple[int, ...]]:
     """An exact basis of the solution space of the homogeneous system.
 
     One vector per free column, in ascending order: that column 1, the
@@ -74,7 +77,7 @@ def nullspace(rows: list[dict[int, Fraction]], ncols: int) -> list[tuple[Fractio
     """
     pivots = row_reduce(rows)
     free_cols = [c for c in range(ncols) if c not in pivots]
-    basis: list[tuple[Fraction, ...]] = []
+    basis: list[tuple[int, ...]] = []
     for free in free_cols:
         vec = [Fraction(0)] * ncols
         vec[free] = Fraction(1)
@@ -87,16 +90,13 @@ def nullspace(rows: list[dict[int, Fraction]], ncols: int) -> list[tuple[Fractio
             vec[col] = -acc / row[col]
         # the free entry is 1, so clearing denominators leaves coprime integers
         scale = lcm(*(v.denominator for v in vec))
-        basis.append(tuple(v * scale for v in vec))
+        basis.append(tuple(v.numerator * (scale // v.denominator) for v in vec))
     return basis
 
 
 def rank(vectors: list[tuple[Fraction, ...]]) -> int:
     """Rank of the span of the given vectors."""
-    rows = [
-        {c: Fraction(v) for c, v in enumerate(vec) if v != 0} for vec in vectors
-    ]
-    return len(row_reduce(rows))
+    return len(row_reduce([dict(enumerate(vec)) for vec in vectors]))
 
 
 def in_span(vectors: list[tuple[Fraction, ...]], candidate: tuple[Fraction, ...]) -> bool:

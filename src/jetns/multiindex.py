@@ -3,13 +3,15 @@
 A multi-index is a tuple of m non-negative integers.  The first direction
 is distinguished throughout the package (it is the direction that gets
 eliminated by the constraint reductions), so an index exposes its first
-entry directly.
+entry directly.  Indices are dictionary keys and sort keys in every
+monomial, so each computes its hash and its sort key once, when it is
+built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 
@@ -18,14 +20,22 @@ class MultiIndex:
     """An element of Z^m with non-negative entries."""
 
     entries: tuple[int, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+    _key: tuple[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(int(e) for e in self.entries))
-        if len(self.entries) == 0:
+        entries = tuple(int(e) for e in self.entries)
+        if len(entries) == 0:
             raise ValueError("multi-index must have at least one entry")
-        for e in self.entries:
+        for e in entries:
             if e < 0:
-                raise ValueError(f"negative multi-index entry: {self.entries}")
+                raise ValueError(f"negative multi-index entry: {entries}")
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_hash", hash((entries,)))
+        object.__setattr__(self, "_key", (sum(entries), entries))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def dim(self) -> int:
@@ -34,7 +44,7 @@ class MultiIndex:
     @property
     def total(self) -> int:
         """The total order |i|."""
-        return sum(self.entries)
+        return self._key[0]
 
     @property
     def first(self) -> int:
@@ -77,7 +87,7 @@ class MultiIndex:
 
     def sort_key(self) -> tuple[int, tuple[int, ...]]:
         """Total degree first, then lexicographic on entries."""
-        return (self.total, self.entries)
+        return self._key
 
     def __str__(self) -> str:
         return "[" + ",".join(str(e) for e in self.entries) + "]"

@@ -426,9 +426,9 @@ def _solve_homogeneous(
     if len(unknowns) > max_unknowns:
         raise AnsatzTooLargeError(len(unknowns), max_unknowns)
 
-    rows: dict[tuple, dict[int, Fraction]] = {}
+    rows: dict[tuple, dict[int, int | Fraction]] = {}
     for col, (label, mono) in enumerate(unknowns):
-        basis_tuple = shape.from_entries({label: _raw({mono: Fraction(1)})})
+        basis_tuple = shape.from_entries({label: _raw({mono: 1})})
         for slot, expr in constraint_entries(basis_tuple):
             for out_mono, coeff in expr.items():
                 rows.setdefault((slot, out_mono), {})[col] = coeff
@@ -438,10 +438,10 @@ def _solve_homogeneous(
 
     basis = []
     for vec in vectors:
-        terms: dict[tuple, dict[Monomial, Fraction]] = {}
+        terms: dict[tuple, dict[Monomial, int]] = {}
         for (label, mono), coeff in zip(unknowns, vec):
             if coeff != 0:
-                terms.setdefault(label, {})[mono] = Fraction(coeff)
+                terms.setdefault(label, {})[mono] = coeff
         basis.append(shape.from_entries({label: _raw(t) for label, t in terms.items()}))
     return basis
 

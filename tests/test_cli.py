@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_cli(*args, stdin=""):
+def run_cli(*args, stdin="", timeout=None):
     # the child interpreter finds the package from the source tree, so the
     # suite runs without installing it or setting PYTHONPATH
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
@@ -17,6 +18,7 @@ def run_cli(*args, stdin=""):
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
+        timeout=timeout,
     )
 
 
@@ -182,3 +184,19 @@ def test_structured_reduce():
         {"den": 1, "factors": [["u2_[0,1,0]", 1]], "num": -1},
         {"den": 1, "factors": [["u3_[0,0,1]", 1]], "num": -1},
     ]
+
+
+def test_oversized_product_exits_two_quickly():
+    # the 40th power has 135,751 terms; without the product guard the
+    # reduction ran for more than a minute
+    start = time.monotonic()
+    proc = run_cli(
+        "reduce", "--constraints", "cpe", "-",
+        stdin="(x1+x2+x3+u2_[0,1,0]+p_[0,0,0])^40",
+        timeout=10,
+    )
+    elapsed = time.monotonic() - start
+    assert proc.returncode == 2
+    assert "term pairs exceeds the limit" in proc.stderr
+    assert proc.stdout == ""
+    assert elapsed < 1.0

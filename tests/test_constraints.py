@@ -15,7 +15,7 @@ from jetns.constraints import (
     restricted_derivative,
     restricted_derivative_multi,
 )
-from jetns.jetalgebra import p, u, x
+from jetns.jetalgebra import p, u, x, xvar
 from jetns.multiindex import MultiIndex, zero
 from jetns.totalderiv import laplacian_primed, total_derivative, total_derivative_multi
 
@@ -165,3 +165,52 @@ def test_dimension_two_reduction():
     ctx = ReductionContext(Setting.CPE, 2)
     assert reduce(ctx, continuity_generator(2)).is_zero()
     assert reduce(ctx, pressure_generator(2)).is_zero()
+
+
+# -- the derivative-image table ------------------------------------------------
+
+
+def _warm(ctx: ReductionContext, seed: int) -> list:
+    """Reduced random inputs whose restricted derivatives fill the table."""
+    rng = random.Random(seed)
+    pool = variable_pool(max_u_order=2, max_p_order=2, ctx=ctx)
+    inputs = [random_expr(rng, pool, n_terms=3) for _ in range(8)]
+    for f in inputs:
+        for mu in (1, 2, 3):
+            restricted_derivative(ctx, mu, f)
+    return inputs
+
+
+@pytest.mark.parametrize("setting", [Setting.CE, Setting.CPE])
+def test_derivative_table_is_only_a_cache(setting):
+    ctx = ReductionContext(setting, 3)
+    cold_hash = hash(ctx)
+    inputs = _warm(ctx, 31)
+    assert ctx._derivatives  # the table is warm
+    assert hash(ctx) == cold_hash
+    assert ctx == ReductionContext(setting, 3)
+    assert len({ctx, ReductionContext(setting, 3)}) == 1
+    for f in inputs:
+        for mu in (1, 2, 3):
+            cold = ReductionContext(setting, 3)
+            assert restricted_derivative(ctx, mu, f) == restricted_derivative(cold, mu, f)
+
+
+def test_derivative_table_never_stores_an_error():
+    # each rejected jet follows x1 in its monomial, so the derivation meets
+    # a table hit before it meets the jet
+    ctx = ReductionContext(Setting.CPE, 3)
+    _warm(ctx, 32)
+    rejected = [
+        (u(1, (1, 0, 0)), "not a canonical coordinate"),
+        (p((2, 0, 0)), "not a canonical coordinate"),
+        (u(2, (1, 1)), "dimension mismatch"),
+        (p((0, 0, 0, 0)), "dimension mismatch"),
+    ]
+    for f, message in rejected:
+        (v, _), = f.items()[0][0]
+        for _ in range(3):
+            with pytest.raises(ValueError, match=message):
+                restricted_derivative(ctx, 1, x(1) * f)
+            assert (xvar(1), 1) in ctx._derivatives
+            assert not any(key[0] == v for key in ctx._derivatives)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -5,9 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jetns import jetalgebra
+from jetns.constraints import ReductionContext, reduce, restricted_derivative
+from jetns.exprio import parse_expr, records_to_expr
 from jetns.jetalgebra import (
     Expr,
+    ExpressionTooLargeError,
+    JetVariable,
+    MAX_PRODUCT_TERMS,
     NU_VAR,
+    T_VAR,
     pvar,
     u,
     uvar,
@@ -16,6 +24,9 @@ from jetns.jetalgebra import (
     nu,
     p,
 )
+from jetns.multiindex import MultiIndex
+from jetns.reducedcomplex import AnsatzSpec, kernel_search
+from jetns.totalderiv import total_derivative
 
 from conftest import random_expr, random_point, variable_pool
 
@@ -85,7 +96,7 @@ def test_substitute_simultaneous_swap():
     assert swapped.subs({a: Expr.var(b), b: Expr.var(a)}.get) == f
 
 
-@pytest.mark.parametrize("c", [0, 1, -7, Fraction(2, 3), Fraction(-5, 1)])
+@pytest.mark.parametrize("c", [0, 1, -7, Fraction(2, 3), Fraction(-5, 1), Fraction(4, 2)])
 def test_constant_hashes_like_its_value(c):
     # equal values must hash equally; Expr.const(c) == c already holds
     assert Expr.const(c) == c
@@ -196,3 +207,125 @@ def test_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert a * Expr.const(1) == a
     assert (a * Expr.zero()).is_zero()
+
+
+# -- the product guard ----------------------------------------------------
+
+
+def test_product_guard_refuses_before_any_work(monkeypatch):
+    f = Expr({((xvar(1), k),): 1 for k in range(1, 401)})
+    g = Expr({((xvar(2), k),): 1 for k in range(1, 301)})
+    merges = 0
+    merge = jetalgebra._merge_monomials
+
+    def counting_merge(m1, m2):
+        nonlocal merges
+        merges += 1
+        return merge(m1, m2)
+
+    monkeypatch.setattr(jetalgebra, "_merge_monomials", counting_merge)
+    with pytest.raises(ExpressionTooLargeError, match="120000 term pairs") as err:
+        f * g
+    assert isinstance(err.value, ValueError)
+    assert err.value.pairs == 120_000
+    assert merges == 0
+    assert MAX_PRODUCT_TERMS == 10**5
+
+
+def test_product_guard_bounds_the_pair_count(monkeypatch):
+    monkeypatch.setattr(jetalgebra, "MAX_PRODUCT_TERMS", 6)
+    a = x(1) + x(2) + x(3)
+    assert a * (x(1) + 1) == x(1) ** 2 + x(1) * x(2) + x(1) * x(3) + a
+    with pytest.raises(ExpressionTooLargeError):
+        a * a
+    with pytest.raises(ExpressionTooLargeError):
+        a ** 2
+
+
+# -- the coefficient representation -----------------------------------------
+
+half, third = Fraction(1, 2), Fraction(1, 3)
+
+# each case yields expressions holding both integral and non-integral
+# coefficients, produced by the named operation
+COEFFICIENT_CASES = {
+    "parse": lambda: [parse_expr("4/2*x1 + 1/3*u1_[0,0,0] - 6/3 + 5/10*p_[0,0,0]", 3)],
+    "records_to_expr": lambda: [
+        records_to_expr(
+            [
+                {"num": 4, "den": 2, "factors": [["x1", 1]]},
+                {"num": 3, "den": 6, "factors": [["x1", 1]]},
+                {"num": 6, "den": 3, "factors": [["nu", 1]]},
+                {"num": 1, "den": 3, "factors": []},
+            ],
+            3,
+        )
+    ],
+    "const": lambda: [Expr.const(Fraction(4, 2)), Expr.const(half) + Expr.const(Fraction(3, 2)) * nu],
+    "add": lambda: [half * x(1) + half * x(1) + third],
+    "sub": lambda: [Fraction(3, 2) * x(1) - half * x(1) - third * nu],
+    "mul": lambda: [(Fraction(2, 3) * x(1) + half) * (Fraction(3, 2) * x(2) + 1)],
+    "pow": lambda: [(half * x(1) + 2) ** 3],
+    "diff": lambda: [(third * x(1) ** 3 + Fraction(1, 4) * x(1) * nu).diff(xvar(1))],
+    "subs": lambda: [(Fraction(2, 3) * x(1) + Fraction(1, 5) * x(2)).subs({xvar(1): Fraction(3, 2) * nu}.get)],
+    "derive": lambda: [
+        total_derivative(1, half * u(1, (0, 0, 0)) ** 2 + third * x(1) * p((0, 0, 0))),
+        restricted_derivative(ReductionContext.cpe(3), 1, half * p((1, 0, 0)) ** 2 + third * x(1)),
+    ],
+    "reduce": lambda: [reduce(ReductionContext.cpe(3), half * p((2, 0, 0)) + third * u(1, (1, 0, 0)))],
+    "kernel_basis": lambda: [
+        expr
+        for chi in kernel_search(ReductionContext.cpe(2), AnsatzSpec(1, 2, 1))
+        for _, expr in chi.items()
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(COEFFICIENT_CASES))
+def test_integral_coefficients_are_ints(case):
+    forms = set()
+    for f in COEFFICIENT_CASES[case]():
+        for mono, c in f._terms.items():
+            expected = int if c.denominator == 1 else Fraction
+            assert type(c) is expected, (case, mono, c)
+            forms.add(type(c))
+    assert int in forms
+    if case != "kernel_basis":  # a kernel basis is scaled to integers
+        assert Fraction in forms
+
+
+def test_one_stored_form_per_rational():
+    assert Expr.const(Fraction(4, 2))._terms == Expr.const(2)._terms
+    assert type(Expr.const(Fraction(4, 2)).constant_value()) is int
+    assert type(Expr({(): Fraction(-6, 3)}).constant_value()) is int
+    assert type(Expr.const(Fraction(2, 3)).constant_value()) is Fraction
+    assert Expr.const(Fraction(4, 2)) == Expr.const(2) == 2
+
+
+# -- cached variable keys -----------------------------------------------------
+
+
+def test_cached_variable_keys_match_a_fresh_variable():
+    fresh = JetVariable("u", 3, MultiIndex((1, 0, 2)))
+    built = [
+        uvar(3, (1, 0, 2)),
+        uvar(3, MultiIndex((1, 0, 1)).bump(3)),
+        dataclasses.replace(uvar(2, (1, 0, 2)), mu=3),
+        dataclasses.replace(uvar(3, (0, 0, 0)), index=MultiIndex((1, 0, 2))),
+        parse_expr("u3_[1,0,2]", 3).variables()[0],
+        records_to_expr([{"num": 1, "den": 1, "factors": [["u3_[1,0,2]", 1]]}], 3).variables()[0],
+    ]
+    for v in built:
+        assert v == fresh
+        assert hash(v) == hash(fresh)
+        assert v.sort_key() == fresh.sort_key()
+    assert pvar(MultiIndex((0, 0)).bump(2)).sort_key() == JetVariable("p", 0, MultiIndex((0, 1))).sort_key()
+
+
+def test_variable_sort_keys_are_unchanged():
+    # the keys that order every printed monomial
+    assert uvar(3, (1, 0, 2)).sort_key() == (3, 3, (3, (1, 0, 2)))
+    assert pvar((0, 1)).sort_key() == (4, 0, (1, (0, 1)))
+    assert xvar(2).sort_key() == (2, 2, ((), ()))
+    assert NU_VAR.sort_key() == (0, 0, ((), ()))
+    assert T_VAR.sort_key() == (1, 0, ((), ()))

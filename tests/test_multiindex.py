@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -84,3 +86,25 @@ def test_sort_key_orders_by_total_then_lex():
         MultiIndex((1, 1)),
         MultiIndex((2, 0)),
     ]
+
+
+def test_cached_keys_match_a_fresh_index():
+    fresh = MultiIndex((1, 2, 0))
+    built = [
+        MultiIndex([1, 2, 0]),
+        MultiIndex((1, 1, 0)).bump(2),
+        MultiIndex((1, 0, 0)).add(MultiIndex((0, 2, 0))),
+        unit(1, 3).add(unit(2, 3)).bump(2),
+        dataclasses.replace(zero(3), entries=(1, 2, 0)),
+    ]
+    for i in built:
+        assert i == fresh
+        assert hash(i) == hash(fresh)
+        assert i.sort_key() == fresh.sort_key()
+        assert i.total == 3
+
+
+def test_sort_key_values_are_unchanged():
+    assert MultiIndex((2, 0, 1)).sort_key() == (3, (2, 0, 1))
+    assert zero(2).sort_key() == (0, (0, 0))
+    assert unit(2, 4).sort_key() == (1, (0, 1, 0, 0))

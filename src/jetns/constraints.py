@@ -21,13 +21,15 @@ jets with b >= 2, and the p-rule produces restricted derivatives of the
 canonical Phi.
 
 The restricted derivative is the derivation that sends a canonical
-coordinate v to the canonical form of its free derivative along mu.  A
-second table of the context holds that image for each (v, mu) it has
-been asked for, so kernel assembly, which derives the same few jets for
-every unknown, builds each image once.  Only images are stored: a jet
-that is not a canonical coordinate, or whose dimension is not the
-context's, raises on every request.  Both tables are caches and take no
-part in the context's equality or hash.
+coordinate v to its free image, the total derivative of v along mu,
+written in canonical coordinates.  A second table of the context holds
+that image for each (v, mu) it has been asked for, so kernel assembly,
+which derives the same few jets for every unknown, builds each image
+once.  The free setting reads the same table: it has no images, so
+there the restricted derivative is the total derivative.  Only images
+are stored: a jet that is not a canonical coordinate, or whose dimension
+is not the context's, raises on every request.  Both tables are caches
+and take no part in the context's equality or hash.
 
 Every operation takes an explicit ReductionContext; the free algebra, the
 continuity setting and the joint setting are values of it, not a global
@@ -44,10 +46,10 @@ from .multiindex import MultiIndex, unit, zero
 from .totalderiv import (
     _free_image,
     derive,
+    iterated_derivative,
     laplacian,
     laplacian_primed,
     second_derivative_sum,
-    total_derivative,
     total_derivative_multi,
 )
 
@@ -189,12 +191,10 @@ def ideal_member(ctx: ReductionContext, f: Expr) -> tuple[bool, Expr]:
 
 
 def _restricted_image(ctx: ReductionContext, v: JetVariable, mu: int) -> Expr:
-    """Derivative of a canonical coordinate, re-expressed in canonical coordinates."""
+    """Derivative of a canonical coordinate: its free image in canonical coordinates."""
     if ctx.image(v) is not None:
         raise ValueError(f"{v.label()} is not a canonical coordinate here")
-    if v.kind not in ("u", "p"):
-        return _free_image(v, mu)
-    return ctx.canonical(JetVariable(v.kind, v.mu, v.index.bump(mu)))
+    return _free_image(v, mu).subs(ctx.image)
 
 
 def restricted_derivative(ctx: ReductionContext, mu: int, f: Expr) -> Expr:
@@ -202,21 +202,17 @@ def restricted_derivative(ctx: ReductionContext, mu: int, f: Expr) -> Expr:
 
     Expects f in the canonical coordinates of the context and produces a
     result in those coordinates; on reduced inputs it agrees with
-    reducing the free derivative.
+    reducing the free derivative.  Every setting, free included, reads the
+    context's derivative table; a free context has no images, so there the
+    result is the total derivative.
     """
     if not 1 <= mu <= ctx.m:
         raise ValueError(f"direction {mu} out of range 1..{ctx.m}")
-    if ctx.setting is Setting.FREE:
-        return total_derivative(mu, f)
     return derive(f, mu, ctx._derivative_image)
 
 
 def restricted_derivative_multi(ctx: ReductionContext, i: MultiIndex, f: Expr) -> Expr:
-    result = f
-    for direction, count in enumerate(i.entries, start=1):
-        for _ in range(count):
-            result = restricted_derivative(ctx, direction, result)
-    return result
+    return iterated_derivative(partial(restricted_derivative, ctx), i, f)
 
 
 def restricted_laplacian(ctx: ReductionContext, f: Expr) -> Expr:

@@ -49,6 +49,8 @@ CALLS: list[tuple[list[str], str]] = [(args, "") for args in _NS] + [
      "3/2*u1_[0,0,1]*u3_[1,0,0] + x2^2"),
     (["tderiv", "--constraints", "free", "--dim", "2", "--direction", "2"],
      "-5/6*u2_[1,1]*p_[0,1]*x2 + nu"),
+    (["tderiv", "--constraints", "free", "--dim", "3", "--index", "[0,2,1]"],
+     "2/3*x2^2*u1_[1,0,0]*u3_[0,1,0] - 3/5*x3*p_[0,0,1]^2 + 7/4*x1*u2_[0,0,0]"),
     (["euler", "--dim", "3"],
      "1/2*u1_[1,0,0]^2 + 2/3*p_[0,0,0]*u2_[0,1,0] - x3*u3_[0,0,2]"),
     (["euler", "--dim", "2", "--format", "structured"],

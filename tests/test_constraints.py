@@ -100,7 +100,7 @@ def test_multiplicativity(setting):
         assert reduce(ctx, f * g) == reduce(ctx, reduce(ctx, f) * reduce(ctx, g))
 
 
-@pytest.mark.parametrize("setting", [Setting.CE, Setting.CPE])
+@pytest.mark.parametrize("setting", [Setting.FREE, Setting.CE, Setting.CPE])
 def test_derivation_compatibility(setting):
     # the restricted derivative of the reduction equals the reduction of
     # the free derivative: the ideals are differential
@@ -141,7 +141,7 @@ def test_cpe_requires_dimension_two():
         ReductionContext(Setting.CPE, 1)
 
 
-def test_reduce_rejects_jets_of_another_dimension(ce_ctx, cpe_ctx):
+def test_reduce_rejects_jets_of_another_dimension(ce_ctx, cpe_ctx, free_ctx):
     # a pressure jet of the wrong dimension used to be replaced by an image
     # in the context's dimension instead of being rejected, and canonical
     # jets of another dimension passed through unchanged
@@ -159,6 +159,9 @@ def test_reduce_rejects_jets_of_another_dimension(ce_ctx, cpe_ctx):
             reduce(ctx, f)
     with pytest.raises(ValueError, match="dimension mismatch"):
         restricted_derivative(cpe_ctx, 1, u(2, (1, 1)))
+    # the free setting used to take its own path, which never asked the context
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        restricted_derivative(free_ctx, 1, u(1, (0, 0)))
 
 
 def test_dimension_two_reduction():
@@ -181,7 +184,7 @@ def _warm(ctx: ReductionContext, seed: int) -> list:
     return inputs
 
 
-@pytest.mark.parametrize("setting", [Setting.CE, Setting.CPE])
+@pytest.mark.parametrize("setting", [Setting.FREE, Setting.CE, Setting.CPE])
 def test_derivative_table_is_only_a_cache(setting):
     ctx = ReductionContext(setting, 3)
     cold_hash = hash(ctx)

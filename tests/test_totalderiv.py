@@ -3,8 +3,6 @@ import random
 from jetns.jetalgebra import Expr, expr_sum, p, u, x
 from jetns.multiindex import MultiIndex, sub_indices, unit, zero
 from jetns.totalderiv import (
-    HForm,
-    horizontal_differential,
     laplacian,
     laplacian_primed,
     total_derivative,
@@ -102,49 +100,3 @@ def test_multi_composes_additively():
     for _ in range(5):
         f = random_expr(rng, pool, n_terms=2)
         assert total_derivative_multi(i, total_derivative_multi(j, f)) == total_derivative_multi(i.add(j), f)
-
-
-# -- horizontal forms -------------------------------------------------------
-
-
-def test_differential_of_scalar():
-    f = u(1, (0, 0, 0)) * p((0, 0, 0))
-    w = horizontal_differential(HForm.scalar(3, f))
-    assert w.degree == 1
-    for mu in (1, 2, 3):
-        assert w.component((mu,)) == total_derivative(mu, f)
-
-
-def test_differential_squares_to_zero():
-    rng = random.Random(63)
-    pool = variable_pool()
-    for _ in range(5):
-        f = random_expr(rng, pool)
-        dd = horizontal_differential(horizontal_differential(HForm.scalar(3, f)))
-        assert dd.is_zero()
-    # and on a random 1-form
-    w = HForm(3, 1, {(1,): random_expr(rng, pool), (3,): random_expr(rng, pool)})
-    assert horizontal_differential(horizontal_differential(w)).is_zero()
-
-
-def test_differential_of_current_form_is_divergence():
-    # expand the alternating sum for m = 3 by hand: the top component of
-    # d(J^mu d_mu x) must be D_1 J^1 + D_2 J^2 + D_3 J^3
-    rng = random.Random(64)
-    pool = variable_pool()
-    components = [random_expr(rng, pool) for _ in range(3)]
-    w = HForm.from_current(components)
-    assert w.component((2, 3)) == components[0]
-    assert w.component((1, 3)) == -components[1]
-    assert w.component((1, 2)) == components[2]
-    top = horizontal_differential(w)
-    divergence = expr_sum(
-        total_derivative(mu, comp) for mu, comp in enumerate(components, start=1)
-    )
-    assert top.component((1, 2, 3)) == divergence
-
-
-def test_top_degree_maps_to_zero():
-    w = HForm(3, 3, {(1, 2, 3): x(1)})
-    out = horizontal_differential(w)
-    assert out.degree == 4 and out.is_zero()

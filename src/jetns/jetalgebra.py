@@ -294,14 +294,21 @@ class Expr:
         image returns the Expr that replaces v, or None to keep v.  All
         variables are replaced at once, monomial by monomial, and an image
         is never revisited: f.subs({a: b, b: a}.get) swaps a and b.
+        image is asked once per variable, in order of first occurrence; when
+        it replaces none, the result is f itself.
         """
+        image_of = dict.fromkeys(v for mono in self._terms for v, _ in mono)
+        for v in image_of:
+            image_of[v] = image(v)
+        if all(img is None for img in image_of.values()):
+            return self  # an Expr is never mutated, so sharing it is safe
         data: dict[Monomial, int | Fraction] = {}
         powers: dict[tuple[JetVariable, int], Expr] = {}
         for mono, coeff in self._terms.items():
             kept = []
             product = None
             for v, e in mono:
-                img = image(v)
+                img = image_of[v]
                 if img is None:
                     kept.append((v, e))
                     continue

@@ -8,7 +8,9 @@ by the lcm of its denominators.  Elimination is one forward,
 fraction-free pass to echelon pivots: cross-multiplication keeps entries
 integral, and the content of every reduced row is divided out to control
 growth.  Each reduced row pivots on its smallest column, rows in the
-order given; solutions back-solve the pivots in reverse column order.
+order given.  The pivot columns, and so the solution basis, do not depend
+on that order.  Solutions back-solve the pivots in reverse column order,
+sparsely: a solution keeps only its nonzero entries.
 """
 
 from __future__ import annotations
@@ -73,24 +75,31 @@ def nullspace(rows: list[dict[int, int | Fraction]], ncols: int) -> list[tuple[i
 
     One vector per free column, in ascending order: that column 1, the
     other free columns 0, the pivots back-solved in reverse column order.
-    Each is scaled to coprime integers, positive at its free column.
+    Each is scaled to coprime integers, positive at its free column.  The
+    rows may come in any order: the pivot columns depend only on the row
+    space, and each vector is the one solution so fixed.  The back-solve
+    keeps a vector's nonzero entries only and multiplies only those.
     """
     pivots = row_reduce(rows)
-    free_cols = [c for c in range(ncols) if c not in pivots]
+    order = sorted(pivots, reverse=True)
     basis: list[tuple[int, ...]] = []
-    for free in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for col in sorted(pivots, reverse=True):
+    for free in (c for c in range(ncols) if c not in pivots):
+        solution = {free: Fraction(1)}
+        for col in order:
             row = pivots[col]
-            acc = Fraction(0)
+            acc = 0
             for c, v in row.items():
-                if c != col:
-                    acc += v * vec[c]
-            vec[col] = -acc / row[col]
+                x = solution.get(c)
+                if x is not None:
+                    acc += v * x
+            if acc:
+                solution[col] = -acc / row[col]
         # the free entry is 1, so clearing denominators leaves coprime integers
-        scale = lcm(*(v.denominator for v in vec))
-        basis.append(tuple(v.numerator * (scale // v.denominator) for v in vec))
+        scale = lcm(*(v.denominator for v in solution.values()))
+        vec = [0] * ncols
+        for c, v in solution.items():
+            vec[c] = v.numerator * (scale // v.denominator)
+        basis.append(tuple(vec))
     return basis
 
 

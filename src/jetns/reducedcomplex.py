@@ -25,6 +25,12 @@ sum of u^b_(b) and Laplacian' the sum of D_a D_a:
 
 The continuity and joint labels are disjoint, so the rule never asks
 for the setting, and each entry does only the work of its own rows.
+
+An entry's transported derivative is D_1 f at its own label plus its
+correction entries.  reduced_derivative sums that one rule over a
+tuple's entries, and kernel assembly reads each unknown's column of the
+constraint matrix from the same rule, applied to one monomial at one
+label, with no tuple built.
 """
 
 from __future__ import annotations
@@ -249,26 +255,34 @@ def _shape(ctx: ReductionContext, what: str) -> type[ChiTuple]:
     return _SHAPES[ctx.setting]
 
 
-def correction(ctx: ReductionContext, chi: ChiTuple) -> ChiTuple:
-    """The linear correction of the transported derivative: every entry's rule, summed."""
-    shape = _shape(ctx, "correction")
+def _derivative_entries(ctx: ReductionContext, label: tuple, f: Expr):
+    """The (target label, expression) pairs of the entry f at label in D_1 plus the correction."""
+    yield label, restricted_derivative(ctx, 1, f)
+    yield from _correction_entries(ctx, label, f)
+
+
+def _sum_entries(ctx: ReductionContext, chi: ChiTuple, rule, what: str) -> ChiTuple:
+    """The tuple of every entry's rule(ctx, label, f) pairs, summed by target label."""
+    shape = _shape(ctx, what)
     if type(chi) is not shape:
         raise ValueError(
             f"the {ctx.setting.value} setting takes a {shape.__name__}, not a {type(chi).__name__}"
         )
     entries: dict[tuple, Expr] = {}
     for label, f in chi.items():
-        for target, expr in _correction_entries(ctx, label, f):
+        for target, expr in rule(ctx, label, f):
             entries[target] = entries.get(target, Expr.zero()) + expr
     return shape.from_entries(entries)
 
 
+def correction(ctx: ReductionContext, chi: ChiTuple) -> ChiTuple:
+    """The linear correction of the transported derivative: every entry's rule, summed."""
+    return _sum_entries(ctx, chi, _correction_entries, "correction")
+
+
 def reduced_derivative(ctx: ReductionContext, chi: ChiTuple) -> ChiTuple:
     """Componentwise restricted first derivative plus the correction."""
-    entries = dict(correction(ctx, chi).items())
-    for label, expr in chi.items():
-        entries[label] = restricted_derivative(ctx, 1, expr) + entries.get(label, Expr.zero())
-    return type(chi).from_entries(entries)
+    return _sum_entries(ctx, chi, _derivative_entries, "reduced derivative")
 
 
 # -- the equivalent first-order system (joint setting) ---------------------
@@ -413,13 +427,14 @@ def _unknowns(ctx: ReductionContext, ansatz: AnsatzSpec) -> list[tuple[tuple, Mo
 
 
 def _solve_homogeneous(
-    ctx: ReductionContext, ansatz: AnsatzSpec, constraint_entries, max_unknowns: int
+    ctx: ReductionContext, ansatz: AnsatzSpec, column, max_unknowns: int
 ) -> list:
     """Nullspace basis of a chi-linear constraint map within the ansatz.
 
-    constraint_entries maps a tuple to named expressions that must all
-    vanish identically; each monomial of each named expression
-    contributes one linear constraint on the unknown coefficients.
+    column(label, f) yields the (slot, expression) pairs the map sends the
+    one-entry tuple f at label to; every one must vanish identically.
+    Each (slot, monomial) of the outputs is one linear constraint on the
+    unknown coefficients, and each unknown fills its column of the rows.
     """
     shape = _shape(ctx, "kernel search")
     unknowns = _unknowns(ctx, ansatz)
@@ -428,13 +443,13 @@ def _solve_homogeneous(
 
     rows: dict[tuple, dict[int, int | Fraction]] = {}
     for col, (label, mono) in enumerate(unknowns):
-        basis_tuple = shape.from_entries({label: _raw({mono: 1})})
-        for slot, expr in constraint_entries(basis_tuple):
-            for out_mono, coeff in expr.items():
-                rows.setdefault((slot, out_mono), {})[col] = coeff
+        for slot, expr in column(label, _raw({mono: 1})):
+            for out_mono, coeff in expr._terms.items():
+                row = rows.setdefault((slot, out_mono), {})
+                row[col] = row.get(col, 0) + coeff
 
-    ordered_rows = [rows[key] for key in sorted(rows, key=_row_key)]
-    vectors = linalg.nullspace(ordered_rows, len(unknowns))
+    # the basis does not depend on the order of the rows (see linalg.nullspace)
+    vectors = linalg.nullspace(list(rows.values()), len(unknowns))
 
     basis = []
     for vec in vectors:
@@ -460,7 +475,7 @@ def kernel_search(
     return _solve_homogeneous(
         ctx,
         ansatz,
-        lambda chi: reduced_derivative(ctx, chi).items(),
+        lambda label, f: _derivative_entries(ctx, label, f),
         max_unknowns,
     )
 
@@ -479,14 +494,9 @@ def reduced_system_kernel(
     return _solve_homogeneous(
         ctx,
         ansatz,
-        lambda chi: reduced_system_residuals(ctx, chi),
+        lambda label, f: reduced_system_residuals(ctx, ChiTupleCPE.from_entries({label: f})),
         max_unknowns,
     )
-
-
-def _row_key(key):
-    slot, mono = key
-    return (slot, _monomial_key(mono))
 
 
 def kernel_vectors(ctx: ReductionContext, ansatz: AnsatzSpec, chi) -> tuple[Fraction, ...]:

@@ -87,6 +87,7 @@ def test_idempotence(setting):
         f = random_expr(rng, pool)
         once = reduce(ctx, f)
         assert reduce(ctx, once) == once
+        assert reduce(ctx, once) is once  # a canonical input is returned as it is
 
 
 @pytest.mark.parametrize("setting", [Setting.CE, Setting.CPE])

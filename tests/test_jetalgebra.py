@@ -74,6 +74,18 @@ def test_substitute_identity():
     assert f.subs({xvar(1): x(1)}.get) == f
 
 
+def test_substitute_nothing_returns_the_expression():
+    # an Expr is never mutated, so a map that replaces no variable shares it
+    f = x(1) ** 3 * p((0, 0, 0)) + Fraction(1, 2) * x(1) * p((0, 0, 0)) + 2
+    assert f.subs(lambda v: None) is f
+    assert f.subs({xvar(2): x(1)}.get) is f
+    asked = []
+    assert f.subs(lambda v: asked.append(v)) is f
+    assert sorted(asked, key=lambda v: v.sort_key()) == [xvar(1), pvar((0, 0, 0))]
+    g = x(2) ** 3 * p((0, 0, 0)) + Fraction(1, 2) * x(2) * p((0, 0, 0)) + 2
+    assert f.subs({xvar(1): x(2)}.get) == g
+
+
 def test_substitute_through_powers():
     v = pvar((0, 0, 0))
     f = Expr.var(v) ** 2

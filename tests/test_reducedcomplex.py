@@ -20,6 +20,8 @@ from jetns.reducedcomplex import (
     reduced_system_kernel,
     reduced_system_residuals,
     reduced_variational_derivative,
+    _derivative_entries,
+    _unknowns,
 )
 
 from jetns.variational import helmholtz_residual, Cotuple
@@ -359,6 +361,30 @@ def test_kernel_dimension_two():
     assert linalg.same_span(kv, sv)
 
 
+@pytest.mark.parametrize(
+    "setting, m, ansatz",
+    [(Setting.CE, 3, AnsatzSpec(1, 1, 1)), (Setting.CPE, 3, AnsatzSpec(1, 1, 1)),
+     (Setting.CPE, 2, AnsatzSpec(2, 2, 1))],
+)
+def test_kernel_columns_are_the_transported_derivative(setting, m, ansatz):
+    # kernel assembly reads each unknown's column from _derivative_entries;
+    # summed, it must be D_1 of the entry plus the correction, and it must
+    # be what reduced_derivative gives for the one-entry tuple
+    ctx = ReductionContext(setting, m)
+    shape = ChiTupleCE if setting is Setting.CE else ChiTupleCPE
+    for label, mono in _unknowns(ctx, ansatz):
+        f = Expr({mono: 1})
+        column: dict = {}
+        for target, expr in _derivative_entries(ctx, label, f):
+            column[target] = column.get(target, Expr.zero()) + expr
+        column = {k: v for k, v in column.items() if not v.is_zero()}
+        chi = shape.from_entries({label: f})
+        expected = dict(correction(ctx, chi).items())
+        expected[label] = expected.get(label, Expr.zero()) + restricted_derivative(ctx, 1, f)
+        assert column == {k: v for k, v in expected.items() if not v.is_zero()}
+        assert column == dict(reduced_derivative(ctx, chi).items())
+
+
 def test_kernel_cap_enforced(cpe_ctx):
     with pytest.raises(AnsatzTooLargeError):
         kernel_search(cpe_ctx, AnsatzSpec(0, 0, 0), max_unknowns=0)
@@ -445,6 +471,11 @@ def test_nullspace_matches_naive_gauss():
         deficient += rank < min(nrows, ncols)
         basis = linalg.nullspace(rows, ncols)
         assert basis == expected
+        # the basis does not depend on the order of the rows; a second
+        # generator shuffles, so the systems drawn stay the same
+        shuffled = rows[:]
+        random.Random(trial).shuffle(shuffled)
+        assert linalg.nullspace(shuffled, ncols) == expected
         for vec in basis:
             for row in rows:
                 assert sum((v * vec[c] for c, v in row.items()), Fraction(0)) == 0

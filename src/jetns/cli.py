@@ -21,6 +21,7 @@ from .constraints import (
 )
 from .evolutionary import (
     EvolutionField,
+    ResidualReport,
     symmetry_residuals,
     time_symmetry_residual,
 )
@@ -34,12 +35,7 @@ from .exprio import (
 from .jetalgebra import Expr
 from .multiindex import MultiIndex
 from .ns_presets import evolution_field, ns_build, ns_verify, preset_table
-from .reducedcomplex import (
-    AnsatzSpec,
-    AnsatzTooLargeError,
-    kernel_search,
-    reduced_system_residuals,
-)
+from .reducedcomplex import AnsatzSpec, kernel_search, reduced_system_residuals
 from .variational import (
     current_divergence,
     euler_operator,
@@ -83,11 +79,10 @@ def _context(args) -> ReductionContext:
     return ReductionContext(Setting(args.constraints), args.dim)
 
 
-def _emit_residuals(entries, args, informational=()) -> int:
+def _emit_residuals(report: ResidualReport, args) -> int:
     """Print named residuals and return the exit code."""
-    failed = False
-    for name, expr in entries:
-        checked = name not in informational
+    for name, expr in report.entries:
+        checked = name not in report.informational
         if args.format == "structured":
             record = {
                 "name": name,
@@ -99,20 +94,22 @@ def _emit_residuals(entries, args, informational=()) -> int:
         else:
             tag = "" if checked else " (informational)"
             print(f"{name}: {expr}{tag}")
-        if checked and not expr.is_zero():
-            failed = True
-    return EXIT_RESIDUAL if failed else EXIT_OK
+    return EXIT_OK if report.passed else EXIT_RESIDUAL
 
 
-def _cmd_reduce(args) -> int:
-    ctx = _context(args)
-    expr = parse_expr(_read_input(args.input), args.dim)
-    result = reduce(ctx, expr)
+def _emit_expr(result: Expr, args) -> int:
+    """Print one expression result and return the exit code."""
     if args.format == "structured":
         print(json.dumps({"result": expr_to_records(result)}, sort_keys=True))
     else:
         print(result)
     return EXIT_OK
+
+
+def _cmd_reduce(args) -> int:
+    ctx = _context(args)
+    expr = parse_expr(_read_input(args.input), args.dim)
+    return _emit_expr(reduce(ctx, expr), args)
 
 
 def _cmd_tderiv(args) -> int:
@@ -123,11 +120,7 @@ def _cmd_tderiv(args) -> int:
         result = restricted_derivative_multi(ctx, MultiIndex(entries), expr)
     else:
         result = restricted_derivative(ctx, args.direction, expr)
-    if args.format == "structured":
-        print(json.dumps({"result": expr_to_records(result)}, sort_keys=True))
-    else:
-        print(result)
-    return EXIT_OK
+    return _emit_expr(result, args)
 
 
 def _cmd_euler(args) -> int:
@@ -152,15 +145,14 @@ def _cmd_helmholtz(args) -> int:
     ]
     if not entries:
         entries = [("helmholtz", Expr.zero())]
-    return _emit_residuals(entries, args)
+    return _emit_residuals(ResidualReport(entries), args)
 
 
 def _cmd_symmetry(args) -> int:
     ctx = _context(args)
     f = parse_tuple(_read_input(args.input), "characteristic", args.dim)
-    report = symmetry_residuals(ctx, f)
-    entries = report.entries or [("symmetry", Expr.zero())]
-    return _emit_residuals(entries, args)
+    entries = symmetry_residuals(ctx, f).entries or [("symmetry", Expr.zero())]
+    return _emit_residuals(ResidualReport(entries), args)
 
 
 def _cmd_time_symmetry(args) -> int:
@@ -179,20 +171,20 @@ def _cmd_time_symmetry(args) -> int:
     ]
     entries.append(("pressure", residual.pressure))
     entries = [(name, reduce(ctx, expr)) for name, expr in entries]
-    return _emit_residuals(entries, args)
+    return _emit_residuals(ResidualReport(entries), args)
 
 
 def _cmd_current(args) -> int:
     ctx = _context(args)
     current = parse_tuple(_read_input(args.input), "current", args.dim)
     residual = current_divergence(ctx, current)
-    return _emit_residuals([("divergence", residual)], args)
+    return _emit_residuals(ResidualReport([("divergence", residual)]), args)
 
 
 def _cmd_reduced_system(args) -> int:
     ctx = ReductionContext(Setting.CPE, args.dim)
     chi = parse_tuple(_read_input(args.input), "chi_cpe", args.dim).reduce(ctx)
-    return _emit_residuals(reduced_system_residuals(ctx, chi), args)
+    return _emit_residuals(ResidualReport(reduced_system_residuals(ctx, chi)), args)
 
 
 def _cmd_kernel(args) -> int:
@@ -207,11 +199,7 @@ def _cmd_kernel(args) -> int:
         max_x_degree=args.max_x_degree,
         include_t=args.include_t,
     )
-    try:
-        basis = kernel_search(ctx, ansatz, max_unknowns=args.max_unknowns)
-    except AnsatzTooLargeError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    basis = kernel_search(ctx, ansatz, max_unknowns=args.max_unknowns)
     if args.format == "structured":
         for k, chi in enumerate(basis):
             print(json.dumps({"basis": k, "tuple": print_tuple(chi)}, sort_keys=True))
@@ -242,11 +230,7 @@ def _cmd_ns(args) -> int:
         for name, expr in preset_table(inst):
             print(f"{name}: {expr}")
         return EXIT_OK
-    report = ns_verify(inst, _pressure_part(args))
-    informational = {e.name for e in report.entries if not e.checked}
-    return _emit_residuals(
-        [(e.name, e.residual) for e in report.entries], args, informational
-    )
+    return _emit_residuals(ns_verify(inst, _pressure_part(args)), args)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -103,29 +103,12 @@ class ReductionContext:
             self._images[v] = img
         return self._images[v]
 
-    def canonical(self, v: JetVariable) -> Expr:
-        """The variable v written in the context's canonical coordinates."""
-        img = self.image(v)
-        return Expr.var(v) if img is None else img
-
     def _derivative_image(self, v: JetVariable, mu: int) -> Expr:
         """The restricted derivative of the canonical coordinate v along mu."""
         img = self._derivatives.get((v, mu))
         if img is None:
             img = self._derivatives[(v, mu)] = _restricted_image(self, v, mu)
         return img
-
-    @staticmethod
-    def free(m: int = 3) -> ReductionContext:
-        return ReductionContext(Setting.FREE, m)
-
-    @staticmethod
-    def ce(m: int = 3) -> ReductionContext:
-        return ReductionContext(Setting.CE, m)
-
-    @staticmethod
-    def cpe(m: int = 3) -> ReductionContext:
-        return ReductionContext(Setting.CPE, m)
 
     def __repr__(self) -> str:
         return f"ReductionContext({self.setting.value}, m={self.m})"
@@ -178,7 +161,7 @@ def reduce(ctx: ReductionContext, f: Expr) -> Expr:
 
 def reduce_ce(f: Expr, m: int) -> Expr:
     """Eliminate every u^1 jet with a derivative along the first direction."""
-    return reduce(ReductionContext.ce(m), f)
+    return reduce(ReductionContext(Setting.CE, m), f)
 
 
 def ideal_member(ctx: ReductionContext, f: Expr) -> tuple[bool, Expr]:
@@ -225,4 +208,6 @@ def restricted_laplacian_primed(ctx: ReductionContext, f: Expr) -> Expr:
 
 def velocity_gradient_entry(ctx: ReductionContext, la: int, mu: int) -> Expr:
     """The jet u^la_(mu) expressed in the context's canonical coordinates."""
-    return ctx.canonical(uvar(la, unit(mu, ctx.m)))
+    v = uvar(la, unit(mu, ctx.m))
+    img = ctx.image(v)
+    return Expr.var(v) if img is None else img

@@ -109,13 +109,19 @@ def commutator_with_total(
 
 @dataclass
 class ResidualReport:
-    """Named residual expressions; a check passes when all reduce to zero."""
+    """Named residual expressions; a check passes when all reduce to zero.
+
+    An entry named in informational reports a value without pass/fail weight.
+    """
 
     entries: list[tuple[str, Expr]]
+    informational: frozenset[str] = frozenset()
 
     @property
-    def all_zero(self) -> bool:
-        return all(expr.is_zero() for _, expr in self.entries)
+    def passed(self) -> bool:
+        return all(
+            expr.is_zero() for name, expr in self.entries if name not in self.informational
+        )
 
     def residual(self, name: str) -> Expr:
         for key, expr in self.entries:

@@ -1,16 +1,17 @@
 """Exact linear algebra over the rationals for sparse constraint systems.
 
-Rows are kept as sparse integer mappings.  Rows arrive integral: their
-entries are expression coefficients, which are ints when integral, so
-clearing denominators reads each entry's numerator and denominator and
-wraps nothing in a Fraction.  A row that does hold a Fraction is scaled
-by the lcm of its denominators.  Elimination is one forward,
-fraction-free pass to echelon pivots: cross-multiplication keeps entries
-integral, and the content of every reduced row is divided out to control
-growth.  Each reduced row pivots on its smallest column, rows in the
-order given.  The pivot columns, and so the solution basis, do not depend
-on that order.  Solutions back-solve the pivots in reverse column order,
-sparsely: a solution keeps only its nonzero entries.
+Rows are kept as sparse integer mappings in one normal form, primitive:
+coprime integers, positive at the lowest column.  Rows arrive integral,
+since their entries are expression coefficients, which are ints when
+integral; only a row that holds a Fraction is scaled by the lcm of its
+denominators.  Elimination is one forward, fraction-free pass to echelon
+pivots: cross-multiplication keeps entries integral, and every reduced
+row is made primitive again to control growth.  Each step is linear in
+the row, so its sign does not change the final row.  Each reduced row
+pivots on its smallest column, rows in the order given.  The pivot
+columns, and so the solution basis, do not depend on that order.
+Solutions back-solve the pivots in reverse column order, sparsely: a
+solution keeps only its nonzero entries.
 """
 
 from __future__ import annotations
@@ -21,42 +22,33 @@ from math import gcd, lcm
 Row = dict[int, int]
 
 
-def _clear_denominators(row: dict[int, int | Fraction]) -> Row:
-    entries = {c: v for c, v in row.items() if v != 0}
-    if not entries:
-        return {}
-    scale = lcm(*(v.denominator for v in entries.values()))
-    cleared = {c: v.numerator * (scale // v.denominator) for c, v in entries.items()}
-    content = gcd(*cleared.values())
-    return {c: v // content for c, v in cleared.items()}
-
-
-def _normalize(row: Row) -> Row:
+def _primitive(row: dict[int, int | Fraction]) -> Row:
+    """The row as coprime integers, positive at its lowest column, zeros dropped."""
     row = {c: v for c, v in row.items() if v != 0}
     if not row:
         return row
+    if not all(type(v) is int for v in row.values()):
+        scale = lcm(*(v.denominator for v in row.values()))
+        row = {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
     content = gcd(*row.values())
-    lead = min(row)
-    sign = 1 if row[lead] > 0 else -1
-    return {c: v // (sign * content) for c, v in row.items()}
+    if row[min(row)] < 0:
+        content = -content
+    return {c: v // content for c, v in row.items()}
 
 
 def _eliminate(row: Row, pivots: dict[int, Row]) -> Row:
-    """Reduce one row against the pivot rows, fraction-free."""
+    """Reduce one primitive row against the pivot rows, fraction-free."""
     while row:
         lead = min(row)
         pivot = pivots.get(lead)
         if pivot is None:
-            return _normalize(row)
+            return row
         a = pivot[lead]
         b = row[lead]
         merged = {c: a * v for c, v in row.items()}
         for c, v in pivot.items():
             merged[c] = merged.get(c, 0) - b * v
-        row = {c: v for c, v in merged.items() if v != 0}
-        if row:
-            content = gcd(*row.values())
-            row = {c: v // content for c, v in row.items()}
+        row = _primitive(merged)
     return {}
 
 
@@ -64,7 +56,7 @@ def row_reduce(rows: list[dict[int, int | Fraction]]) -> dict[int, Row]:
     """Echelon pivots keyed by pivot column; each row is zero left of its pivot."""
     pivots: dict[int, Row] = {}
     for raw in rows:
-        row = _eliminate(_clear_denominators(raw), pivots)
+        row = _eliminate(_primitive(raw), pivots)
         if row:
             pivots[min(row)] = row
     return pivots

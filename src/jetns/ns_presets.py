@@ -33,6 +33,7 @@ from .constraints import (
 from .evolutionary import (
     Characteristic,
     EvolutionField,
+    ResidualReport,
     pressure_coupling_residual,
 )
 from .jetalgebra import Expr, expr_sum, nu, p, u
@@ -53,8 +54,7 @@ class NsInstance:
 
 def ns_build(m: int = 3, viscosity=None) -> NsInstance:
     """Construct the presets; viscosity stays symbolic unless a positive rational is given."""
-    if m < 2:
-        raise ValueError(f"dimension must be >= 2, got {m}")
+    context = ReductionContext(Setting.CPE, m)
     if viscosity is None:
         visc = nu
     else:
@@ -63,7 +63,7 @@ def ns_build(m: int = 3, viscosity=None) -> NsInstance:
             raise ValueError(f"viscosity must be positive, got {value}")
         visc = Expr.const(value)
     velocity = tuple(_evolution_component(m, mu, visc) for mu in range(1, m + 1))
-    return NsInstance(m, visc, ReductionContext(Setting.CPE, m), velocity)
+    return NsInstance(m, visc, context, velocity)
 
 
 def _evolution_component(m: int, mu: int, visc: Expr) -> Expr:
@@ -87,32 +87,6 @@ def evolution_field(inst: NsInstance, pressure_component: Expr | None = None) ->
     return EvolutionField(characteristic, inst.context)
 
 
-@dataclass
-class CheckEntry:
-    name: str
-    residual: Expr
-    checked: bool  # informational entries report a value without pass/fail weight
-
-    @property
-    def passed(self) -> bool:
-        return self.residual.is_zero()
-
-
-@dataclass
-class CheckReport:
-    entries: list[CheckEntry]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(e.passed for e in self.entries if e.checked)
-
-    def entry(self, name: str) -> CheckEntry:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
-
 def _free_divergence(inst: NsInstance) -> Expr:
     """D_mu E^mu in the free algebra."""
     return expr_sum(
@@ -134,7 +108,7 @@ def divergence_identity_residual(inst: NsInstance) -> Expr:
     return _free_divergence(inst) + pressure_generator(m) - transported
 
 
-def ns_verify(inst: NsInstance, pressure_component: Expr | None = None) -> CheckReport:
+def ns_verify(inst: NsInstance, pressure_component: Expr | None = None) -> ResidualReport:
     """Run the named identity checks.
 
     Reports the reduced flux divergence, the free divergence identity,
@@ -145,19 +119,16 @@ def ns_verify(inst: NsInstance, pressure_component: Expr | None = None) -> Check
     two code paths: here, and through current_divergence.
     """
     ctx = inst.context
-    entries = [
-        CheckEntry("velocity_divergence", reduce(ctx, _free_divergence(inst)), True),
-        CheckEntry("divergence_identity_free", divergence_identity_residual(inst), True),
-        CheckEntry(
-            "flux_divergence_reduced", current_divergence(ctx, evolution_current(inst)), True
-        ),
-    ]
     field = evolution_field(inst, pressure_component)
-    poisson = pressure_coupling_residual(ctx, field.characteristic)
-    entries.append(
-        CheckEntry("pressure_poisson", poisson, pressure_component is not None)
-    )
-    return CheckReport(entries)
+    entries = [
+        ("velocity_divergence", reduce(ctx, _free_divergence(inst))),
+        ("divergence_identity_free", divergence_identity_residual(inst)),
+        ("flux_divergence_reduced", current_divergence(ctx, evolution_current(inst))),
+        ("pressure_poisson", pressure_coupling_residual(ctx, field.characteristic)),
+    ]
+    if pressure_component is None:
+        return ResidualReport(entries, frozenset({"pressure_poisson"}))
+    return ResidualReport(entries)
 
 
 def ns_integrability_prolongations(inst: NsInstance) -> list[tuple[str, Expr, Expr]]:

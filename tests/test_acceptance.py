@@ -211,9 +211,9 @@ def test_c11_translation_and_shift_symmetries():
     ctx = ReductionContext(Setting.CPE, 3)
     for lam in (1, 2, 3):
         report = symmetry_residuals(ctx, translation_characteristic(ctx, lam))
-        assert report.all_zero
+        assert report.passed
     report = symmetry_residuals(ctx, pressure_shift_characteristic(ctx))
-    assert report.all_zero
+    assert report.passed
     _report(11, "translations and the pressure shift are symmetries", started, 5.0)
 
 

@@ -55,6 +55,40 @@ CALLS: list[tuple[list[str], str]] = [(args, "") for args in _NS] + [
      "1/2*u1_[1,0,0]^2 + 2/3*p_[0,0,0]*u2_[0,1,0] - x3*u3_[0,0,2]"),
     (["euler", "--dim", "2", "--format", "structured"],
      "-1/4*u1_[0,1]*u2_[1,0]^2 + 3*p_[1,0]*u1_[0,0]"),
+    (["helmholtz", "--dim", "3"], "f1: u1_[0,0,0]; f2: u2_[0,0,0]; f3: u3_[0,0,0]"),
+    (["helmholtz", "--dim", "2", "--format", "structured"],
+     "f1: u1_[1,0]; f: 1/2*p_[0,1]*x1"),
+    (["helmholtz", "--dim", "2"], "f1: u1_[1,0]*u2_[0,0]; f2: -2/3*u1_[0,0]^2"),
+    (["symmetry", "--constraints", "free", "--dim", "2"], "f1: u2_[0,0]"),
+    (["symmetry", "--constraints", "free", "--dim", "2", "--format", "structured"],
+     "f1: u2_[1,0]"),
+    (["symmetry", "--constraints", "ce", "--dim", "3"],
+     "f1: u1_[1,0,0]; f2: u2_[1,0,0]; f3: u3_[1,0,0]"),
+    (["symmetry", "--constraints", "ce", "--dim", "3", "--format", "structured"],
+     "f1: u2_[0,0,0]"),
+    (["symmetry", "--constraints", "cpe", "--dim", "3"],
+     "f1: u1_[1,0,0]; f2: u2_[1,0,0]; f3: u3_[1,0,0]; f: p_[1,0,0]"),
+    (["symmetry", "--constraints", "cpe", "--dim", "2", "--format", "structured"],
+     "f1: u2_[0,0]; f: 3/2*x1"),
+    (["symmetry", "--constraints", "cpe", "--dim", "2"], "f1: u2_[0,0]; f: 3/2*x1"),
+    (["time-symmetry", "--dim", "2", "--viscosity", "1/100"],
+     "f1: u1_[1,0]; f2: u2_[1,0]; f: p_[1,0]"),
+    (["time-symmetry", "--dim", "2", "--format", "structured"], "f1: 1"),
+    (["time-symmetry", "--dim", "2"], "f1: u1_[0,1]"),
+    (["current", "--constraints", "cpe", "--dim", "3"], "j1: u1_[0,0,0]^2"),
+    (["current", "--constraints", "cpe", "--dim", "2", "--format", "structured"],
+     "j1: u1_[0,0]; j2: u2_[0,0]"),
+    (["current", "--constraints", "free", "--dim", "2"], "j1: x2*u1_[0,0]; j2: -x1"),
+    (["current", "--constraints", "free", "--dim", "2", "--format", "structured"],
+     "j1: x2; j2: x1"),
+    (["reduced-system", "--dim", "2"], "chi01: 1"),
+    (["reduced-system", "--dim", "3", "--format", "structured"], "chi01: x1; chi0: 1"),
+    (["reduced-system", "--dim", "2"], "chi[2,0]: u2_[0,0]; chi1: 1/2; chi0: p_[1,0]"),
+    (["ns", "check", "--dim", "2", "--pressure-part", "-"], "0"),
+    (["ns", "check", "--dim", "2", "--pressure-part", "-", "--format", "structured"],
+     "2*u1_[1,0]^2"),
+    (["ns", "check", "--dim", "3", "--viscosity", "1/2", "--pressure-part", "-"],
+     "p_[0,0,0]"),
 ]
 
 

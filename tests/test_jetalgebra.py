@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetns import jetalgebra
-from jetns.constraints import ReductionContext, reduce, restricted_derivative
+from jetns.constraints import ReductionContext, Setting, reduce, restricted_derivative
 from jetns.exprio import parse_expr, records_to_expr
 from jetns.jetalgebra import (
     Expr,
@@ -282,12 +282,12 @@ COEFFICIENT_CASES = {
     "subs": lambda: [(Fraction(2, 3) * x(1) + Fraction(1, 5) * x(2)).subs({xvar(1): Fraction(3, 2) * nu}.get)],
     "derive": lambda: [
         total_derivative(1, half * u(1, (0, 0, 0)) ** 2 + third * x(1) * p((0, 0, 0))),
-        restricted_derivative(ReductionContext.cpe(3), 1, half * p((1, 0, 0)) ** 2 + third * x(1)),
+        restricted_derivative(ReductionContext(Setting.CPE, 3), 1, half * p((1, 0, 0)) ** 2 + third * x(1)),
     ],
-    "reduce": lambda: [reduce(ReductionContext.cpe(3), half * p((2, 0, 0)) + third * u(1, (1, 0, 0)))],
+    "reduce": lambda: [reduce(ReductionContext(Setting.CPE, 3), half * p((2, 0, 0)) + third * u(1, (1, 0, 0)))],
     "kernel_basis": lambda: [
         expr
-        for chi in kernel_search(ReductionContext.cpe(2), AnsatzSpec(1, 2, 1))
+        for chi in kernel_search(ReductionContext(Setting.CPE, 2), AnsatzSpec(1, 2, 1))
         for _, expr in chi.items()
     ],
 }

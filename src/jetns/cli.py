@@ -54,27 +54,6 @@ def _read_input(path: str) -> str:
         return handle.read()
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--dim", type=int, default=3, help="spatial dimension (default 3)")
-    parser.add_argument(
-        "--constraints",
-        choices=["free", "ce", "cpe"],
-        default="cpe",
-        help="constraint setting (default cpe)",
-    )
-    parser.add_argument(
-        "--viscosity",
-        default="symbolic",
-        help="'symbolic' or a positive rational like 1/100",
-    )
-    parser.add_argument(
-        "--format",
-        choices=["text", "structured"],
-        default="text",
-        help="report format (default text)",
-    )
-
-
 def _context(args) -> ReductionContext:
     return ReductionContext(Setting(args.constraints), args.dim)
 
@@ -156,14 +135,15 @@ def _cmd_symmetry(args) -> int:
 
 
 def _cmd_time_symmetry(args) -> int:
-    ctx = ReductionContext(Setting.CPE, args.dim)
     f = parse_tuple(_read_input(args.input), "characteristic", args.dim)
     if args.evolution == "ns":
         inst = ns_build(args.dim, _viscosity_value(args))
         field = evolution_field(inst, _pressure_part(args))
     else:
+        ctx = ReductionContext(Setting.CPE, args.dim)
         e = parse_tuple(_read_input(args.evolution), "characteristic", args.dim)
         field = EvolutionField(e.reduce(ctx), ctx)
+    ctx = field.context
     residual = time_symmetry_residual(field, f.reduce(ctx))
     entries = [
         (f"velocity[{mu}]", comp)
@@ -188,11 +168,7 @@ def _cmd_reduced_system(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
-    setting = args.setting or args.constraints
-    if setting not in ("ce", "cpe"):
-        print("kernel search requires --setting ce or cpe", file=sys.stderr)
-        return EXIT_USAGE
-    ctx = ReductionContext(Setting(setting), args.dim)
+    ctx = ReductionContext(Setting(args.setting), args.dim)
     ansatz = AnsatzSpec(
         max_order=args.max_order,
         max_degree=args.max_degree,
@@ -218,10 +194,9 @@ def _viscosity_value(args):
 
 
 def _pressure_part(args) -> Expr | None:
-    path = getattr(args, "pressure_part", None)
-    if path is None:
+    if args.pressure_part is None:
         return None
-    return parse_expr(_read_input(path), args.dim)
+    return parse_expr(_read_input(args.pressure_part), args.dim)
 
 
 def _cmd_ns(args) -> int:
@@ -240,63 +215,79 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        _common_flags(p)
+    def add(name: str, func, help: str, *, constraints=False, viscosity=False, input=True):
+        """A subcommand with --dim and --format, plus the shared flags its handler reads."""
+        p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
+        if input:
+            p.add_argument("input", nargs="?", default="-")
+        p.add_argument("--dim", type=int, default=3, help="spatial dimension (default 3)")
+        if constraints:
+            p.add_argument(
+                "--constraints",
+                choices=["free", "ce", "cpe"],
+                default="cpe",
+                help="constraint setting (default cpe)",
+            )
+        if viscosity:
+            p.add_argument(
+                "--viscosity",
+                default="symbolic",
+                help="'symbolic' or a positive rational like 1/100",
+            )
+        p.add_argument(
+            "--format",
+            choices=["text", "structured"],
+            default="text",
+            help="report format (default text)",
+        )
         return p
 
-    p = add("reduce", _cmd_reduce, help="reduce an expression to canonical coordinates")
-    p.add_argument("input", nargs="?", default="-")
-
-    p = add("tderiv", _cmd_tderiv, help="apply a (restricted) total derivative")
-    p.add_argument("input", nargs="?", default="-")
+    add("reduce", _cmd_reduce, "reduce an expression to canonical coordinates", constraints=True)
+    p = add("tderiv", _cmd_tderiv, "apply a (restricted) total derivative", constraints=True)
     p.add_argument("--direction", type=int, default=1)
     p.add_argument("--index", help="multi-index like [1,0,0] for an iterated derivative")
-
-    p = add("euler", _cmd_euler, help="variational derivative of a density")
-    p.add_argument("input", nargs="?", default="-")
-
-    p = add("helmholtz", _cmd_helmholtz, help="variationality residual of a cotuple")
-    p.add_argument("input", nargs="?", default="-")
-
-    p = add("symmetry", _cmd_symmetry, help="symmetry determining residuals")
-    p.add_argument("input", nargs="?", default="-")
-
-    p = add("time-symmetry", _cmd_time_symmetry, help="evolution commutation residual")
-    p.add_argument("input", nargs="?", default="-")
+    add("euler", _cmd_euler, "variational derivative of a density")
+    add("helmholtz", _cmd_helmholtz, "variationality residual of a cotuple")
+    add("symmetry", _cmd_symmetry, "symmetry determining residuals", constraints=True)
+    p = add("time-symmetry", _cmd_time_symmetry, "evolution commutation residual", viscosity=True)
     p.add_argument("--evolution", default="ns", help="'ns' or a characteristic file")
     p.add_argument("--pressure-part", dest="pressure_part")
-
-    p = add("current", _cmd_current, help="divergence residual of a current")
-    p.add_argument("input", nargs="?", default="-")
-
-    p = add(
+    add("current", _cmd_current, "divergence residual of a current", constraints=True)
+    add(
         "reduced-system",
         _cmd_reduced_system,
-        help="first-order reduced system residuals of a joint-shape tuple",
+        "first-order reduced system residuals of a joint-shape tuple",
     )
-    p.add_argument("input", nargs="?", default="-")
 
-    p = add("kernel", _cmd_kernel, help="bounded-order kernel basis of the reduced derivative")
-    p.add_argument("--setting", choices=["ce", "cpe"])
+    p = add(
+        "kernel",
+        _cmd_kernel,
+        "bounded-order kernel basis of the reduced derivative",
+        input=False,
+    )
+    p.add_argument(
+        "--setting", choices=["ce", "cpe"], default="cpe", help="constraint setting (default cpe)"
+    )
     p.add_argument("--max-order", type=int, default=0)
     p.add_argument("--max-degree", type=int, default=0)
     p.add_argument("--max-x-degree", type=int, default=0)
     p.add_argument("--include-t", action="store_true")
     p.add_argument("--max-unknowns", type=int, default=4000)
 
-    p = add("ns", _cmd_ns, help="flow-system checks and preset display")
+    p = add("ns", _cmd_ns, "flow-system checks and preset display", viscosity=True, input=False)
     p.add_argument("ns_command", choices=["check", "show"])
     p.add_argument("--pressure-part", dest="pressure_part")
-
     return parser
 
 
+# argparse keeps no parse state on a parser, so one serves every call
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

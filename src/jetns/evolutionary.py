@@ -24,6 +24,7 @@ from .constraints import (
 )
 from .jetalgebra import Expr, T_VAR, expr_sum
 from .multiindex import MultiIndex, unit
+from .totalderiv import derive
 
 
 @dataclass
@@ -72,20 +73,21 @@ class Characteristic:
 
 
 def _field_action(ctx: ReductionContext, f: Characteristic, g: Expr, cache: dict) -> Expr:
-    """Sum over the u/p jets v in g of g.diff(v) times the matching derivative of f.
+    """The derivation sending each u/p jet to the matching derivative of f, applied to g.
 
     cache maps (slot, multi-index) to that derivative of f.component(slot)
     and may be shared between calls with the same f.
     """
-    result = Expr.zero()
-    for v in g.variables():
+
+    def image(v, _mu) -> Expr:
         if v.kind not in ("u", "p"):
-            continue
+            return Expr.zero()
         key = (v.mu if v.kind == "u" else 0, v.index)
         if key not in cache:
             cache[key] = restricted_derivative_multi(ctx, v.index, f.component(key[0]))
-        result = result + g.diff(v) * cache[key]
-    return result
+        return cache[key]
+
+    return derive(g, 0, image)
 
 
 def ev_apply(ctx: ReductionContext, f: Characteristic, g: Expr) -> Expr:

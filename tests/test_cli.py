@@ -1,9 +1,14 @@
+import io
 import json
 import os
 import subprocess
 import sys
 import time
 from pathlib import Path
+
+import pytest
+
+from jetns import cli
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -20,6 +25,27 @@ def run_cli(*args, stdin="", timeout=None):
         env={**os.environ, "PYTHONPATH": path},
         timeout=timeout,
     )
+
+
+@pytest.mark.parametrize(
+    "args, stdin",
+    [
+        (["reduced-system", "--constraints", "ce"], "chi01: 1"),
+        (["time-symmetry", "--constraints", "ce"], "f1: 1"),
+        (["euler", "--viscosity", "1/2"], "u1_[0,0,0]^2"),
+        (["helmholtz", "--constraints", "cpe"], "f1: u1_[0,0,0]; f2: u2_[0,0,0]; f3: u3_[0,0,0]"),
+        (["ns", "check", "--constraints", "ce"], ""),
+        (["kernel", "--constraints", "ce"], ""),
+    ],
+    ids=["reduced-system", "time-symmetry", "euler", "helmholtz", "ns-check", "kernel"],
+)
+def test_flag_a_command_does_not_read_is_usage_error(args, stdin, monkeypatch, capsys):
+    # each input is valid for the command, so only the flag can make it exit 2
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: " + args[-2] in captured.err
 
 
 def test_reduce_ce_substitution():

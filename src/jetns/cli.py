@@ -199,13 +199,18 @@ def _pressure_part(args) -> Expr | None:
     return parse_expr(_read_input(args.pressure_part), args.dim)
 
 
-def _cmd_ns(args) -> int:
+def _cmd_ns_check(args) -> int:
     inst = ns_build(args.dim, _viscosity_value(args))
-    if args.ns_command == "show":
-        for name, expr in preset_table(inst):
-            print(f"{name}: {expr}")
-        return EXIT_OK
     return _emit_residuals(ns_verify(inst, _pressure_part(args)), args)
+
+
+def _cmd_ns_show(args) -> int:
+    for name, expr in preset_table(ns_build(args.dim, _viscosity_value(args))):
+        if args.format == "structured":
+            print(json.dumps({"expr": expr_to_records(expr), "name": name}, sort_keys=True))
+        else:
+            print(f"{name}: {expr}")
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -215,9 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, help: str, *, constraints=False, viscosity=False, input=True):
-        """A subcommand with --dim and --format, plus the shared flags its handler reads."""
-        p = sub.add_parser(name, help=help)
+    def add(name, func, help, *, group=sub, constraints=False, viscosity=False, input=True):
+        """A subcommand of group: --dim, --format and the shared flags its handler reads."""
+        p = group.add_parser(name, help=help)
         p.set_defaults(func=func)
         if input:
             p.add_argument("input", nargs="?", default="-")
@@ -275,9 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--include-t", action="store_true")
     p.add_argument("--max-unknowns", type=int, default=4000)
 
-    p = add("ns", _cmd_ns, "flow-system checks and preset display", viscosity=True, input=False)
-    p.add_argument("ns_command", choices=["check", "show"])
+    ns_parser = sub.add_parser("ns", help="flow-system checks and preset display")
+    ns = ns_parser.add_subparsers(dest="ns_command", required=True)
+    p = add("check", _cmd_ns_check, "flow-system residuals", group=ns, viscosity=True, input=False)
     p.add_argument("--pressure-part", dest="pressure_part")
+    add("show", _cmd_ns_show, "the preset expressions", group=ns, viscosity=True, input=False)
     return parser
 
 

@@ -335,9 +335,7 @@ def _build_tuple(components: dict[str, Expr], shape: str, m: int):
         return _SHAPE_TYPES[shape](velocity, get("f"))
     if shape == "current":
         return CurrentTuple(tuple(get(f"j{mu}") for mu in range(1, m + 1)))
-    return _SHAPE_TYPES[shape].from_entries(
-        {_chi_label(name): expr for name, expr in components.items()}
-    )
+    return _SHAPE_TYPES[shape]({_chi_label(name): expr for name, expr in components.items()})
 
 
 def print_tuple(value) -> str:

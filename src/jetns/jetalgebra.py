@@ -190,17 +190,6 @@ class Expr:
             return self._terms[_ONE_MONOMIAL]
         return None
 
-    def orders(self) -> tuple[int | None, int | None]:
-        """(u-order, p-order): maximal |i| among occurring u/p jets, or None."""
-        u_order: int | None = None
-        p_order: int | None = None
-        for v in {v for mono in self._terms for v, _ in mono}:
-            if v.kind == "u":
-                u_order = v.index.total if u_order is None else max(u_order, v.index.total)
-            elif v.kind == "p":
-                p_order = v.index.total if p_order is None else max(p_order, v.index.total)
-        return (u_order, p_order)
-
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other) -> Expr:

@@ -1,12 +1,13 @@
 """The reduced complex along the distinguished direction and its kernel.
 
 After flattening the first direction, cohomology representatives live in
-finite tuples indexed by the residual first-direction order.  The
-derivative transported to these tuples is the componentwise restricted
-first derivative plus a linear correction coming from the characteristic
-that generates the restricted derivative.  Kernels of that operator are
-computed exactly at bounded ansatz size by assembling one linear
-constraint per output monomial and solving over the rationals.
+finite tuples indexed by the residual first-direction order; a tuple is
+built only from its entries, keyed by label.  The derivative transported
+to these tuples is the componentwise restricted first derivative plus a
+linear correction coming from the characteristic that generates the
+restricted derivative.  Kernels of that operator are computed exactly at
+bounded ansatz size by assembling one linear constraint per output
+monomial and solving over the rationals.
 
 The correction is one rule keyed by the entry's label.  An entry f adds
 to the target entries, with a, b in 2..m, D the restricted derivatives,
@@ -75,18 +76,16 @@ class ChiTuple:
     component and ("chi_alpha", i1, a) the entry at first-direction order
     i1 and spatial component a in 2..m.  Each subclass declares its
     pressure block by pressure_labels(max_order): the pressure labels of
-    an ansatz up to that first-direction order, indexed by order.  Entries
-    are kept in canonical order: chi01, chi_alpha by (i1, a), pressure.
+    an ansatz up to that first-direction order, indexed by order.  A tuple
+    is built only from its entries keyed by label: ChiTupleCE({label: f}).
+    Zero entries are dropped and the rest kept in canonical order: chi01,
+    chi_alpha by (i1, a), pressure.
     """
-
-    def __init__(self, chi01: Expr, chi_alpha: Mapping | None, pressure: dict) -> None:
-        velocity = {("chi_alpha",) + key: v for key, v in (chi_alpha or {}).items()}
-        self._set({("chi01",): chi01, **velocity, **pressure})
 
     def __init_subclass__(cls) -> None:
         cls._kinds = frozenset(["chi01", "chi_alpha"] + [p[0] for p in cls.pressure_labels(0)])
 
-    def _set(self, entries: Mapping[tuple, Expr]) -> None:
+    def __init__(self, entries: Mapping[tuple, Expr] = {}) -> None:
         if not {label[0] for label in entries} <= self._kinds:
             raise ValueError(f"{type(self).__name__} has no entry for one of {list(entries)}")
         nonzero = [(k, v) for k, v in entries.items() if not v.is_zero()]
@@ -95,12 +94,6 @@ class ChiTuple:
     @classmethod
     def allows(cls, label: tuple) -> bool:
         return label[0] in cls._kinds
-
-    @classmethod
-    def from_entries(cls, entries: Mapping[tuple, Expr]) -> ChiTuple:
-        chi = cls.__new__(cls)
-        chi._set(entries)
-        return chi
 
     @classmethod
     def ansatz_labels(cls, m: int, max_order: int) -> list[tuple]:
@@ -116,7 +109,7 @@ class ChiTuple:
         return not self._entries
 
     def reduce(self, ctx: ReductionContext) -> ChiTuple:
-        return self.from_entries({k: reduce(ctx, v) for k, v in self._entries.items()})
+        return type(self)({k: reduce(ctx, v) for k, v in self._entries.items()})
 
     @property
     def chi01(self) -> Expr:
@@ -141,15 +134,6 @@ class ChiTupleCE(ChiTuple):
     order i1; chi_p maps i1 to that entry.
     """
 
-    def __init__(
-        self,
-        chi01: Expr = Expr.zero(),
-        chi_alpha: Mapping[tuple[int, int], Expr] | None = None,
-        chi_p: Mapping[int, Expr] | None = None,
-    ):
-        pressure = {("chi_p", i1): v for i1, v in (chi_p or {}).items()}
-        super().__init__(chi01, chi_alpha, pressure)
-
     @staticmethod
     def pressure_labels(max_order: int) -> list[tuple]:
         return [("chi_p", i1) for i1 in range(max_order + 1)]
@@ -166,15 +150,6 @@ class ChiTupleCPE(ChiTuple):
     collapses to the two entries chi0 and chi1 because only the first two
     first-direction orders of the pressure survive the reduction.
     """
-
-    def __init__(
-        self,
-        chi01: Expr = Expr.zero(),
-        chi_alpha: Mapping[tuple[int, int], Expr] | None = None,
-        chi0: Expr = Expr.zero(),
-        chi1: Expr = Expr.zero(),
-    ):
-        super().__init__(chi01, chi_alpha, {("chi0",): chi0, ("chi1",): chi1})
 
     @staticmethod
     def pressure_labels(max_order: int) -> list[tuple]:
@@ -272,7 +247,7 @@ def _sum_entries(ctx: ReductionContext, chi: ChiTuple, rule, what: str) -> ChiTu
     for label, f in chi.items():
         for target, expr in rule(ctx, label, f):
             entries[target] = entries.get(target, Expr.zero()) + expr
-    return shape.from_entries(entries)
+    return shape(entries)
 
 
 def correction(ctx: ReductionContext, chi: ChiTuple) -> ChiTuple:
@@ -375,7 +350,7 @@ def reduced_variational_derivative(ctx: ReductionContext, L: Expr):
         if label is None:
             raise ValueError("density is not in canonical coordinates")
         entries[label] = entries.get(label, Expr.zero()) + expr
-    return shape.from_entries(entries)
+    return shape(entries)
 
 
 # -- bounded-order kernel search --------------------------------------------
@@ -457,7 +432,7 @@ def _solve_homogeneous(
         for (label, mono), coeff in zip(unknowns, vec):
             if coeff != 0:
                 terms.setdefault(label, {})[mono] = coeff
-        basis.append(shape.from_entries({label: _raw(t) for label, t in terms.items()}))
+        basis.append(shape({label: _raw(t) for label, t in terms.items()}))
     return basis
 
 
@@ -494,7 +469,7 @@ def reduced_system_kernel(
     return _solve_homogeneous(
         ctx,
         ansatz,
-        lambda label, f: reduced_system_residuals(ctx, ChiTupleCPE.from_entries({label: f})),
+        lambda label, f: reduced_system_residuals(ctx, ChiTupleCPE({label: f})),
         max_unknowns,
     )
 

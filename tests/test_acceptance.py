@@ -152,7 +152,7 @@ def test_c07_ce_kernel_is_one_dimensional():
 def test_c08_cpe_kernel_and_reduced_system_agree():
     started = time.monotonic()
     ctx = ReductionContext(Setting.CPE, 3)
-    constant = ChiTupleCPE(chi01=Expr.const(1))
+    constant = ChiTupleCPE({("chi01",): Expr.const(1)})
     assert reduced_derivative(ctx, constant).is_zero()
     ansatz = AnsatzSpec(max_order=1, max_degree=1, max_x_degree=1)
     kernel = kernel_search(ctx, ansatz)

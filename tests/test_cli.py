@@ -36,8 +36,9 @@ def run_cli(*args, stdin="", timeout=None):
         (["helmholtz", "--constraints", "cpe"], "f1: u1_[0,0,0]; f2: u2_[0,0,0]; f3: u3_[0,0,0]"),
         (["ns", "check", "--constraints", "ce"], ""),
         (["kernel", "--constraints", "ce"], ""),
+        (["ns", "show", "--pressure-part", "x"], ""),
     ],
-    ids=["reduced-system", "time-symmetry", "euler", "helmholtz", "ns-check", "kernel"],
+    ids=["reduced-system", "time-symmetry", "euler", "helmholtz", "ns-check", "kernel", "ns-show"],
 )
 def test_flag_a_command_does_not_read_is_usage_error(args, stdin, monkeypatch, capsys):
     # each input is valid for the command, so only the flag can make it exit 2

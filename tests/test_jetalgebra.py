@@ -116,20 +116,6 @@ def test_constant_hashes_like_its_value(c):
     assert len({Expr.const(c), c}) == 1
 
 
-def test_orders_read_off_indices():
-    f = u(1, (2, 0, 0)) * p((0, 1, 0))
-    assert f.orders() == (2, 1)
-
-
-def test_orders_none_when_absent():
-    assert (nu * x(1)).orders() == (None, None)
-
-
-def test_orders_of_divergence_generator():
-    f = u(1, (1, 0, 0)) + u(2, (0, 1, 0)) + u(3, (0, 0, 1))
-    assert f.orders() == (1, None)
-
-
 def test_evaluate_examples():
     v = uvar(1, (0, 0, 0))
     assert (Expr.var(v) ** 2).evaluate({v: Fraction(3)}) == 9

@@ -45,14 +45,14 @@ def density_pool(ctx, max_ord=1):
 
 
 def test_correction_ce_kills_constants(ce_ctx):
-    chi = ChiTupleCE(chi01=Expr.const(1))
+    chi = ChiTupleCE({("chi01",): Expr.const(1)})
     out = correction(ce_ctx, chi)
     assert out.is_zero()
 
 
 def _spatial_gradient(ctx, shape):
     # chi01 feeds only the order-zero velocity entries, whatever the shape
-    out = correction(ctx, shape(chi01=x(2) ** 2))
+    out = correction(ctx, shape({("chi01",): x(2) ** 2}))
     assert out.chi01.is_zero()
     assert out.chi_alpha[(0, 2)] == 2 * x(2)
     assert (0, 3) not in out.chi_alpha
@@ -71,14 +71,14 @@ def test_correction_cpe_spatial_gradient(cpe_ctx):
 
 
 def _velocity_index_shift(ctx, shape):
-    out = correction(ctx, shape(chi_alpha={(0, 2): Expr.const(5)}))
+    out = correction(ctx, shape({("chi_alpha", 0, 2): Expr.const(5)}))
     assert out.chi_alpha == {(1, 2): Expr.const(5)}
     assert out.items() == [(("chi_alpha", 1, 2), Expr.const(5))]
 
 
 def test_correction_ce_index_shift(ce_ctx):
     _velocity_index_shift(ce_ctx, ChiTupleCE)
-    chi = ChiTupleCE(chi_p={0: Expr.const(7)})
+    chi = ChiTupleCE({("chi_p", 0): Expr.const(7)})
     assert correction(ce_ctx, chi).chi_p == {1: Expr.const(7)}
 
 
@@ -87,12 +87,12 @@ def test_correction_cpe_index_shift(cpe_ctx):
 
 
 def test_correction_cpe_of_constant_tuple(cpe_ctx):
-    assert correction(cpe_ctx, ChiTupleCPE(chi01=Expr.const(1))).is_zero()
+    assert correction(cpe_ctx, ChiTupleCPE({("chi01",): Expr.const(1)})).is_zero()
 
 
 def test_correction_cpe_of_unit_chi1(cpe_ctx):
     # expand each displayed term for chi1 = 1 and freeze the results
-    out = correction(cpe_ctx, ChiTupleCPE(chi1=Expr.const(1)))
+    out = correction(cpe_ctx, ChiTupleCPE({("chi1",): Expr.const(1)}))
     assert out.chi01 == 2 * (u(2, (1, 1, 0)) + u(3, (1, 0, 1)))
     assert out.chi0.is_zero()
     assert out.chi1.is_zero()
@@ -104,7 +104,7 @@ def test_correction_cpe_of_unit_chi1(cpe_ctx):
 
 
 def test_correction_cpe_chi0_feeds_chi1(cpe_ctx):
-    out = correction(cpe_ctx, ChiTupleCPE(chi0=Expr.const(3)))
+    out = correction(cpe_ctx, ChiTupleCPE({("chi0",): Expr.const(3)}))
     assert out.chi1 == Expr.const(3)
     assert out.chi01.is_zero() and not out.chi_alpha and out.chi0.is_zero()
 
@@ -113,22 +113,22 @@ def test_correction_is_linear(cpe_ctx, ce_ctx):
     rng = random.Random(41)
     pool = density_pool(cpe_ctx)
     for _ in range(5):
-        a = ChiTupleCPE(
-            chi01=random_expr(rng, pool, n_terms=2),
-            chi_alpha={(0, 2): random_expr(rng, pool, n_terms=2)},
-            chi1=random_expr(rng, pool, n_terms=2),
-        )
-        b = ChiTupleCPE(
-            chi01=random_expr(rng, pool, n_terms=2),
-            chi0=random_expr(rng, pool, n_terms=2),
-            chi1=random_expr(rng, pool, n_terms=2),
-        )
-        combined = ChiTupleCPE(
-            chi01=2 * a.chi01 + 3 * b.chi01,
-            chi_alpha={(0, 2): 2 * a.chi_alpha.get((0, 2), Expr.zero())},
-            chi0=3 * b.chi0,
-            chi1=2 * a.chi1 + 3 * b.chi1,
-        )
+        a = ChiTupleCPE({
+            ("chi01",): random_expr(rng, pool, n_terms=2),
+            ("chi_alpha", 0, 2): random_expr(rng, pool, n_terms=2),
+            ("chi1",): random_expr(rng, pool, n_terms=2),
+        })
+        b = ChiTupleCPE({
+            ("chi01",): random_expr(rng, pool, n_terms=2),
+            ("chi0",): random_expr(rng, pool, n_terms=2),
+            ("chi1",): random_expr(rng, pool, n_terms=2),
+        })
+        combined = ChiTupleCPE({
+            ("chi01",): 2 * a.chi01 + 3 * b.chi01,
+            ("chi_alpha", 0, 2): 2 * a.chi_alpha.get((0, 2), Expr.zero()),
+            ("chi0",): 3 * b.chi0,
+            ("chi1",): 2 * a.chi1 + 3 * b.chi1,
+        })
         out_a = correction(cpe_ctx, a)
         out_b = correction(cpe_ctx, b)
         out = correction(cpe_ctx, combined)
@@ -143,17 +143,18 @@ def test_correction_is_linear(cpe_ctx, ce_ctx):
 
     pool = density_pool(ce_ctx)
     for _ in range(5):
-        a = ChiTupleCE(
-            chi01=random_expr(rng, pool, n_terms=2),
-            chi_alpha={(0, 2): random_expr(rng, pool, n_terms=2)},
-            chi_p={0: random_expr(rng, pool, n_terms=2)},
-        )
-        b = ChiTupleCE(
-            chi_alpha={(1, 3): random_expr(rng, pool, n_terms=2)},
-            chi_p={0: random_expr(rng, pool, n_terms=2), 1: random_expr(rng, pool, n_terms=2)},
-        )
+        a = ChiTupleCE({
+            ("chi01",): random_expr(rng, pool, n_terms=2),
+            ("chi_alpha", 0, 2): random_expr(rng, pool, n_terms=2),
+            ("chi_p", 0): random_expr(rng, pool, n_terms=2),
+        })
+        b = ChiTupleCE({
+            ("chi_alpha", 1, 3): random_expr(rng, pool, n_terms=2),
+            ("chi_p", 0): random_expr(rng, pool, n_terms=2),
+            ("chi_p", 1): random_expr(rng, pool, n_terms=2),
+        })
         entries_a, entries_b = dict(a.items()), dict(b.items())
-        combined = ChiTupleCE.from_entries({
+        combined = ChiTupleCE({
             k: 2 * entries_a.get(k, Expr.zero()) + 3 * entries_b.get(k, Expr.zero())
             for k in set(entries_a) | set(entries_b)
         })
@@ -168,25 +169,29 @@ def test_correction_is_linear(cpe_ctx, ce_ctx):
 
 
 def test_tuple_value_equality():
-    assert ChiTupleCPE(chi01=Expr.const(1)) == ChiTupleCPE(chi01=Expr.const(1))
-    assert ChiTupleCPE(chi01=Expr.const(1)) != ChiTupleCPE(chi01=Expr.const(2))
-    assert ChiTupleCE(Expr.zero(), {(0, 2): Expr.zero()}, {}) == ChiTupleCE()
-    assert ChiTupleCPE(Expr.const(1), {}, x(1), x(2)) == ChiTupleCPE(
-        chi01=Expr.const(1), chi0=x(1), chi1=x(2)
-    )
+    one = {("chi01",): Expr.const(1)}
+    assert ChiTupleCPE(one) == ChiTupleCPE({("chi01",): Expr.const(1)})
+    assert ChiTupleCPE(one) != ChiTupleCPE({("chi01",): Expr.const(2)})
+    # a zero entry is dropped
+    assert ChiTupleCE({("chi01",): Expr.zero(), ("chi_alpha", 0, 2): Expr.zero()}) == ChiTupleCE()
+    # the entries are kept in canonical order, whatever order they come in
+    joint = ChiTupleCPE({("chi1",): x(2), ("chi0",): x(1), ("chi01",): Expr.const(1)})
+    assert joint == ChiTupleCPE({("chi01",): Expr.const(1), ("chi0",): x(1), ("chi1",): x(2)})
+    assert [label for label, _ in joint.items()] == [("chi01",), ("chi0",), ("chi1",)]
     # a continuity tuple never equals a joint one, not even when both are zero
-    assert ChiTupleCE(chi01=Expr.const(1)) != ChiTupleCPE(chi01=Expr.const(1))
+    assert ChiTupleCE(one) != ChiTupleCPE(one)
     assert ChiTupleCE() != ChiTupleCPE()
 
 
 def test_tuple_rejects_labels_of_the_other_shape(ce_ctx, cpe_ctx):
     with pytest.raises(ValueError):
-        ChiTupleCPE.from_entries({("chi_p", 0): Expr.const(1)})
+        ChiTupleCPE({("chi_p", 0): Expr.const(1)})
     with pytest.raises(ValueError):
-        ChiTupleCE.from_entries({("chi1",): Expr.const(1)})
-    assert ChiTupleCE.from_entries({("chi_p", 0): Expr.const(1)}).chi_p == {0: Expr.const(1)}
+        ChiTupleCE({("chi1",): Expr.const(1)})
+    assert ChiTupleCE({("chi_p", 0): Expr.const(1)}).chi_p == {0: Expr.const(1)}
     # a tuple of the other shape is refused even when its labels exist in both
-    for ctx, chi in ((cpe_ctx, ChiTupleCE(chi01=x(2))), (ce_ctx, ChiTupleCPE(chi01=x(2)))):
+    entry = {("chi01",): x(2)}
+    for ctx, chi in ((cpe_ctx, ChiTupleCE(entry)), (ce_ctx, ChiTupleCPE(entry))):
         with pytest.raises(ValueError):
             reduced_derivative(ctx, chi)
         with pytest.raises(ValueError):
@@ -197,18 +202,18 @@ def test_tuple_rejects_labels_of_the_other_shape(ce_ctx, cpe_ctx):
 
 
 def test_reduced_derivative_kills_constant_ce(ce_ctx):
-    assert reduced_derivative(ce_ctx, ChiTupleCE(chi01=Expr.const(1))).is_zero()
+    assert reduced_derivative(ce_ctx, ChiTupleCE({("chi01",): Expr.const(1)})).is_zero()
 
 
 def test_reduced_derivative_kills_constant_cpe(cpe_ctx):
-    assert reduced_derivative(cpe_ctx, ChiTupleCPE(chi01=Expr.const(1))).is_zero()
+    assert reduced_derivative(cpe_ctx, ChiTupleCPE({("chi01",): Expr.const(1)})).is_zero()
 
 
 def test_reduced_derivative_of_x1_entry(ce_ctx):
-    out = reduced_derivative(ce_ctx, ChiTupleCE(chi01=x(1)))
+    out = reduced_derivative(ce_ctx, ChiTupleCE({("chi01",): x(1)}))
     assert out.chi01 == Expr.const(1)
     assert not out.chi_alpha and not out.chi_p
-    out = reduced_derivative(ce_ctx, ChiTupleCE(chi01=x(2)))
+    out = reduced_derivative(ce_ctx, ChiTupleCE({("chi01",): x(2)}))
     assert out.chi01.is_zero()
     assert out.chi_alpha == {(0, 2): Expr.const(1)}
 
@@ -277,18 +282,19 @@ def test_variational_derivative_pressure_slot(ce_ctx):
 
 
 def test_reduced_system_constant_solution(cpe_ctx):
-    chi = ChiTupleCPE(chi01=Expr.const(4))
+    chi = ChiTupleCPE({("chi01",): Expr.const(4)})
     assert all(expr.is_zero() for _, expr in reduced_system_residuals(cpe_ctx, chi))
 
 
 def test_reduced_system_harmonic_violation(cpe_ctx):
     # chi1 = u1 with the slaved components still fails the harmonic equation
     chi1 = u(1, (0, 0, 0))
-    chi = ChiTupleCPE(
-        chi_alpha={(0, 2): 2 * u(1, (0, 1, 0)) * chi1, (0, 3): 2 * u(1, (0, 0, 1)) * chi1},
-        chi0=-restricted_derivative(cpe_ctx, 1, chi1),
-        chi1=chi1,
-    )
+    chi = ChiTupleCPE({
+        ("chi_alpha", 0, 2): 2 * u(1, (0, 1, 0)) * chi1,
+        ("chi_alpha", 0, 3): 2 * u(1, (0, 0, 1)) * chi1,
+        ("chi0",): -restricted_derivative(cpe_ctx, 1, chi1),
+        ("chi1",): chi1,
+    })
     residuals = dict(reduced_system_residuals(cpe_ctx, chi))
     assert residuals["velocity_slaved[2]"].is_zero()
     assert residuals["pressure_slaved"].is_zero()
@@ -299,7 +305,7 @@ def test_reduced_system_harmonic_violation(cpe_ctx):
 
 
 def test_reduced_system_pressure_relation_witness(cpe_ctx):
-    chi = ChiTupleCPE(chi0=x(1), chi1=x(1))
+    chi = ChiTupleCPE({("chi0",): x(1), ("chi1",): x(1)})
     residuals = dict(reduced_system_residuals(cpe_ctx, chi))
     assert residuals["pressure_slaved"] == x(1) + Expr.const(1)
 
@@ -325,7 +331,7 @@ def test_kernel_cpe_contains_constant(cpe_ctx):
     ansatz = AnsatzSpec(0, 0, 0)
     basis = kernel_search(cpe_ctx, ansatz)
     vectors = [kernel_vectors(cpe_ctx, ansatz, chi) for chi in basis]
-    constant = kernel_vectors(cpe_ctx, ansatz, ChiTupleCPE(chi01=Expr.const(1)))
+    constant = kernel_vectors(cpe_ctx, ansatz, ChiTupleCPE({("chi01",): Expr.const(1)}))
     assert linalg.in_span(vectors, constant)
 
 
@@ -378,7 +384,7 @@ def test_kernel_columns_are_the_transported_derivative(setting, m, ansatz):
         for target, expr in _derivative_entries(ctx, label, f):
             column[target] = column.get(target, Expr.zero()) + expr
         column = {k: v for k, v in column.items() if not v.is_zero()}
-        chi = shape.from_entries({label: f})
+        chi = shape({label: f})
         expected = dict(correction(ctx, chi).items())
         expected[label] = expected.get(label, Expr.zero()) + restricted_derivative(ctx, 1, f)
         assert column == {k: v for k, v in expected.items() if not v.is_zero()}

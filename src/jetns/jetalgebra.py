@@ -363,12 +363,29 @@ def _coerce(value) -> Expr:
 
 
 def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
-    merged: dict[JetVariable, int] = {}
-    for v, e in m1:
-        merged[v] = merged.get(v, 0) + e
-    for v, e in m2:
-        merged[v] = merged.get(v, 0) + e
-    return tuple(sorted(merged.items(), key=lambda ve: ve[0].sort_key()))
+    """The product of two monomials, in one linear merge of their pairs.
+
+    Relies on the Monomial invariant: each side is sorted by variable key
+    and holds each variable once.  Distinct variables have distinct keys,
+    so equal keys mean one variable, whose exponents add.
+    """
+    out = []
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    while i < n1 and j < n2:
+        a, b = m1[i], m2[j]
+        ka, kb = a[0]._key, b[0]._key
+        if ka < kb:
+            out.append(a)
+            i += 1
+        elif kb < ka:
+            out.append(b)
+            j += 1
+        else:
+            out.append((a[0], a[1] + b[1]))
+            i += 1
+            j += 1
+    return tuple(out) + m1[i:] + m2[j:]
 
 
 def _monomial_str(mono: Monomial, coeff: int | Fraction) -> str:

@@ -4,14 +4,26 @@ Rows are kept as sparse integer mappings in one normal form, primitive:
 coprime integers, positive at the lowest column.  Rows arrive integral,
 since their entries are expression coefficients, which are ints when
 integral; only a row that holds a Fraction is scaled by the lcm of its
-denominators.  Elimination is one forward, fraction-free pass to echelon
-pivots: cross-multiplication keeps entries integral, and every reduced
-row is made primitive again to control growth.  Each step is linear in
-the row, so its sign does not change the final row.  Each reduced row
-pivots on its smallest column, rows in the order given.  The pivot
-columns, and so the solution basis, do not depend on that order.
-Solutions back-solve the pivots in reverse column order, sparsely: a
-solution keeps only its nonzero entries.
+denominators.
+
+Elimination first peels singleton rows (structured Gaussian elimination,
+LaMacchia & Odlyzko 1990): a row with one nonzero entry, in column c,
+forces that unknown to zero, so c pivots as the unit row {c: 1} and is
+dropped from every other row, which may leave another row a singleton.
+A column -> rows index and a worklist drive this in time linear in the
+entries.  Subtracting multiples of a unit row keeps the row space.
+
+The rows left with live columns, peeled columns dropped, go through one
+forward, fraction-free pass: cross-multiplication keeps entries integral,
+and every reduced row is made primitive again to control growth; each
+step is linear in the row, so its sign does not change the final row.
+Each reduced row pivots on its smallest column, rows in the order
+given.  No such row holds a peeled column, so every pivot row leads at a
+column of its own, and together they span the row space.  The pivot
+columns, and so the solution basis, are therefore those of the row space
+alone, whatever the order of the rows or of the peeling.  Solutions
+back-solve the pivots in reverse column order, sparsely: a solution
+keeps only its nonzero entries.
 """
 
 from __future__ import annotations
@@ -53,12 +65,40 @@ def _eliminate(row: Row, pivots: dict[int, Row]) -> Row:
 
 
 def row_reduce(rows: list[dict[int, int | Fraction]]) -> dict[int, Row]:
-    """Echelon pivots keyed by pivot column; each row is zero left of its pivot."""
+    """Echelon pivots keyed by pivot column; each row is zero left of its pivot.
+
+    Singleton rows are peeled first, then the rest are eliminated; the
+    caller's rows are read, never changed.
+    """
+    live: list[int] = []
+    holders: dict[int, list[int]] = {}
+    for i, raw in enumerate(rows):
+        count = 0
+        for c, v in raw.items():
+            if v != 0:
+                holders.setdefault(c, []).append(i)
+                count += 1
+        live.append(count)
+    units: dict[int, Row] = {}
+    work = [i for i, count in enumerate(live) if count == 1]
+    while work:
+        i = work.pop()
+        if live[i] != 1:
+            continue  # peeled down to nothing since it was queued
+        col = next(c for c, v in rows[i].items() if v != 0 and c not in units)
+        units[col] = {col: 1}
+        for j in holders[col]:
+            live[j] -= 1
+            if live[j] == 1:
+                work.append(j)
     pivots: dict[int, Row] = {}
-    for raw in rows:
-        row = _eliminate(_primitive(raw), pivots)
-        if row:
-            pivots[min(row)] = row
+    for raw, count in zip(rows, live):
+        if count:
+            row = _primitive({c: v for c, v in raw.items() if c not in units})
+            row = _eliminate(row, pivots)
+            if row:
+                pivots[min(row)] = row
+    pivots.update(units)
     return pivots
 
 

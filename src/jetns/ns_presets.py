@@ -153,13 +153,6 @@ def ns_integrability_prolongations(inst: NsInstance) -> list[tuple[str, Expr, Ex
     return out
 
 
-def poisson_source(inst: NsInstance) -> Expr:
-    """The reduced source of the pressure Poisson equation (zero pressure component)."""
-    return pressure_coupling_residual(
-        inst.context, evolution_field(inst).characteristic
-    )
-
-
 def preset_table(inst: NsInstance) -> list[tuple[str, Expr]]:
     """Named presets in canonical reduced and free forms, for display."""
     m = inst.m

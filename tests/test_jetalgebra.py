@@ -327,3 +327,45 @@ def test_variable_sort_keys_are_unchanged():
     assert xvar(2).sort_key() == (2, 2, ((), ()))
     assert NU_VAR.sort_key() == (0, 0, ((), ()))
     assert T_VAR.sort_key() == (1, 0, ((), ()))
+
+
+# -- the monomial merge -------------------------------------------------------
+
+
+def _dict_merge(m1, m2):
+    """Reference merge: sum the exponents in a dict, then sort by variable key."""
+    merged = {}
+    for v, e in m1 + m2:
+        merged[v] = merged.get(v, 0) + e
+    return tuple(sorted(merged.items(), key=lambda ve: ve[0].sort_key()))
+
+
+def test_merge_monomials_matches_dict_and_sort():
+    rng = random.Random(12)
+    pool = variable_pool(m=3, allow_nu=True, allow_t=True)
+
+    def monomial(variables):
+        pairs = [(v, rng.randint(1, 3)) for v in variables]
+        return tuple(sorted(pairs, key=lambda ve: ve[0].sort_key()))
+
+    cases = {"shared": 0, "disjoint": 0, "empty side": 0}
+    for _ in range(600):
+        shared = rng.sample(pool, rng.randint(0, 2))
+        others = rng.sample([v for v in pool if v not in shared], rng.randint(0, 6))
+        split = rng.randint(0, len(others))
+        m1 = monomial(shared + others[:split])
+        m2 = monomial(shared + others[split:])
+        merged = jetalgebra._merge_monomials(m1, m2)
+        assert merged == _dict_merge(m1, m2)
+        assert jetalgebra._merge_monomials(m2, m1) == merged
+        if not (m1 and m2):
+            cases["empty side"] += 1
+        elif shared:
+            cases["shared"] += 1
+            # the shared variables' exponents add
+            exponents = dict(merged)
+            for v, e in m1:
+                assert exponents[v] == e + dict(m2).get(v, 0)
+        else:
+            cases["disjoint"] += 1
+    assert min(cases.values()) >= 50, cases

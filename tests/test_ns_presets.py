@@ -16,7 +16,6 @@ from jetns.ns_presets import (
     ns_build,
     ns_integrability_prolongations,
     ns_verify,
-    poisson_source,
     preset_table,
 )
 from jetns.variational import current_divergence
@@ -90,17 +89,9 @@ def test_poisson_entry_checked_with_candidate():
     assert not report.residual("pressure_poisson").is_zero()
 
 
-def test_poisson_source_matches_coupling_of_zero_candidate():
-    inst = ns_build(3)
-    source = poisson_source(inst)
-    assert source == ns_verify(inst).residual("pressure_poisson")
-    # the viscous part contributes, so the symbol appears in the source
-    assert NU_VAR in source.variables()
-
-
 def test_poisson_source_assembled_independently():
-    # with a zero pressure candidate the residual is exactly the reduced
-    # gradient pairing of the evolution components
+    # without a pressure candidate the informational Poisson entry is
+    # exactly the reduced gradient pairing of the evolution components
     from jetns.constraints import (
         reduce as ctx_reduce,
         restricted_derivative,
@@ -117,7 +108,10 @@ def test_poisson_source_assembled_independently():
         for la in range(1, 4)
         for mu in range(1, 4)
     )
-    assert poisson_source(inst) == ctx_reduce(ctx, pairing)
+    source = ns_verify(inst).residual("pressure_poisson")
+    assert source == ctx_reduce(ctx, pairing)
+    # the viscous part contributes, so the symbol appears in the source
+    assert NU_VAR in source.variables()
 
 
 def test_integrability_prolongations_reduce_to_zero():

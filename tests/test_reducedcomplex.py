@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -450,6 +451,47 @@ def _gauss_jordan_nullspace(dense, ncols):
     return basis, len(pivot_cols)
 
 
+def _peeling_system(rng, ncols):
+    """A singleton chain, a duplicate singleton, rows peeled to nothing, and survivors."""
+
+    def coeff():
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+
+    cols = rng.sample(range(ncols), ncols)
+    chain = cols[: rng.randint(1, ncols - 1)]
+    # the last chain column is a singleton; each earlier one becomes a
+    # singleton only once the column after it is peeled
+    rows = [{chain[-1]: coeff()}, {chain[-1]: coeff()}]
+    rows += [{a: coeff(), b: coeff()} for a, b in zip(chain, chain[1:])]
+    # rows on chain columns alone peel down to nothing
+    rows += [{c: coeff() for c in rng.sample(chain, rng.randint(1, len(chain)))} for _ in range(2)]
+    # rows across all columns keep live entries after the chain is peeled
+    rows += [{c: coeff() for c in rng.sample(cols, rng.randint(2, ncols))} for _ in range(rng.randint(1, 3))]
+    for row in rng.sample(rows, 2):
+        row.setdefault(rng.randrange(ncols), Fraction(0))  # an explicit zero is no entry
+    rng.shuffle(rows)
+    return rows
+
+
+def _check_nullspace(rows, ncols, trial):
+    """The basis equals dense Gauss-Jordan in any row order; returns the rank."""
+    dense = [tuple(row.get(c, Fraction(0)) for c in range(ncols)) for row in rows]
+    expected, rank = _gauss_jordan_nullspace(dense, ncols)
+    before = copy.deepcopy(rows)
+    basis = linalg.nullspace(rows, ncols)
+    assert basis == expected
+    assert rows == before
+    # the basis does not depend on the order of the rows; a second
+    # generator shuffles, so the systems drawn stay the same
+    shuffled = rows[:]
+    random.Random(trial).shuffle(shuffled)
+    assert linalg.nullspace(shuffled, ncols) == expected
+    for vec in basis:
+        for row in rows:
+            assert sum((v * vec[c] for c, v in row.items()), Fraction(0)) == 0
+    return rank
+
+
 def test_nullspace_matches_naive_gauss():
     rng = random.Random(44)
     deficient = 0
@@ -472,20 +514,16 @@ def test_nullspace_matches_naive_gauss():
                 for ks in weights
             ]
         rows = [{c: v for c, v in row.items() if v != 0} for row in rows]
-        dense = [tuple(row.get(c, Fraction(0)) for c in range(ncols)) for row in rows]
-        expected, rank = _gauss_jordan_nullspace(dense, ncols)
+        rank = _check_nullspace(rows, ncols, trial)
         deficient += rank < min(nrows, ncols)
-        basis = linalg.nullspace(rows, ncols)
-        assert basis == expected
-        # the basis does not depend on the order of the rows; a second
-        # generator shuffles, so the systems drawn stay the same
-        shuffled = rows[:]
-        random.Random(trial).shuffle(shuffled)
-        assert linalg.nullspace(shuffled, ncols) == expected
-        for vec in basis:
-            for row in rows:
-                assert sum((v * vec[c] for c, v in row.items()), Fraction(0)) == 0
     assert deficient >= 30
+    rng = random.Random(45)
+    free = 0
+    for trial in range(60):
+        ncols = rng.randint(2, 9)
+        rows = _peeling_system(rng, ncols)
+        free += ncols - _check_nullspace(rows, ncols, trial)
+    assert free >= 60
 
 
 def test_rank_and_span_helpers():
@@ -495,3 +533,15 @@ def test_rank_and_span_helpers():
     assert linalg.same_span(a, b)
     assert linalg.in_span(a, (Fraction(3), Fraction(5)))
     assert not linalg.same_span(a[:1], b)
+    # rank passes dense vectors, explicit zeros included; only nonzero
+    # entries make a row a singleton
+    assert linalg.rank([(1, 0, 0), (0, 0, 0), (2, 0, 0)]) == 1
+    assert linalg.rank([(0, 0, 0)]) == 0
+    assert linalg.rank([(0,), (Fraction(0),)]) == 0
+    assert linalg.rank([(1, 1, 0), (0, 1, 1), (0, 0, 1)]) == 3
+    mixed = [(0, 3, 0, 0), (1, 1, 1, 0), (0, 0, 0, Fraction(5, 2)), (2, 2, 2, 5)]
+    assert linalg.rank(mixed) == 3
+    assert linalg.in_span(mixed, (1, 0, 1, 0))
+    assert not linalg.in_span(mixed, (1, 0, 0, 0))
+    assert linalg.same_span(mixed, [(1, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1)])
+    assert not linalg.same_span(mixed, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)])

@@ -8,6 +8,12 @@ variables occur in any expression, monomial maps are kept free of zero
 coefficients, and equal expressions have identical internal maps, so zero
 testing is decidable and printing is deterministic.
 
+A jet variable, like its multi-index, is one object per value; equality
+is identity; interned for the process.  Monomials are tuples of variables,
+so hashing and comparing a monomial runs no Python code.  Identity hashes
+change from run to run, so nothing printed may follow the order of a set
+of variables: variables() sorts by the variable sort key.
+
 A coefficient is an int when it is integral and a Fraction otherwise.
 Most coefficients the package meets are integers, and int arithmetic
 avoids the cost of Fraction.  Every coefficient an expression stores
@@ -42,41 +48,55 @@ class ExpressionTooLargeError(ValueError):
         self.pairs = pairs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class JetVariable:
     """A single jet coordinate: x^mu, u^mu_i, p_i, nu or t.
 
-    Variables key every monomial, so each computes its hash and its sort
-    key once, when it is built.
+    Variables key every monomial, so there is one object per value;
+    equality is identity; interned for the process.  A miss in the table
+    validates and builds the variable, with its sort key, and stores it;
+    a hit returns the stored variable.
     """
 
     kind: str
     mu: int = 0
     index: MultiIndex | None = None
-    _hash: int = field(init=False, repr=False, compare=False)
-    _key: tuple = field(init=False, repr=False, compare=False)
+    _key: tuple = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KIND_RANK:
-            raise ValueError(f"unknown variable kind {self.kind!r}")
-        if self.kind in ("x", "u") and self.mu < 1:
-            raise ValueError(f"component index must be >= 1, got {self.mu}")
-        if self.kind in ("u", "p") and self.index is None:
-            raise ValueError(f"{self.kind}-variable requires a multi-index")
-        if self.kind in ("x", "nu", "t") and self.index is not None:
-            raise ValueError(f"{self.kind}-variable carries no multi-index")
-        rank = _KIND_RANK[self.kind]
-        if self.kind == "u":
-            key = (rank, self.mu, self.index.sort_key())
-        elif self.kind == "p":
-            key = (rank, 0, self.index.sort_key())
+    _interned = {}  # (kind, mu, index) -> the one variable with those fields
+
+    def __new__(cls, kind, mu=0, index=None):
+        try:
+            return cls._interned[kind, mu, index]
+        except KeyError:
+            self = object.__new__(cls)
+            self.__post_init__(kind, mu, index)
+            return cls._interned.setdefault((kind, self.mu, index), self)
+
+    def __post_init__(self, kind, mu, index) -> None:
+        mu = int(mu)
+        if kind not in _KIND_RANK:
+            raise ValueError(f"unknown variable kind {kind!r}")
+        if kind in ("x", "u") and mu < 1:
+            raise ValueError(f"component index must be >= 1, got {mu}")
+        if kind in ("u", "p") and index is None:
+            raise ValueError(f"{kind}-variable requires a multi-index")
+        if kind in ("x", "nu", "t") and index is not None:
+            raise ValueError(f"{kind}-variable carries no multi-index")
+        rank = _KIND_RANK[kind]
+        if kind == "u":
+            key = (rank, mu, index.sort_key())
+        elif kind == "p":
+            key = (rank, 0, index.sort_key())
         else:
-            key = (rank, self.mu, ((), ()))
-        object.__setattr__(self, "_hash", hash((self.kind, self.mu, self.index)))
+            key = (rank, mu, ((), ()))
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "index", index)
         object.__setattr__(self, "_key", key)
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self):
+        return (type(self), (self.kind, self.mu, self.index))
 
     def sort_key(self):
         return self._key

@@ -3,9 +3,15 @@
 A multi-index is a tuple of m non-negative integers.  The first direction
 is distinguished throughout the package (it is the direction that gets
 eliminated by the constraint reductions), so an index exposes its first
-entry directly.  Indices are dictionary keys and sort keys in every
-monomial, so each computes its hash and its sort key once, when it is
-built.
+entry directly.
+
+Indices are dictionary keys and sort keys in every monomial, so there is
+one object per value; equality is identity; interned for the process.
+MultiIndex(entries) looks the entries up in a table of the indices built
+so far and returns the stored index on a hit.  Only a miss validates,
+builds (through __post_init__) and stores a new index, together with its
+sort key.  Hashing and comparing an index then run no Python code, and a
+failed construction stores nothing.
 """
 
 from __future__ import annotations
@@ -15,27 +21,35 @@ from dataclasses import dataclass, field
 from itertools import product
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class MultiIndex:
     """An element of Z^m with non-negative entries."""
 
     entries: tuple[int, ...]
-    _hash: int = field(init=False, repr=False, compare=False)
-    _key: tuple[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    _key: tuple[int, tuple[int, ...]] = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        entries = tuple(int(e) for e in self.entries)
+    _interned = {}  # entries -> the one index with those entries
+
+    def __new__(cls, entries):
+        try:
+            return cls._interned[entries]
+        except (KeyError, TypeError):  # not built yet, or a list
+            self = object.__new__(cls)
+            self.__post_init__(entries)
+            return cls._interned.setdefault(self.entries, self)
+
+    def __post_init__(self, entries) -> None:
+        entries = tuple(int(e) for e in entries)
         if len(entries) == 0:
             raise ValueError("multi-index must have at least one entry")
         for e in entries:
             if e < 0:
                 raise ValueError(f"negative multi-index entry: {entries}")
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_hash", hash((entries,)))
         object.__setattr__(self, "_key", (sum(entries), entries))
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self):
+        return (type(self), (self.entries,))
 
     @property
     def dim(self) -> int:

@@ -204,6 +204,24 @@ def test_determinism():
     assert a.stdout == b.stdout
 
 
+def test_output_does_not_depend_on_hash_seed(monkeypatch):
+    # jet variables hash by identity, so set orders change from run to run;
+    # no printed order may follow them
+    calls = [
+        ("kernel", "--setting", "cpe", "--dim", "2", "--max-order", "1",
+         "--max-degree", "2", "--max-x-degree", "1"),
+        ("ns", "check", "--dim", "3"),
+    ]
+    for args in calls:
+        outputs = []
+        for seed in ("1", "2"):
+            monkeypatch.setenv("PYTHONHASHSEED", seed)
+            proc = run_cli(*args)
+            assert proc.returncode == 0
+            outputs.append(proc.stdout.encode())
+        assert outputs[0] == outputs[1]
+
+
 def test_structured_reduce():
     proc = run_cli("reduce", "--constraints", "ce", "--format", "structured", stdin="u1_[1,0,0]")
     record = json.loads(proc.stdout)

@@ -15,8 +15,8 @@ from jetns.constraints import (
     restricted_derivative,
     restricted_derivative_multi,
 )
-from jetns.jetalgebra import p, u, x, xvar
-from jetns.multiindex import MultiIndex, zero
+from jetns.jetalgebra import NU_VAR, T_VAR, Expr, p, pvar, u, uvar, x, xvar
+from jetns.multiindex import MultiIndex, indices_up_to, zero
 from jetns.totalderiv import laplacian_primed, total_derivative, total_derivative_multi
 
 from conftest import random_expr, variable_pool
@@ -218,3 +218,52 @@ def test_derivative_table_never_stores_an_error():
                 restricted_derivative(ctx, 1, x(1) * f)
             assert (xvar(1), 1) in ctx._derivatives
             assert not any(key[0] == v for key in ctx._derivatives)
+
+
+# -- the scaling grading ---------------------------------------------------
+#
+# The flow is invariant under x -> lambda x, t -> lambda^2 t, u -> u / lambda,
+# p -> p / lambda^2 with nu fixed, so a jet variable carries the weight below
+# and every rule of a context maps a variable of weight w to a polynomial of
+# weight w, and a derivative lowers the weight by one.
+
+
+def _scaling_weight(v) -> int:
+    if v.kind == "x":
+        return 1
+    if v.kind == "t":
+        return 2
+    if v.kind == "nu":
+        return 0
+    if v.kind == "u":
+        return -1 - v.index.total
+    return -2 - v.index.total
+
+
+def _weights(f: Expr) -> set[int]:
+    """The weights of the monomials of f: one value when f is homogeneous."""
+    return {sum(e * _scaling_weight(v) for v, e in mono) for mono, _ in f.items()}
+
+
+@pytest.mark.parametrize("setting", [Setting.FREE, Setting.CE, Setting.CPE])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_reduction_and_derivative_are_homogeneous(setting, m):
+    ctx = ReductionContext(setting, m)
+    jets = [xvar(mu) for mu in range(1, m + 1)] + [T_VAR, NU_VAR]
+    for i in indices_up_to(m, 3):
+        jets += [uvar(a, i) for a in range(1, m + 1)] + [pvar(i)]
+    images = derivatives = 0
+    for v in jets:
+        w = _scaling_weight(v)
+        img = ctx.image(v)
+        if img is not None:
+            assert _weights(img) == {w}, (ctx, v, img)
+            images += 1
+            continue
+        for mu in range(1, m + 1):
+            d = restricted_derivative(ctx, mu, Expr.var(v))
+            assert _weights(d) <= {w - 1}, (ctx, v, mu, d)
+            derivatives += not d.is_zero()
+    # the free context has no images; ce and cpe have the u^1 rule, cpe the p rule
+    assert (images == 0) == (setting is Setting.FREE)
+    assert derivatives > len(jets)

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
@@ -315,9 +317,46 @@ def test_cached_variable_keys_match_a_fresh_variable():
     ]
     for v in built:
         assert v == fresh
+        assert v is fresh
         assert hash(v) == hash(fresh)
         assert v.sort_key() == fresh.sort_key()
     assert pvar(MultiIndex((0, 0)).bump(2)).sort_key() == JetVariable("p", 0, MultiIndex((0, 1))).sort_key()
+    assert repr(uvar(2, (1, 0))) == "JetVariable(kind='u', mu=2, index=MultiIndex(entries=(1, 0)))"
+    # a component number equal to an int is stored as that int, whichever comes first
+    assert JetVariable("x", 97.0) is xvar(97)
+    assert xvar(97).label() == "x97"
+
+
+def test_copies_are_the_interned_variable():
+    for v in (uvar(2, (0, 1, 1)), pvar((1, 0)), xvar(3), NU_VAR, T_VAR):
+        assert copy.copy(v) is v
+        assert copy.deepcopy(v) is v
+        assert pickle.loads(pickle.dumps(v)) is v
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            v.mu = 5
+    f = u(1, (1, 0)) * p((0, 2)) + x(2)
+    assert pickle.loads(pickle.dumps(f)) == f
+    assert copy.deepcopy(f) == f
+
+
+@pytest.mark.parametrize(
+    "kind, mu, index",
+    [
+        ("w", 1, None),
+        ("U", 1, MultiIndex((0, 1))),
+        ("x", 0, None),
+        ("u", -1, MultiIndex((1, 0))),
+        ("u", 2, None),
+        ("p", 0, None),
+        ("x", 1, MultiIndex((0, 0))),
+        ("nu", 0, MultiIndex((0,))),
+    ],
+)
+def test_invalid_variable_is_rejected_and_not_interned(kind, mu, index):
+    before = dict(JetVariable._interned)
+    with pytest.raises(ValueError):
+        JetVariable(kind, mu, index)
+    assert JetVariable._interned == before
 
 
 def test_variable_sort_keys_are_unchanged():

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 
 import pytest
 from hypothesis import given
@@ -99,9 +101,30 @@ def test_cached_keys_match_a_fresh_index():
     ]
     for i in built:
         assert i == fresh
+        assert i is fresh
         assert hash(i) == hash(fresh)
         assert i.sort_key() == fresh.sort_key()
         assert i.total == 3
+    assert MultiIndex([1.0, 0]) is MultiIndex((1, 0))
+    assert repr(MultiIndex((1, 0))) == "MultiIndex(entries=(1, 0))"
+
+
+def test_copies_are_the_interned_index():
+    i = MultiIndex((2, 0, 1))
+    assert copy.copy(i) is i
+    assert copy.deepcopy(i) is i
+    assert pickle.loads(pickle.dumps(i)) is i
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        i.entries = (0, 0, 0)
+    assert i.entries == (2, 0, 1)
+
+
+@pytest.mark.parametrize("entries", [(), [], (4, -1), (0, 0, -2), [-1.0]])
+def test_invalid_index_is_rejected_and_not_interned(entries):
+    before = dict(MultiIndex._interned)
+    with pytest.raises(ValueError):
+        MultiIndex(entries)
+    assert MultiIndex._interned == before
 
 
 def test_sort_key_values_are_unchanged():

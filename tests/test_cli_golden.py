@@ -36,6 +36,8 @@ CALLS: list[tuple[list[str], str]] = [(args, "") for args in _NS] + [
       "--max-degree", "2", "--max-x-degree", "1"], ""),
     (["kernel", "--setting", "cpe", "--dim", "3", "--max-degree", "1",
       "--max-x-degree", "1", "--format", "structured"], ""),
+    (["kernel", "--setting", "cpe", "--dim", "2", "--max-order", "1",
+      "--max-degree", "2", "--max-x-degree", "1", "--include-t"], ""),
     (["reduce", "--constraints", "ce", "--dim", "3"],
      "u1_[1,0,0]*u1_[2,1,0] - 3/4*u1_[0,1,0]^2*x1 + 5"),
     (["reduce", "--constraints", "cpe", "--dim", "3", "--format", "structured"],
@@ -84,6 +86,9 @@ CALLS: list[tuple[list[str], str]] = [(args, "") for args in _NS] + [
     (["reduced-system", "--dim", "2"], "chi01: 1"),
     (["reduced-system", "--dim", "3", "--format", "structured"], "chi01: x1; chi0: 1"),
     (["reduced-system", "--dim", "2"], "chi[2,0]: u2_[0,0]; chi1: 1/2; chi0: p_[1,0]"),
+    (["reduced-system", "--dim", "4"],
+     "chi[2,0]: u2_[0,0,0,0]; chi[3,1]: x2; chi[4,2]: 1/3*u3_[0,1,0,0]; chi1: x3; "
+     "chi0: p_[1,0,0,0]; chi01: x1*x4"),
     (["ns", "check", "--dim", "2", "--pressure-part", "-"], "0"),
     (["ns", "check", "--dim", "2", "--pressure-part", "-", "--format", "structured"],
      "2*u1_[1,0]^2"),

@@ -29,11 +29,11 @@ from .exprio import (
     ExprSyntaxError,
     expr_to_records,
     parse_expr,
+    parse_index,
     parse_tuple,
     print_tuple,
 )
 from .jetalgebra import Expr
-from .multiindex import MultiIndex
 from .ns_presets import evolution_field, ns_build, ns_verify, preset_table
 from .reducedcomplex import AnsatzSpec, kernel_search, reduced_system_residuals
 from .variational import (
@@ -95,8 +95,7 @@ def _cmd_tderiv(args) -> int:
     ctx = _context(args)
     expr = reduce(ctx, parse_expr(_read_input(args.input), args.dim))
     if args.index is not None:
-        entries = tuple(int(k) for k in args.index.strip("[]").split(","))
-        result = restricted_derivative_multi(ctx, MultiIndex(entries), expr)
+        result = restricted_derivative_multi(ctx, parse_index(args.index, args.dim), expr)
     else:
         result = restricted_derivative(ctx, args.direction, expr)
     return _emit_expr(result, args)

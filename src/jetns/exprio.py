@@ -6,9 +6,10 @@ Grammar (whitespace-insensitive, LL(1)):
     term     := factor ('*' factor)*
     factor   := base ('^' nat)?
     base     := rational | 'nu' | 't' | 'x' nat
-              | 'u' nat '_[' nat (',' nat)* ']'
-              | 'p_[' nat (',' nat)* ']'
+              | 'u' nat '_' index
+              | 'p_' index
               | '(' expr ')'
+    index    := '[' nat (',' nat)* ']'      (exactly m entries)
     rational := int ('/' nat)?
 
 Tuples use named components separated by ';', e.g.
@@ -25,6 +26,8 @@ for currents.  The reduced-complex tuples name their labels as follows:
     ("chi0",)            chi0        chi_cpe
     ("chi1",)            chi1        chi_cpe
 
+Only the names print_tuple writes are accepted, so f01 and chi[2,00] are
+unknown, and a second component for one slot or label is a duplicate.
 Missing components default to zero.
 
 The structured serialization mirrors the canonical monomial map: a list
@@ -194,9 +197,11 @@ class _Parser:
         if word == "u":
             num = self.expect("num")
             mu = self._component(num)
+            self.expect("_")
             index = self.parse_index()
             return Expr.var(uvar(mu, index))
         if word == "p":
+            self.expect("_")
             index = self.parse_index()
             return Expr.var(pvar(index))
         raise ExprSyntaxError(f"unknown symbol {word!r}", tok.span)
@@ -210,7 +215,6 @@ class _Parser:
         return mu
 
     def parse_index(self) -> MultiIndex:
-        self.expect("_")
         open_tok = self.expect("[")
         entries = []
         while True:
@@ -231,17 +235,22 @@ class _Parser:
             )
         return MultiIndex(tuple(entries))
 
-    def finish(self) -> None:
+    def finish(self, result):
         tok = self.peek()
         if tok.kind != "end":
             raise ExprSyntaxError(f"trailing input {tok.text!r}", tok.span)
+        return result
 
 
 def parse_expr(text: str, m: int) -> Expr:
     parser = _Parser(text, m)
-    result = parser.parse_expr()
-    parser.finish()
-    return result
+    return parser.finish(parser.parse_expr())
+
+
+def parse_index(text: str, m: int) -> MultiIndex:
+    """A multi-index by the grammar's index rule: m bracketed entries, like [1,0,0]."""
+    parser = _Parser(text, m)
+    return parser.finish(parser.parse_index())
 
 
 def print_expr(f: Expr) -> str:
@@ -283,59 +292,50 @@ def _chi_name(label: tuple) -> str:
 def parse_tuple(text: str, shape: str, m: int):
     if shape not in SHAPES:
         raise ValueError(f"unknown tuple shape {shape!r}")
-    components: dict[str, Expr] = {}
+    components: dict = {}
     offset = 0
     for part in text.split(";"):
-        stripped = part.strip()
-        if not stripped:
-            offset += len(part) + 1
+        start, offset = offset, offset + len(part) + 1
+        if not part.strip():
             continue
         if ":" not in part:
             raise ExprSyntaxError(
                 "expected 'name: expression'",
-                SourceSpan(offset, offset + len(part)),
+                SourceSpan(start, start + len(part)),
             )
         name_text, expr_text = part.split(":", 1)
         name = name_text.strip()
-        span = SourceSpan(offset, offset + len(name_text))
-        if name in components:
+        span = SourceSpan(start, start + len(name_text))
+        key = _component_key(name, shape, m, span)
+        if key in components:
             raise ExprSyntaxError(f"duplicate component {name!r}", span)
-        _validate_component(name, shape, m, span)
-        components[name] = parse_expr(expr_text, m)
-        offset += len(part) + 1
-    return _build_tuple(components, shape, m)
+        components[key] = parse_expr(expr_text, m)
+    if shape in ("chi_ce", "chi_cpe"):
+        return _SHAPE_TYPES[shape](components)
+    slots = [components.get(k, Expr.zero()) for k in range(m + 1)]
+    if shape == "current":
+        return CurrentTuple(tuple(slots[:m]))
+    return _SHAPE_TYPES[shape](tuple(slots[:m]), slots[m])
 
 
-def _validate_component(name: str, shape: str, m: int, span: SourceSpan) -> None:
-    if shape in ("characteristic", "cotuple"):
-        if name == "f" or (
-            name.startswith("f") and name[1:].isdigit() and 1 <= int(name[1:]) <= m
-        ):
-            return
-    elif shape == "current":
-        if name.startswith("j") and name[1:].isdigit() and 1 <= int(name[1:]) <= m:
-            return
-    else:
+def _component_key(name: str, shape: str, m: int, span: SourceSpan):
+    """The label, or the slot position, of a component name print_tuple writes."""
+    if shape in ("chi_ce", "chi_cpe"):
         label = _chi_label(name)
-        if label is not None and _SHAPE_TYPES[shape].allows(label):
+        if label is not None and _SHAPE_TYPES[shape].allows(label) and _chi_name(label) == name:
             if label[0] == "chi_alpha" and not 2 <= label[2] <= m:
                 raise ExprSyntaxError(
                     f"velocity component {label[2]} out of range 2..{m}", span
                 )
-            return
+            return label
+    else:
+        letter = "j" if shape == "current" else "f"
+        names = [f"{letter}{mu}" for mu in range(1, m + 1)]
+        if shape != "current":
+            names.append("f")
+        if name in names:
+            return names.index(name)
     raise ExprSyntaxError(f"unknown component {name!r} for shape {shape}", span)
-
-
-def _build_tuple(components: dict[str, Expr], shape: str, m: int):
-    def get(name: str) -> Expr:
-        return components.get(name, Expr.zero())
-
-    if shape in ("characteristic", "cotuple"):
-        velocity = tuple(get(f"f{mu}") for mu in range(1, m + 1))
-        return _SHAPE_TYPES[shape](velocity, get("f"))
-    if shape == "current":
-        return CurrentTuple(tuple(get(f"j{mu}") for mu in range(1, m + 1)))
-    return _SHAPE_TYPES[shape]({_chi_label(name): expr for name, expr in components.items()})
 
 
 def print_tuple(value) -> str:
@@ -380,14 +380,9 @@ def expr_to_records(f: Expr) -> list[dict]:
 
 
 def variable_from_label(label: str, m: int) -> JetVariable:
-    expr = parse_expr(label, m)
-    items = expr.items()
-    if len(items) != 1 or items[0][1] != 1 or len(items[0][0]) != 1:
-        raise ValueError(f"not a variable label: {label!r}")
-    (v, e), = items[0][0]
-    if e != 1:
-        raise ValueError(f"not a variable label: {label!r}")
-    return v
+    """The variable whose label() is label, read by the grammar's symbol rule."""
+    parser = _Parser(label, m)
+    return parser.finish(parser.parse_symbol()).variables()[0]
 
 
 def records_to_expr(records: list[dict], m: int) -> Expr:

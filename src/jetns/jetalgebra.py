@@ -287,15 +287,9 @@ class Expr:
     # -- calculus -----------------------------------------------------
 
     def diff(self, v: JetVariable) -> Expr:
-        """Formal partial derivative, treating all jet variables as independent."""
-        data: dict[Monomial, int | Fraction] = {}
-        for mono, coeff in self._terms.items():
-            for pos, (w, e) in enumerate(mono):
-                if w == v:
-                    rest = mono[:pos] + ((w, e - 1),) * (e > 1) + mono[pos + 1:]
-                    data[rest] = data.get(rest, 0) + coeff * e
-                    break
-        return _nonzero(data)
+        """Formal partial derivative: the derivation with image 1 at v, 0 elsewhere."""
+        one, zero = Expr.const(1), Expr.zero()
+        return derive(self, v, lambda w, target: one if w is target else zero)
 
     def subs(self, image) -> Expr:
         """The ring homomorphism sending each variable v to image(v).
@@ -406,6 +400,26 @@ def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
             i += 1
             j += 1
     return tuple(out) + m1[i:] + m2[j:]
+
+
+def derive(f: Expr, arg, image) -> Expr:
+    """Apply to f the derivation that sends each variable v to image(v, arg).
+
+    This is the one Leibniz loop, over every monomial: it serves diff, the
+    total and restricted derivatives and the evolutionary field.
+    """
+    data: dict = {}
+    for mono, coeff in f._terms.items():
+        for pos, (v, e) in enumerate(mono):
+            img = image(v, arg)._terms
+            if not img:
+                continue
+            rest = mono[:pos] + ((v, e - 1),) * (e > 1) + mono[pos + 1:]
+            scale = coeff * e
+            for image_mono, c in img.items():
+                out = _merge_monomials(rest, image_mono) if image_mono else rest
+                data[out] = data.get(out, 0) + scale * c
+    return _nonzero(data)
 
 
 def _monomial_str(mono: Monomial, coeff: int | Fraction) -> str:

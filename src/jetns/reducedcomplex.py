@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement, groupby
 from typing import Mapping
 
 from . import linalg
@@ -279,56 +280,30 @@ def reduced_system_residuals(
     alpha_range = range(2, m + 1)
     d = lambda mu, g: restricted_derivative(ctx, mu, g)
     grad = lambda la, mu: velocity_gradient_entry(ctx, la, mu)
-    out: list[tuple[str, Expr]] = []
-
-    for a in alpha_range:
-        out.append(
-            (
-                f"velocity_slaved[{a}]",
-                reduce(ctx, chi.chi_alpha.get((0, a), Expr.zero())
-                       - 2 * u(1, unit(a, m)) * chi.chi1),
-            )
-        )
-    for (i1, a) in sorted(chi.chi_alpha):
-        if i1 >= 1:
-            out.append(
-                (f"higher_velocity_vanish[{i1},{a}]", reduce(ctx, chi.chi_alpha[(i1, a)]))
-            )
-    out.append(("pressure_slaved", reduce(ctx, chi.chi0 + d(1, chi.chi1))))
-    out.append(("harmonic", reduce(ctx, restricted_laplacian(ctx, chi.chi1))))
+    chi_alpha, chi01, chi0, chi1 = chi.chi_alpha, chi.chi01, chi.chi0, chi.chi1
+    out = [
+        (f"velocity_slaved[{a}]", chi_alpha.get((0, a), Expr.zero()) - 2 * u(1, unit(a, m)) * chi1)
+        for a in alpha_range
+    ]
+    out += [
+        (f"higher_velocity_vanish[{i1},{a}]", chi_alpha[i1, a])
+        for i1, a in sorted(chi_alpha)
+        if i1 >= 1
+    ]
+    out += [("pressure_slaved", chi0 + d(1, chi1)), ("harmonic", restricted_laplacian(ctx, chi1))]
     for a in alpha_range:
         cross = expr_sum(
-            grad(mu, 1) * d(mu, d(a, chi.chi1)) - grad(mu, a) * d(mu, d(1, chi.chi1))
+            grad(mu, 1) * d(mu, d(a, chi1)) - grad(mu, a) * d(mu, d(1, chi1))
             for mu in range(1, m + 1)
         )
-        out.append((f"compatibility[{a}]", reduce(ctx, cross)))
-    out.append(
-        (
-            "gradient_first",
-            reduce(
-                ctx,
-                d(1, chi.chi01)
-                + 2 * expr_sum(d(a, u(a, unit(1, m)) * chi.chi1) for a in alpha_range),
-            ),
-        )
-    )
+        out.append((f"compatibility[{a}]", cross))
+    first = d(1, chi01) + 2 * expr_sum(d(a, u(a, unit(1, m)) * chi1) for a in alpha_range)
+    out.append(("gradient_first", first))
     div_block = expr_sum(u(b, unit(b, m)) for b in alpha_range)
     for a in alpha_range:
-        out.append(
-            (
-                f"gradient[{a}]",
-                reduce(
-                    ctx,
-                    d(a, chi.chi01)
-                    + 2
-                    * (
-                        expr_sum(grad(mu, a) * d(mu, chi.chi1) for mu in range(1, m + 1))
-                        + d(a, div_block * chi.chi1)
-                    ),
-                ),
-            )
-        )
-    return out
+        transport = expr_sum(grad(mu, a) * d(mu, chi1) for mu in range(1, m + 1))
+        out.append((f"gradient[{a}]", d(a, chi01) + 2 * (transport + d(a, div_block * chi1))))
+    return [(name, reduce(ctx, expr)) for name, expr in out]
 
 
 # -- the variational derivative of the auxiliary complex -------------------
@@ -368,27 +343,12 @@ def ansatz_monomials(ctx: ReductionContext, ansatz: AnsatzSpec) -> list[Monomial
                 pool.append(v)
     pool.sort(key=lambda v: v.sort_key())
 
-    monomials: list[Monomial] = []
-
-    def extend(prefix: list, start: int, degree_left: int, x_left: int) -> None:
-        monomials.append(tuple(prefix))
-        for pos in range(start, len(pool)):
-            v = pool[pos]
-            if degree_left < 1 or (v.kind == "x" and x_left < 1):
-                continue
-            exponent = 1
-            while exponent <= degree_left and (v.kind != "x" or exponent <= x_left):
-                prefix.append((v, exponent))
-                extend(
-                    prefix,
-                    pos + 1,
-                    degree_left - exponent,
-                    x_left - (exponent if v.kind == "x" else 0),
-                )
-                prefix.pop()
-                exponent += 1
-
-    extend([], 0, ansatz.max_degree, ansatz.max_x_degree)
+    monomials = [
+        tuple((v, len(list(group))) for v, group in groupby(combo))
+        for degree in range(ansatz.max_degree + 1)
+        for combo in combinations_with_replacement(pool, degree)
+        if sum(v.kind == "x" for v in combo) <= ansatz.max_x_degree
+    ]
     monomials.sort(key=_monomial_key)
     return monomials
 

@@ -2,12 +2,14 @@
 
 The total derivative along a spatial direction shifts every occurring jet
 variable's multi-index by one in that direction and differentiates any
-explicit coordinate dependence.
+explicit coordinate dependence.  It runs through derive, the one Leibniz
+loop, which Expr.diff, the restricted derivatives and the evolutionary
+field share.
 """
 
 from __future__ import annotations
 
-from .jetalgebra import Expr, JetVariable, _merge_monomials, _nonzero, expr_sum, pvar, uvar
+from .jetalgebra import Expr, JetVariable, derive, expr_sum, pvar, uvar
 from .multiindex import MultiIndex
 
 
@@ -20,26 +22,6 @@ def _free_image(v: JetVariable, mu: int) -> Expr:
     if v.kind == "p":
         return Expr.var(pvar(v.index.bump(mu)))
     return Expr.zero()  # nu and t are constants for spatial derivatives
-
-
-def derive(f: Expr, mu: int, image) -> Expr:
-    """Apply the derivation with the given variable image map to f.
-
-    The image callable sends a variable to an Expr; the derivation extends
-    it through the Leibniz rule on every monomial.
-    """
-    data: dict = {}
-    for mono, coeff in f._terms.items():
-        for pos, (v, e) in enumerate(mono):
-            img = image(v, mu)._terms
-            if not img:
-                continue
-            rest = mono[:pos] + ((v, e - 1),) * (e > 1) + mono[pos + 1:]
-            scale = coeff * e
-            for image_mono, c in img.items():
-                out = _merge_monomials(rest, image_mono) if image_mono else rest
-                data[out] = data.get(out, 0) + scale * c
-    return _nonzero(data)
 
 
 def total_derivative(mu: int, f: Expr) -> Expr:

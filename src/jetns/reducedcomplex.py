@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, groupby
+from itertools import combinations_with_replacement
 from typing import Mapping
 
 from . import linalg
@@ -344,7 +344,7 @@ def ansatz_monomials(ctx: ReductionContext, ansatz: AnsatzSpec) -> list[Monomial
     pool.sort(key=lambda v: v.sort_key())
 
     monomials = [
-        tuple((v, len(list(group))) for v, group in groupby(combo))
+        tuple((v, combo.count(v)) for v in dict.fromkeys(combo))
         for degree in range(ansatz.max_degree + 1)
         for combo in combinations_with_replacement(pool, degree)
         if sum(v.kind == "x" for v in combo) <= ansatz.max_x_degree

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -85,6 +86,25 @@ def test_tderiv_direction():
 def test_tderiv_multi_index():
     proc = run_cli("tderiv", "--constraints", "free", "--index", "[1,1,0]", stdin="u1_[0,0,0]")
     assert proc.stdout.strip() == "u1_[1,1,0]"
+
+
+@pytest.mark.parametrize("index", ["[1,0]", "[1,0,0,0]", "[-1,0,0]", "1,0,0"])
+def test_tderiv_bad_index_is_parse_error(index, monkeypatch, capsys):
+    # the index is read by the grammar's index rule: exactly --dim bracketed
+    # entries; [1,0] at --dim 3 once printed u2_[1,0,0] and exited 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO("u2_[0,0,0]"))
+    assert cli.main(["tderiv", "--dim", "3", "--index", index]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"parse error: .* at \d+\.\.\d+\n", captured.err)
+
+
+def test_symmetry_rejects_a_padded_component_name():
+    # f01 once passed validation and was then dropped, so f1 = 0 passed
+    proc = run_cli("symmetry", "--constraints", "free", "-", stdin="f01: x1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "unknown component 'f01'" in proc.stderr
 
 
 def test_euler_command():

@@ -17,6 +17,7 @@ from jetns.constraints import (
 )
 from jetns.jetalgebra import NU_VAR, T_VAR, Expr, p, pvar, u, uvar, x, xvar
 from jetns.multiindex import MultiIndex, indices_up_to, zero
+from jetns.reducedcomplex import AnsatzSpec, _derivative_entries, _unknowns
 from jetns.totalderiv import laplacian_primed, total_derivative, total_derivative_multi
 
 from conftest import random_expr, variable_pool
@@ -267,3 +268,32 @@ def test_reduction_and_derivative_are_homogeneous(setting, m):
     # the free context has no images; ce and cpe have the u^1 rule, cpe the p rule
     assert (images == 0) == (setting is Setting.FREE)
     assert derivatives > len(jets)
+
+
+# The reduced-complex labels carry weights too: an entry f at a label has
+# the weight of f plus the label's weight, and the transported derivative
+# (D_1 plus the correction) lowers that weight by exactly one.
+
+_LABEL_WEIGHTS = {"chi01": 0, "chi0": -1, "chi1": -2}
+
+
+def _label_weight(label) -> int:
+    """chi01 0, chi0 -1, chi1 -2; ("chi_alpha", i1, a) and ("chi_p", i1) -i1."""
+    if label[0] in ("chi_alpha", "chi_p"):
+        return -label[1]
+    return _LABEL_WEIGHTS[label[0]]
+
+
+@pytest.mark.parametrize("setting", [Setting.CE, Setting.CPE])
+@pytest.mark.parametrize("m", [2, 3])
+def test_kernel_columns_lower_the_weight_by_one(setting, m):
+    ctx = ReductionContext(setting, m)
+    ansatz = AnsatzSpec(max_order=1, max_degree=2, max_x_degree=2, include_t=True)
+    outputs = 0
+    for label, mono in _unknowns(ctx, ansatz):
+        source = _label_weight(label) + sum(e * _scaling_weight(v) for v, e in mono)
+        for target, expr in _derivative_entries(ctx, label, Expr({mono: 1})):
+            weights = {w + _label_weight(target) for w in _weights(expr)}
+            assert weights <= {source - 1}, (label, mono, target, expr)
+            outputs += not expr.is_zero()
+    assert outputs > len(_unknowns(ctx, ansatz))

@@ -11,6 +11,7 @@ from jetns.exprio import (
     SourceSpan,
     expr_to_records,
     parse_expr,
+    parse_index,
     parse_tuple,
     print_expr,
     print_tuple,
@@ -18,6 +19,7 @@ from jetns.exprio import (
     tuple_shape,
 )
 from jetns.jetalgebra import Expr, nu, p, u, x
+from jetns.multiindex import MultiIndex
 from jetns.reducedcomplex import ChiTupleCPE
 
 from conftest import random_expr, variable_pool
@@ -51,6 +53,19 @@ def test_component_out_of_range():
         parse_expr("u4_[0,0,0]", 3)
     with pytest.raises(ExprSyntaxError, match="out of range"):
         parse_expr("x9", 3)
+
+
+def test_parse_index_is_the_grammar_index_rule():
+    assert parse_index("[1, 0,2]", 3) == MultiIndex((1, 0, 2))
+    for text, message in [
+        ("[1,0]", "index has 2 entries, dimension is 3 at 0..5"),
+        ("[1,0,0,0]", "index has 4 entries, dimension is 3 at 0..9"),
+        ("[-1,0,0]", "negative index entry at 1..2"),
+        ("1,0,0", "expected '\\[', found '1' at 0..1"),
+        ("[1,0,0]]", "trailing input '\\]' at 7..8"),
+    ]:
+        with pytest.raises(ExprSyntaxError, match=message):
+            parse_index(text, 3)
 
 
 def test_trailing_input_rejected():
@@ -100,6 +115,26 @@ def test_tuple_unknown_component():
 def test_tuple_duplicate_component():
     with pytest.raises(ExprSyntaxError, match="duplicate"):
         parse_tuple("f1: 1; f1: 2", "characteristic", 3)
+    with pytest.raises(ExprSyntaxError, match="duplicate"):
+        parse_tuple("chi[2,0]: x1; chi[2,0]: x2", "chi_cpe", 3)
+
+
+@pytest.mark.parametrize(
+    "text, shape",
+    [
+        ("f01: x1", "characteristic"),
+        ("f01: x1", "cotuple"),
+        ("j01: x1", "current"),
+        ("chi[2,0]: x1; chi[02,0]: x2", "chi_cpe"),
+        ("chi[2,00]: x1", "chi_ce"),
+        ("chi[01]: x1", "chi_ce"),
+    ],
+)
+def test_tuple_accepts_only_printed_names(text, shape):
+    # a padded name names a slot or label that print_tuple spells otherwise;
+    # it was once validated and then dropped, or overwrote the printed one
+    with pytest.raises(ExprSyntaxError, match="unknown component"):
+        parse_tuple(text, shape, 3)
 
 
 def test_tuple_chi_component_range():
@@ -169,10 +204,19 @@ def test_records_shape():
 
 @pytest.mark.parametrize(
     "factors",
-    [[["x1", 1], ["x1", 1]], [["x1", 1], ["u1_[0,0,0]", 2], ["x1", 2]], [["x1", 0]], [["x1", -1]]],
+    [
+        [["x1", 1], ["x1", 1]],
+        [["x1", 1], ["u1_[0,0,0]", 2], ["x1", 2]],
+        [["x1", 0]],
+        [["x1", -1]],
+        [["x1^1", 1]],
+        [["(x1)", 1]],
+        [["1*x1", 1]],
+    ],
 )
 def test_records_reject_non_canonical_monomials(factors):
     # a repeated factor or an exponent below 1 would give an Expr that
-    # differs from its canonical equal (x1*x1 vs x1^2, x1^0 vs 1)
+    # differs from its canonical equal (x1*x1 vs x1^2, x1^0 vs 1), and a
+    # factor is named only by the label a variable prints
     with pytest.raises(ValueError):
         records_to_expr([{"num": 1, "den": 1, "factors": factors}], 3)

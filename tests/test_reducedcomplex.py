@@ -1,4 +1,5 @@
 import copy
+import itertools
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -7,13 +8,14 @@ import pytest
 
 from jetns import linalg
 from jetns.constraints import ReductionContext, Setting, reduce, restricted_derivative
-from jetns.jetalgebra import Expr, p, u, x, pvar, uvar, xvar
+from jetns.jetalgebra import T_VAR, Expr, _monomial_key, p, u, x, pvar, uvar, xvar
 from jetns.multiindex import indices_up_to
 from jetns.reducedcomplex import (
     AnsatzSpec,
     AnsatzTooLargeError,
     ChiTupleCE,
     ChiTupleCPE,
+    ansatz_monomials,
     correction,
     kernel_search,
     kernel_vectors,
@@ -545,3 +547,42 @@ def test_rank_and_span_helpers():
     assert not linalg.in_span(mixed, (1, 0, 0, 0))
     assert linalg.same_span(mixed, [(1, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1)])
     assert not linalg.same_span(mixed, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)])
+
+
+def _brute_force_monomials(pool, max_degree):
+    """Every monomial of degree <= max_degree over pool, keyed by (degree, x-degree).
+
+    Exponent vectors come from itertools.product on each support of at
+    most max_degree variables; those above the degree bound are dropped.
+    """
+    found = {}
+    for k in range(max_degree + 1):
+        for support in itertools.combinations(pool, k):
+            for exponents in itertools.product(range(1, max_degree + 1), repeat=k):
+                if sum(exponents) <= max_degree:
+                    mono = tuple(zip(support, exponents))
+                    degrees = (sum(exponents), sum(e for v, e in mono if v.kind == "x"))
+                    found.setdefault(degrees, set()).add(mono)
+    return found
+
+
+@pytest.mark.parametrize("setting", [Setting.CE, Setting.CPE])
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("max_order", [0, 1, 2])
+@pytest.mark.parametrize("include_t", [False, True])
+def test_ansatz_monomials_match_brute_force(setting, m, max_order, include_t):
+    ctx = ReductionContext(setting, m)
+    pool = [xvar(mu) for mu in range(1, m + 1)] + [T_VAR] * include_t
+    for i in indices_up_to(m, max_order):
+        jets = [uvar(a, i) for a in range(1, m + 1)] + [pvar(i)]
+        pool += [v for v in jets if ctx.image(v) is None]
+    pool.sort(key=lambda v: v.sort_key())
+    by_degrees = _brute_force_monomials(pool, 3)
+    for degree in range(4):
+        for x_degree in range(degree + 2):
+            expected = set().union(
+                *(monos for (d, xd), monos in by_degrees.items() if d <= degree and xd <= x_degree)
+            )
+            found = ansatz_monomials(ctx, AnsatzSpec(max_order, degree, x_degree, include_t))
+            assert len(found) == len(expected) and set(found) == expected, (degree, x_degree)
+    assert found == sorted(found, key=_monomial_key)

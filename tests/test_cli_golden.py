@@ -38,6 +38,10 @@ CALLS: list[tuple[list[str], str]] = [(args, "") for args in _NS] + [
       "--max-x-degree", "1", "--format", "structured"], ""),
     (["kernel", "--setting", "cpe", "--dim", "2", "--max-order", "1",
       "--max-degree", "2", "--max-x-degree", "1", "--include-t"], ""),
+    (["kernel", "--setting", "cpe", "--dim", "3", "--max-order", "1",
+      "--max-degree", "2", "--max-x-degree", "2"], ""),
+    (["kernel", "--setting", "cpe", "--dim", "4", "--max-order", "1",
+      "--max-degree", "2", "--max-x-degree", "1"], ""),
     (["reduce", "--constraints", "ce", "--dim", "3"],
      "u1_[1,0,0]*u1_[2,1,0] - 3/4*u1_[0,1,0]^2*x1 + 5"),
     (["reduce", "--constraints", "cpe", "--dim", "3", "--format", "structured"],

@@ -202,10 +202,6 @@ def restricted_laplacian(ctx: ReductionContext, f: Expr) -> Expr:
     return second_derivative_sum(partial(restricted_derivative, ctx), f, range(1, ctx.m + 1))
 
 
-def restricted_laplacian_primed(ctx: ReductionContext, f: Expr) -> Expr:
-    return second_derivative_sum(partial(restricted_derivative, ctx), f, range(2, ctx.m + 1))
-
-
 def velocity_gradient_entry(ctx: ReductionContext, la: int, mu: int) -> Expr:
     """The jet u^la_(mu) expressed in the context's canonical coordinates."""
     v = uvar(la, unit(mu, ctx.m))

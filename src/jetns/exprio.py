@@ -309,7 +309,12 @@ def parse_tuple(text: str, shape: str, m: int):
         key = _component_key(name, shape, m, span)
         if key in components:
             raise ExprSyntaxError(f"duplicate component {name!r}", span)
-        components[key] = parse_expr(expr_text, m)
+        try:
+            components[key] = parse_expr(expr_text, m)
+        except ExprSyntaxError as err:  # the span is within expr_text: make it the input's
+            shift = start + len(name_text) + 1
+            span = SourceSpan(err.span.start + shift, err.span.end + shift)
+            raise ExprSyntaxError(err.message, span) from None
     if shape in ("chi_ce", "chi_cpe"):
         return _SHAPE_TYPES[shape](components)
     slots = [components.get(k, Expr.zero()) for k in range(m + 1)]

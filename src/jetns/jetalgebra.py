@@ -153,7 +153,7 @@ def _coefficient(value) -> int | Fraction:
 
 def _monomial_key(mono: Monomial):
     degree = sum(e for _, e in mono)
-    return (degree, tuple((v.sort_key(), e) for v, e in mono))
+    return (degree, tuple((v._key, e) for v, e in mono))
 
 
 class Expr:

@@ -32,13 +32,24 @@ correction entries.  reduced_derivative sums that one rule over a
 tuple's entries, and kernel assembly reads each unknown's column of the
 constraint matrix from the same rule, applied to one monomial at one
 label, with no tuple built.
+
+The rule reads D_mu f from a table of the entry, filled on first
+request.  Kernel assembly runs monomial-major: each ansatz monomial gets
+one table, which the columns of all labels read, so each monomial's
+derivatives are computed once.  The chi1 row is applied through Leibniz,
+D_b(g f) = D_b(g) f + g D_b f: each of its first-order targets receives
+c0 f + sum_b c_b D_b f, with coefficients that depend only on the
+setting and m and are built once per context value, and chi0 receives
+-sum_a D_a(D_a f).  The table above stays the rule: one row per source
+label.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from functools import cache, partial
+from itertools import combinations_with_replacement, product
 from typing import Mapping
 
 from . import linalg
@@ -48,7 +59,6 @@ from .constraints import (
     reduce,
     restricted_derivative,
     restricted_laplacian,
-    restricted_laplacian_primed,
     velocity_gradient_entry,
 )
 from .jetalgebra import (
@@ -197,28 +207,62 @@ class AnsatzTooLargeError(ValueError):
 # -- the transported derivative -------------------------------------------
 
 
-def _correction_entries(ctx: ReductionContext, label: tuple, f: Expr):
-    """The (target label, expression) pairs the entry f at label adds to the correction."""
+@cache
+def _chi1_coefficients(ctx: ReductionContext) -> tuple:
+    """The first-order chi1 rows as (target, c0, ((b, c_b), ...)), one per target.
+
+    The target receives c0 f + sum_b c_b D_b f.  Each term D_b(g f) of the
+    rule adds D_b g to c0 and g to c_b; each term g f adds g to c0.  The
+    coefficients depend only on the context's value, so they are built
+    once per (setting, m).
+    """
     m = ctx.m
     alpha_range = range(2, m + 1)
-    d = lambda a, g: restricted_derivative(ctx, a, g)
+    div_block = expr_sum(u(b, unit(b, m)) for b in alpha_range)
+    terms = [(("chi01",), a, 2 * u(a, unit(1, m))) for a in alpha_range]  # (target, b, g)
+    for a in alpha_range:
+        terms.append((("chi_alpha", 0, a), a, 2 * div_block))
+        terms += [(("chi_alpha", 0, a), b, 2 * u(b, unit(a, m))) for b in alpha_range]
+        terms.append((("chi_alpha", 1, a), None, -2 * u(1, unit(a, m))))
+    rows: dict[tuple, tuple[list, dict]] = {}
+    for target, b, g in terms:
+        c0, cs = rows.setdefault(target, ([], {}))
+        if b is None:
+            c0.append(g)
+        else:
+            c0.append(restricted_derivative(ctx, b, g))
+            cs[b] = cs.get(b, Expr.zero()) + g
+    return tuple(
+        (target, expr_sum(c0), tuple((b, c) for b, c in cs.items() if not c.is_zero()))
+        for target, (c0, cs) in rows.items()
+    )
+
+
+def _correction_entries(ctx: ReductionContext, label: tuple, f: Expr, df):
+    """The (target label, expression) pairs the entry f at label adds to the correction.
+
+    df(mu) is D_mu f.  The chi1 row is the docstring rule expanded through
+    Leibniz, D_b(g f) = D_b(g) f + g D_b f, with the per-context
+    coefficients of _chi1_coefficients.
+    """
+    alpha_range = range(2, ctx.m + 1)
     kind = label[0]
     if kind == "chi01":
         for a in alpha_range:
-            yield ("chi_alpha", 0, a), d(a, f)
+            yield ("chi_alpha", 0, a), df(a)
     elif kind in ("chi_alpha", "chi_p"):
         yield (kind, label[1] + 1) + label[2:], f
     elif kind == "chi0":
         yield ("chi1",), f
     else:  # chi1
-        yield ("chi01",), 2 * expr_sum(d(a, u(a, unit(1, m)) * f) for a in alpha_range)
-        div_block = expr_sum(u(b, unit(b, m)) for b in alpha_range)
-        for a in alpha_range:
-            yield ("chi_alpha", 0, a), 2 * d(a, div_block * f) + 2 * expr_sum(
-                d(b, u(b, unit(a, m)) * f) for b in alpha_range
-            )
-            yield ("chi_alpha", 1, a), -2 * u(1, unit(a, m)) * f
-        yield ("chi0",), -restricted_laplacian_primed(ctx, f)
+        for target, c0, cs in _chi1_coefficients(ctx):
+            yield target, expr_sum([c0 * f] + [c * df(b) for b, c in cs])
+        yield ("chi0",), -expr_sum(restricted_derivative(ctx, a, df(a)) for a in alpha_range)
+
+
+def _derivative_table(ctx: ReductionContext, f: Expr):
+    """df with df(mu) = D_mu f, each derivative computed on its first request."""
+    return cache(partial(restricted_derivative, ctx, f=f))
 
 
 _SHAPES = {Setting.CE: ChiTupleCE, Setting.CPE: ChiTupleCPE}
@@ -231,14 +275,17 @@ def _shape(ctx: ReductionContext, what: str) -> type[ChiTuple]:
     return _SHAPES[ctx.setting]
 
 
-def _derivative_entries(ctx: ReductionContext, label: tuple, f: Expr):
-    """The (target label, expression) pairs of the entry f at label in D_1 plus the correction."""
-    yield label, restricted_derivative(ctx, 1, f)
-    yield from _correction_entries(ctx, label, f)
+def _derivative_entries(ctx: ReductionContext, label: tuple, f: Expr, df):
+    """The (target label, expression) pairs of the entry f at label in D_1 plus the correction.
+
+    df(mu) is D_mu f, as _derivative_table gives it.
+    """
+    yield label, df(1)
+    yield from _correction_entries(ctx, label, f, df)
 
 
 def _sum_entries(ctx: ReductionContext, chi: ChiTuple, rule, what: str) -> ChiTuple:
-    """The tuple of every entry's rule(ctx, label, f) pairs, summed by target label."""
+    """The tuple of every entry's rule(ctx, label, f, df) pairs, summed by target label."""
     shape = _shape(ctx, what)
     if type(chi) is not shape:
         raise ValueError(
@@ -246,7 +293,7 @@ def _sum_entries(ctx: ReductionContext, chi: ChiTuple, rule, what: str) -> ChiTu
         )
     entries: dict[tuple, Expr] = {}
     for label, f in chi.items():
-        for target, expr in rule(ctx, label, f):
+        for target, expr in rule(ctx, label, f, _derivative_table(ctx, f)):
             entries[target] = entries.get(target, Expr.zero()) + expr
     return shape(entries)
 
@@ -353,12 +400,15 @@ def ansatz_monomials(ctx: ReductionContext, ansatz: AnsatzSpec) -> list[Monomial
     return monomials
 
 
+def _ansatz_axes(ctx: ReductionContext, ansatz: AnsatzSpec) -> tuple[list[tuple], list[Monomial]]:
+    """The ansatz labels and monomials; the unknowns are their pairs, label-major."""
+    shape = _shape(ctx, "kernel search")
+    return shape.ansatz_labels(ctx.m, ansatz.max_order), ansatz_monomials(ctx, ansatz)
+
+
 def _unknowns(ctx: ReductionContext, ansatz: AnsatzSpec) -> list[tuple[tuple, Monomial]]:
     """The unknown coefficients as (label, monomial): label-major, then monomial."""
-    shape = _shape(ctx, "kernel search")
-    monomials = ansatz_monomials(ctx, ansatz)
-    labels = shape.ansatz_labels(ctx.m, ansatz.max_order)
-    return [(label, mono) for label in labels for mono in monomials]
+    return list(product(*_ansatz_axes(ctx, ansatz)))
 
 
 def _solve_homogeneous(
@@ -366,22 +416,30 @@ def _solve_homogeneous(
 ) -> list:
     """Nullspace basis of a chi-linear constraint map within the ansatz.
 
-    column(label, f) yields the (slot, expression) pairs the map sends the
-    one-entry tuple f at label to; every one must vanish identically.
-    Each (slot, monomial) of the outputs is one linear constraint on the
-    unknown coefficients, and each unknown fills its column of the rows.
+    column(label, f, df) yields the (slot, expression) pairs the map sends
+    the one-entry tuple f at label to, df(mu) being D_mu f; every one must
+    vanish identically.  Each (slot, monomial) of the outputs is one linear
+    constraint on the unknown coefficients, and each unknown fills its
+    column of the rows.  Assembly runs monomial by monomial, so each
+    monomial's derivatives are computed once for all labels; the columns
+    stay label-major.
     """
     shape = _shape(ctx, "kernel search")
-    unknowns = _unknowns(ctx, ansatz)
+    labels, monomials = _ansatz_axes(ctx, ansatz)
+    unknowns = list(product(labels, monomials))
     if len(unknowns) > max_unknowns:
         raise AnsatzTooLargeError(len(unknowns), max_unknowns)
 
     rows: dict[tuple, dict[int, int | Fraction]] = {}
-    for col, (label, mono) in enumerate(unknowns):
-        for slot, expr in column(label, _raw({mono: 1})):
-            for out_mono, coeff in expr._terms.items():
-                row = rows.setdefault((slot, out_mono), {})
-                row[col] = row.get(col, 0) + coeff
+    for mono_pos, mono in enumerate(monomials):
+        f = _raw({mono: 1})
+        df = _derivative_table(ctx, f)
+        for label_pos, label in enumerate(labels):
+            col = label_pos * len(monomials) + mono_pos
+            for slot, expr in column(label, f, df):
+                for out_mono, coeff in expr._terms.items():
+                    row = rows.setdefault((slot, out_mono), {})
+                    row[col] = row.get(col, 0) + coeff
 
     # the basis does not depend on the order of the rows (see linalg.nullspace)
     vectors = linalg.nullspace(list(rows.values()), len(unknowns))
@@ -410,7 +468,7 @@ def kernel_search(
     return _solve_homogeneous(
         ctx,
         ansatz,
-        lambda label, f: _derivative_entries(ctx, label, f),
+        lambda label, f, df: _derivative_entries(ctx, label, f, df),
         max_unknowns,
     )
 
@@ -429,7 +487,7 @@ def reduced_system_kernel(
     return _solve_homogeneous(
         ctx,
         ansatz,
-        lambda label, f: reduced_system_residuals(ctx, ChiTupleCPE({label: f})),
+        lambda label, f, df: reduced_system_residuals(ctx, ChiTupleCPE({label: f})),
         max_unknowns,
     )
 

@@ -284,16 +284,75 @@ def _label_weight(label) -> int:
     return _LABEL_WEIGHTS[label[0]]
 
 
+_COLUMN_ANSATZ = AnsatzSpec(max_order=1, max_degree=2, max_x_degree=2, include_t=True)
+
+
+def _kernel_columns(ctx: ReductionContext):
+    """(label, monomial, target, expression) for every output of every unknown's column."""
+    for label, mono in _unknowns(ctx, _COLUMN_ANSATZ):
+        f = Expr({mono: 1})
+        df = lambda mu: restricted_derivative(ctx, mu, f)
+        for target, expr in _derivative_entries(ctx, label, f, df):
+            yield label, mono, target, expr
+
+
 @pytest.mark.parametrize("setting", [Setting.CE, Setting.CPE])
 @pytest.mark.parametrize("m", [2, 3])
 def test_kernel_columns_lower_the_weight_by_one(setting, m):
     ctx = ReductionContext(setting, m)
-    ansatz = AnsatzSpec(max_order=1, max_degree=2, max_x_degree=2, include_t=True)
     outputs = 0
-    for label, mono in _unknowns(ctx, ansatz):
+    for label, mono, target, expr in _kernel_columns(ctx):
         source = _label_weight(label) + sum(e * _scaling_weight(v) for v, e in mono)
-        for target, expr in _derivative_entries(ctx, label, Expr({mono: 1})):
-            weights = {w + _label_weight(target) for w in _weights(expr)}
-            assert weights <= {source - 1}, (label, mono, target, expr)
-            outputs += not expr.is_zero()
-    assert outputs > len(_unknowns(ctx, ansatz))
+        weights = {w + _label_weight(target) for w in _weights(expr)}
+        assert weights <= {source - 1}, (label, mono, target, expr)
+        outputs += not expr.is_zero()
+    assert outputs > len(_unknowns(ctx, _COLUMN_ANSATZ))
+
+
+# -- the reflection grading ------------------------------------------------
+#
+# The flow is invariant under each reflection x^d -> -x^d, which flips u^d
+# and every derivative along d.  A parity is the set of reflections that
+# flip a quantity, kept as a bit mask with bit d-1 for direction d.  The
+# transported derivative differentiates along the first direction, so it
+# flips the parity in direction 1.
+
+
+def _parity(v) -> int:
+    """x^d and u^d are odd in d, and so is each derivative along d."""
+    bits = 1 << (v.mu - 1) if v.kind in ("x", "u") else 0
+    for d, order in enumerate(v.index.entries if v.index is not None else ()):
+        bits ^= (order % 2) << d
+    return bits
+
+
+def _label_parity(label) -> int:
+    """chi01 and chi1 odd in direction 1, chi0 even; ("chi_alpha", i1, a)
+    odd in a; ("chi_alpha", i1, a) and ("chi_p", i1) have parity i1 in
+    direction 1."""
+    kind = label[0]
+    if kind == "chi_alpha":
+        return (1 << (label[2] - 1)) ^ (label[1] % 2)
+    if kind == "chi_p":
+        return label[1] % 2
+    return {"chi01": 1, "chi0": 0, "chi1": 1}[kind]
+
+
+def _monomial_parity(mono) -> int:
+    bits = 0
+    for v, e in mono:
+        bits ^= _parity(v) * (e % 2)
+    return bits
+
+
+@pytest.mark.parametrize("setting", [Setting.CE, Setting.CPE])
+@pytest.mark.parametrize("m", [2, 3])
+def test_kernel_columns_flip_the_first_reflection(setting, m):
+    ctx = ReductionContext(setting, m)
+    outputs = 0
+    for label, mono, target, expr in _kernel_columns(ctx):
+        expected = _label_parity(label) ^ _monomial_parity(mono) ^ 1
+        parities = {_monomial_parity(out) ^ _label_parity(target) for out, _ in expr.items()}
+        assert parities <= {expected}, (label, mono, target, expr)
+        outputs += len(expr.items())
+    assert outputs > len(_unknowns(ctx, _COLUMN_ANSATZ))

@@ -137,6 +137,24 @@ def test_tuple_accepts_only_printed_names(text, shape):
         parse_tuple(text, shape, 3)
 
 
+@pytest.mark.parametrize(
+    "text, shape, span",
+    [
+        ("f1: x1; f2: u1_[0]", "characteristic", SourceSpan(15, 18)),
+        ("f1: u1_[0]", "characteristic", SourceSpan(7, 10)),
+        ("chi01: 1;  chi1 :x1 + ", "chi_cpe", SourceSpan(22, 22)),
+        ("j1: x1; j2: x1 $ x2", "current", SourceSpan(15, 16)),
+    ],
+)
+def test_tuple_expression_error_spans_the_input(text, shape, span):
+    # the span of an error inside a component's expression was once
+    # relative to that expression, not to the input
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_tuple(text, shape, 3)
+    assert err.value.span == span
+    assert str(err.value).endswith(f"at {span.start}..{span.end}")
+
+
 def test_tuple_chi_component_range():
     with pytest.raises(ExprSyntaxError, match="out of range"):
         parse_tuple("chi[9,0]: 1", "chi_cpe", 3)

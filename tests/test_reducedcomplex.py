@@ -8,8 +8,8 @@ import pytest
 
 from jetns import linalg
 from jetns.constraints import ReductionContext, Setting, reduce, restricted_derivative
-from jetns.jetalgebra import T_VAR, Expr, _monomial_key, p, u, x, pvar, uvar, xvar
-from jetns.multiindex import indices_up_to
+from jetns.jetalgebra import T_VAR, Expr, _monomial_key, expr_sum, p, u, x, pvar, uvar, xvar
+from jetns.multiindex import indices_up_to, unit
 from jetns.reducedcomplex import (
     AnsatzSpec,
     AnsatzTooLargeError,
@@ -23,13 +23,14 @@ from jetns.reducedcomplex import (
     reduced_system_kernel,
     reduced_system_residuals,
     reduced_variational_derivative,
+    _correction_entries,
     _derivative_entries,
     _unknowns,
 )
 
 from jetns.variational import helmholtz_residual, Cotuple
 
-from conftest import random_expr
+from conftest import random_expr, variable_pool
 
 
 def density_pool(ctx, max_ord=1):
@@ -383,8 +384,9 @@ def test_kernel_columns_are_the_transported_derivative(setting, m, ansatz):
     shape = ChiTupleCE if setting is Setting.CE else ChiTupleCPE
     for label, mono in _unknowns(ctx, ansatz):
         f = Expr({mono: 1})
+        df = lambda mu: restricted_derivative(ctx, mu, f)
         column: dict = {}
-        for target, expr in _derivative_entries(ctx, label, f):
+        for target, expr in _derivative_entries(ctx, label, f, df):
             column[target] = column.get(target, Expr.zero()) + expr
         column = {k: v for k, v in column.items() if not v.is_zero()}
         chi = shape({label: f})
@@ -392,6 +394,43 @@ def test_kernel_columns_are_the_transported_derivative(setting, m, ansatz):
         expected[label] = expected.get(label, Expr.zero()) + restricted_derivative(ctx, 1, f)
         assert column == {k: v for k, v in expected.items() if not v.is_zero()}
         assert column == dict(reduced_derivative(ctx, chi).items())
+
+
+def _chi1_docstring_rule(ctx, f):
+    """The chi1 row of the reducedcomplex docstring, term by term, from restricted_derivative."""
+    m = ctx.m
+    d = lambda a, g: restricted_derivative(ctx, a, g)
+    alphas = range(2, m + 1)
+    div = expr_sum(u(b, unit(b, m)) for b in alphas)
+    rule = {("chi01",): 2 * expr_sum(d(a, u(a, unit(1, m)) * f) for a in alphas)}
+    for a in alphas:
+        rule[("chi_alpha", 0, a)] = 2 * d(a, div * f) + 2 * expr_sum(
+            d(b, u(b, unit(a, m)) * f) for b in alphas
+        )
+        rule[("chi_alpha", 1, a)] = -2 * u(1, unit(a, m)) * f
+    rule[("chi0",)] = -expr_sum(d(a, d(a, f)) for a in alphas)
+    return {k: v for k, v in rule.items() if not v.is_zero()}
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_chi1_correction_is_the_docstring_rule(m):
+    # the chi1 row is assembled through Leibniz from per-context
+    # coefficients; the oracle differentiates each product as written
+    ctx = ReductionContext(Setting.CPE, m)
+    rng = random.Random(46 + m)
+    pool = variable_pool(m, max_u_order=2, max_p_order=1, ctx=ctx, allow_t=True)
+    for _ in range(8):
+        f = random_expr(rng, pool, n_terms=4)
+        expected = _chi1_docstring_rule(ctx, f)
+        entries: dict = {}
+        df = lambda mu: restricted_derivative(ctx, mu, f)
+        for target, expr in _correction_entries(ctx, ("chi1",), f, df):
+            entries[target] = entries.get(target, Expr.zero()) + expr
+        assert {k: v for k, v in entries.items() if not v.is_zero()} == expected
+        assert dict(correction(ctx, ChiTupleCPE({("chi1",): f})).items()) == expected
+        expected[("chi1",)] = restricted_derivative(ctx, 1, f)
+        assert not expected[("chi1",)].is_zero()
+        assert dict(reduced_derivative(ctx, ChiTupleCPE({("chi1",): f})).items()) == expected
 
 
 def test_kernel_cap_enforced(cpe_ctx):

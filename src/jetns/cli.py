@@ -142,14 +142,12 @@ def _cmd_time_symmetry(args) -> int:
         ctx = ReductionContext(Setting.CPE, args.dim)
         e = parse_tuple(_read_input(args.evolution), "characteristic", args.dim)
         field = EvolutionField(e.reduce(ctx), ctx)
-    ctx = field.context
-    residual = time_symmetry_residual(field, f.reduce(ctx))
+    residual = time_symmetry_residual(field, f.reduce(field.context))
     entries = [
         (f"velocity[{mu}]", comp)
         for mu, comp in enumerate(residual.velocity, start=1)
     ]
     entries.append(("pressure", residual.pressure))
-    entries = [(name, reduce(ctx, expr)) for name, expr in entries]
     return _emit_residuals(ResidualReport(entries), args)
 
 

@@ -135,12 +135,8 @@ class ResidualReport:
 def divergence_residual(ctx: ReductionContext, f: Characteristic) -> Expr:
     """The reduced divergence of the velocity components."""
     f = f.reduce(ctx)
-    return reduce(
-        ctx,
-        expr_sum(
-            restricted_derivative(ctx, mu, f.velocity[mu - 1])
-            for mu in range(1, ctx.m + 1)
-        ),
+    return expr_sum(
+        restricted_derivative(ctx, mu, f.velocity[mu - 1]) for mu in range(1, ctx.m + 1)
     )
 
 
@@ -154,7 +150,7 @@ def pressure_coupling_residual(ctx: ReductionContext, f: Characteristic) -> Expr
         for la in range(1, m + 1)
         for mu in range(1, m + 1)
     )
-    return reduce(ctx, restricted_laplacian(ctx, f.pressure) + 2 * coupling)
+    return restricted_laplacian(ctx, f.pressure) + 2 * coupling
 
 
 def symmetry_residuals(ctx: ReductionContext, f: Characteristic) -> ResidualReport:

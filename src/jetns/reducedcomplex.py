@@ -58,7 +58,6 @@ from .constraints import (
     Setting,
     reduce,
     restricted_derivative,
-    restricted_laplacian,
     velocity_gradient_entry,
 )
 from .jetalgebra import (
@@ -284,31 +283,69 @@ def _derivative_entries(ctx: ReductionContext, label: tuple, f: Expr, df):
     yield from _correction_entries(ctx, label, f, df)
 
 
-def _sum_entries(ctx: ReductionContext, chi: ChiTuple, rule, what: str) -> ChiTuple:
-    """The tuple of every entry's rule(ctx, label, f, df) pairs, summed by target label."""
+def _sum_entries(ctx: ReductionContext, chi: ChiTuple, rule, what: str, entries: dict) -> dict:
+    """entries plus every entry's rule(ctx, label, f, df) pairs, summed by target."""
     shape = _shape(ctx, what)
     if type(chi) is not shape:
         raise ValueError(
             f"the {ctx.setting.value} setting takes a {shape.__name__}, not a {type(chi).__name__}"
         )
-    entries: dict[tuple, Expr] = {}
     for label, f in chi.items():
         for target, expr in rule(ctx, label, f, _derivative_table(ctx, f)):
             entries[target] = entries.get(target, Expr.zero()) + expr
-    return shape(entries)
+    return entries
 
 
 def correction(ctx: ReductionContext, chi: ChiTuple) -> ChiTuple:
     """The linear correction of the transported derivative: every entry's rule, summed."""
-    return _sum_entries(ctx, chi, _correction_entries, "correction")
+    return type(chi)(_sum_entries(ctx, chi, _correction_entries, "correction", {}))
 
 
 def reduced_derivative(ctx: ReductionContext, chi: ChiTuple) -> ChiTuple:
     """Componentwise restricted first derivative plus the correction."""
-    return _sum_entries(ctx, chi, _derivative_entries, "reduced derivative")
+    return type(chi)(_sum_entries(ctx, chi, _derivative_entries, "reduced derivative", {}))
 
 
 # -- the equivalent first-order system (joint setting) ---------------------
+
+
+def _system_entries(ctx: ReductionContext, label: tuple, f: Expr, df):
+    """The (residual name, expression) pairs of the entry f at label in the system.
+
+    df(mu) is D_mu f.  chi_alpha and chi0 enter undifferentiated, so they
+    are reduced here; every other output is built from restricted
+    derivatives and products of canonical coordinates, and is canonical.
+    """
+    m = ctx.m
+    alpha_range = range(2, m + 1)
+    grad = lambda la, mu: velocity_gradient_entry(ctx, la, mu)
+    kind = label[0]
+    if kind == "chi01":
+        yield "gradient_first", df(1)
+        for a in alpha_range:
+            yield f"gradient[{a}]", df(a)
+    elif kind == "chi_alpha":
+        i1, a = label[1:]
+        name = f"velocity_slaved[{a}]" if i1 == 0 else f"higher_velocity_vanish[{i1},{a}]"
+        yield name, reduce(ctx, f)
+    elif kind == "chi0":
+        yield "pressure_slaved", reduce(ctx, f)
+    else:  # chi1
+        d = lambda mu, g: restricted_derivative(ctx, mu, g)
+        ddf = cache(lambda mu, a: d(mu, df(a)))  # D_mu D_a f
+        for a in alpha_range:
+            yield f"velocity_slaved[{a}]", -2 * u(1, unit(a, m)) * f
+        yield "pressure_slaved", df(1)
+        yield "harmonic", expr_sum(ddf(mu, mu) for mu in range(1, m + 1))
+        for a in alpha_range:
+            yield f"compatibility[{a}]", expr_sum(
+                grad(mu, 1) * ddf(mu, a) - grad(mu, a) * ddf(mu, 1) for mu in range(1, m + 1)
+            )
+        yield "gradient_first", 2 * expr_sum(d(a, u(a, unit(1, m)) * f) for a in alpha_range)
+        div_block = expr_sum(u(b, unit(b, m)) for b in alpha_range)
+        for a in alpha_range:
+            transport = expr_sum(grad(mu, a) * df(mu) for mu in range(1, m + 1))
+            yield f"gradient[{a}]", 2 * (transport + d(a, div_block * f))
 
 
 def reduced_system_residuals(
@@ -323,34 +360,13 @@ def reduced_system_residuals(
     """
     if ctx.setting is not Setting.CPE:
         raise ValueError("the reduced system lives in the cpe setting")
-    m = ctx.m
-    alpha_range = range(2, m + 1)
-    d = lambda mu, g: restricted_derivative(ctx, mu, g)
-    grad = lambda la, mu: velocity_gradient_entry(ctx, la, mu)
-    chi_alpha, chi01, chi0, chi1 = chi.chi_alpha, chi.chi01, chi.chi0, chi.chi1
-    out = [
-        (f"velocity_slaved[{a}]", chi_alpha.get((0, a), Expr.zero()) - 2 * u(1, unit(a, m)) * chi1)
-        for a in alpha_range
-    ]
-    out += [
-        (f"higher_velocity_vanish[{i1},{a}]", chi_alpha[i1, a])
-        for i1, a in sorted(chi_alpha)
-        if i1 >= 1
-    ]
-    out += [("pressure_slaved", chi0 + d(1, chi1)), ("harmonic", restricted_laplacian(ctx, chi1))]
-    for a in alpha_range:
-        cross = expr_sum(
-            grad(mu, 1) * d(mu, d(a, chi1)) - grad(mu, a) * d(mu, d(1, chi1))
-            for mu in range(1, m + 1)
-        )
-        out.append((f"compatibility[{a}]", cross))
-    first = d(1, chi01) + 2 * expr_sum(d(a, u(a, unit(1, m)) * chi1) for a in alpha_range)
-    out.append(("gradient_first", first))
-    div_block = expr_sum(u(b, unit(b, m)) for b in alpha_range)
-    for a in alpha_range:
-        transport = expr_sum(grad(mu, a) * d(mu, chi1) for mu in range(1, m + 1))
-        out.append((f"gradient[{a}]", d(a, chi01) + 2 * (transport + d(a, div_block * chi1))))
-    return [(name, reduce(ctx, expr)) for name, expr in out]
+    alpha_range = range(2, ctx.m + 1)
+    names = [f"velocity_slaved[{a}]" for a in alpha_range]
+    names += [f"higher_velocity_vanish[{i1},{a}]" for i1, a in chi.chi_alpha if i1 >= 1]
+    names += ["pressure_slaved", "harmonic"] + [f"compatibility[{a}]" for a in alpha_range]
+    names += ["gradient_first"] + [f"gradient[{a}]" for a in alpha_range]
+    entries = dict.fromkeys(names, Expr.zero())
+    return list(_sum_entries(ctx, chi, _system_entries, "reduced system", entries).items())
 
 
 # -- the variational derivative of the auxiliary complex -------------------
@@ -465,12 +481,7 @@ def kernel_search(
     The basis is deterministically ordered and scaled to coprime
     integers.
     """
-    return _solve_homogeneous(
-        ctx,
-        ansatz,
-        lambda label, f, df: _derivative_entries(ctx, label, f, df),
-        max_unknowns,
-    )
+    return _solve_homogeneous(ctx, ansatz, partial(_derivative_entries, ctx), max_unknowns)
 
 
 def reduced_system_kernel(
@@ -484,12 +495,7 @@ def reduced_system_kernel(
     """
     if ctx.setting is not Setting.CPE:
         raise ValueError("the reduced system lives in the cpe setting")
-    return _solve_homogeneous(
-        ctx,
-        ansatz,
-        lambda label, f, df: reduced_system_residuals(ctx, ChiTupleCPE({label: f})),
-        max_unknowns,
-    )
+    return _solve_homogeneous(ctx, ansatz, partial(_system_entries, ctx), max_unknowns)
 
 
 def kernel_vectors(ctx: ReductionContext, ansatz: AnsatzSpec, chi) -> tuple[Fraction, ...]:

@@ -48,7 +48,6 @@ from .jetalgebra import (
     Monomial,
     NU_VAR,
     T_VAR,
-    _nonzero,
     pvar,
     uvar,
     xvar,
@@ -393,8 +392,8 @@ def variable_from_label(label: str, m: int) -> JetVariable:
 def records_to_expr(records: list[dict], m: int) -> Expr:
     """The expression the records denote; each factor list is one monomial.
 
-    A variable may occur once per monomial, with an exponent of at least 1,
-    so that equal expressions keep equal monomial maps.
+    The constructor Expr(terms) orders each monomial's factors and rejects
+    a repeated factor or an exponent below 1.
     """
     terms: dict[Monomial, Fraction] = {}
     for record in records:
@@ -402,10 +401,5 @@ def records_to_expr(records: list[dict], m: int) -> Expr:
         factors = tuple(
             (variable_from_label(label, m), int(e)) for label, e in record["factors"]
         )
-        if len({v for v, _ in factors}) != len(factors):
-            raise ValueError(f"repeated factor in {record['factors']!r}")
-        if any(e < 1 for _, e in factors):
-            raise ValueError(f"exponent below 1 in {record['factors']!r}")
-        factors = tuple(sorted(factors, key=lambda ve: ve[0].sort_key()))
         terms[factors] = terms.get(factors, Fraction(0)) + coeff
-    return _nonzero(terms)
+    return Expr(terms)

@@ -162,19 +162,25 @@ class Expr:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, int | Fraction] | None = None):
+        """The sum of the terms; a monomial's pairs may come in any order.
+
+        A variable may occur once per monomial, with an exponent of at
+        least 1, so that equal expressions keep equal monomial maps.
+        """
         data: dict[Monomial, int | Fraction] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                c = _coefficient(coeff)
-                if c != 0:
-                    data[mono] = c
-        self._terms = data
+        for mono, coeff in (terms or {}).items():
+            if len(dict(mono)) != len(mono) or any(e < 1 for _, e in mono):
+                factors = [[v.label(), e] for v, e in mono]
+                raise ValueError(f"a repeated factor or an exponent below 1 in {factors}")
+            mono = tuple(sorted(mono, key=lambda ve: ve[0]._key))
+            data[mono] = data.get(mono, 0) + _coefficient(coeff)
+        self._terms = _nonzero(data)._terms
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero() -> Expr:
-        return Expr()
+        return _raw({})
 
     @staticmethod
     def const(value) -> Expr:
@@ -183,7 +189,7 @@ class Expr:
 
     @staticmethod
     def var(v: JetVariable) -> Expr:
-        return Expr({((v, 1),): 1})
+        return _raw({((v, 1),): 1})
 
     # -- inspection ---------------------------------------------------
 

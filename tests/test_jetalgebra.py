@@ -169,6 +169,28 @@ def test_canonical_uniqueness():
     assert (a - b).is_zero()
 
 
+def test_constructor_gives_the_canonical_form():
+    # the library constructor orders each monomial's factors and sums the
+    # monomials that then coincide, so equality stays decidable
+    x1, x2, u1 = xvar(1), xvar(2), uvar(1, (0, 1, 0))
+    assert (Expr({((x2, 1), (x1, 1)): 1}) - Expr({((x1, 1), (x2, 1)): 1})).is_zero()
+    assert Expr({((x2, 1), (x1, 1)): 1}) == x(1) * x(2)
+    assert str(Expr({((u1, 2), (x2, 1)): 1, ((x2, 1), (u1, 2)): Fraction(1, 2)})) == (
+        "3/2*x2*u1_[0,1,0]^2"
+    )
+    assert Expr({((x2, 1), (x1, 1)): 1, ((x1, 1), (x2, 1)): -1}) == Expr.zero()
+
+
+@pytest.mark.parametrize(
+    "mono",
+    [((xvar(1), 1), (xvar(1), 1)), ((xvar(1), 0),), ((xvar(2), 1), (xvar(1), -1))],
+)
+def test_constructor_rejects_non_canonical_monomials(mono):
+    # x1*x1 and x1^0 would differ from their canonical equals x1^2 and 1
+    with pytest.raises(ValueError, match="x1"):
+        Expr({mono: 3})
+
+
 def test_evaluate_is_ring_homomorphism():
     rng = random.Random(4242)
     pool = variable_pool(allow_nu=True)

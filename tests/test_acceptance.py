@@ -165,6 +165,14 @@ def test_c08_cpe_kernel_and_reduced_system_agree():
         assert all(expr.is_zero() for _, expr in reduced_system_residuals(ctx, chi))
     for chi in system:
         assert reduced_derivative(ctx, chi).is_zero()
+    # on the bench kernel ansatzes the two solves print the same basis: the
+    # space alone fixes the free columns of the nullspace and the scaling
+    for m, max_order, degree, count in ((3, 1, 2, 5), (2, 3, 2, 4), (4, 1, 1, 2)):
+        ctx = ReductionContext(Setting.CPE, m)
+        ansatz = AnsatzSpec(max_order=max_order, max_degree=degree, max_x_degree=degree)
+        kernel = [print_tuple(chi) for chi in kernel_search(ctx, ansatz)]
+        assert len(kernel) == count
+        assert [print_tuple(chi) for chi in reduced_system_kernel(ctx, ansatz)] == kernel
     _report(8, "joint-setting kernel matches the first-order system", started, 300.0)
 
 

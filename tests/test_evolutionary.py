@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
 
-from jetns.constraints import reduce, restricted_derivative_multi
+import pytest
+
+from jetns.constraints import ReductionContext, Setting, reduce, restricted_derivative_multi
 from jetns.evolutionary import (
     Characteristic,
     EvolutionField,
@@ -17,6 +19,7 @@ from jetns.evolutionary import (
 from jetns.jetalgebra import Expr, p, t, u, x
 from jetns.multiindex import MultiIndex
 from jetns.ns_presets import evolution_field, ns_build
+from jetns.reducedcomplex import ChiTupleCPE, reduced_system_residuals
 
 from conftest import random_characteristic, random_expr, variable_pool
 
@@ -236,3 +239,33 @@ def test_admissibility_report(cpe_ctx):
     report = field.admissibility()
     assert report.residual("divergence").is_zero()
     assert not report.residual("pressure_poisson").is_zero()
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_residuals_of_reduced_inputs_are_canonical(m):
+    # the residuals reduce their inputs and then apply only restricted
+    # derivatives, products and d/dt, so no final reduction is needed
+    rng = random.Random(1616 + m)
+    outputs = []
+    for setting in (Setting.CE, Setting.CPE):
+        ctx = ReductionContext(setting, m)
+        pool = variable_pool(m, max_u_order=2, max_p_order=2, allow_t=True)
+        for _ in range(6):
+            f = random_characteristic(rng, pool, m=m)
+            outputs += [(ctx, expr) for _, expr in symmetry_residuals(ctx, f).entries]
+    ctx = ReductionContext(Setting.CPE, m)
+    small = variable_pool(m, max_u_order=1, max_p_order=1, allow_t=True)
+    fields = [evolution_field(ns_build(m)), evolution_field(ns_build(m, Fraction(1, 7)))]
+    fields.append(EvolutionField(random_characteristic(rng, small, m=m).reduce(ctx), ctx))
+    for field in fields:
+        for _ in range(3):
+            f = random_characteristic(rng, small, m=m).reduce(ctx)
+            residual = time_symmetry_residual(field, f)
+            outputs += [(ctx, c) for c in residual.velocity + (residual.pressure,)]
+    for _ in range(6):
+        labels = [l for l in ChiTupleCPE.ansatz_labels(m, 2) if rng.random() < 0.5]
+        chi = ChiTupleCPE({l: random_expr(rng, small, n_terms=2) for l in labels}).reduce(ctx)
+        outputs += [(ctx, expr) for _, expr in reduced_system_residuals(ctx, chi)]
+    assert sum(not expr.is_zero() for _, expr in outputs) > len(outputs) // 2
+    for ctx, expr in outputs:
+        assert all(ctx.image(v) is None for v in expr.variables()), (ctx, expr)

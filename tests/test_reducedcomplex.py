@@ -7,7 +7,14 @@ from math import gcd, lcm
 import pytest
 
 from jetns import linalg
-from jetns.constraints import ReductionContext, Setting, reduce, restricted_derivative
+from jetns.constraints import (
+    ReductionContext,
+    Setting,
+    reduce,
+    restricted_derivative,
+    restricted_laplacian,
+    velocity_gradient_entry,
+)
 from jetns.jetalgebra import T_VAR, Expr, _monomial_key, expr_sum, p, u, x, pvar, uvar, xvar
 from jetns.multiindex import indices_up_to, unit
 from jetns.reducedcomplex import (
@@ -25,6 +32,7 @@ from jetns.reducedcomplex import (
     reduced_variational_derivative,
     _correction_entries,
     _derivative_entries,
+    _system_entries,
     _unknowns,
 )
 
@@ -314,6 +322,74 @@ def test_reduced_system_pressure_relation_witness(cpe_ctx):
     assert residuals["pressure_slaved"] == x(1) + Expr.const(1)
 
 
+def _system_literal(ctx, chi):
+    """The first-order system written on the whole tuple, reduced at the end."""
+    m = ctx.m
+    alpha_range = range(2, m + 1)
+    d = lambda mu, g: restricted_derivative(ctx, mu, g)
+    grad = lambda la, mu: velocity_gradient_entry(ctx, la, mu)
+    chi_alpha, chi01, chi0, chi1 = chi.chi_alpha, chi.chi01, chi.chi0, chi.chi1
+    out = [
+        (f"velocity_slaved[{a}]", chi_alpha.get((0, a), Expr.zero()) - 2 * u(1, unit(a, m)) * chi1)
+        for a in alpha_range
+    ]
+    out += [
+        (f"higher_velocity_vanish[{i1},{a}]", chi_alpha[i1, a])
+        for i1, a in sorted(chi_alpha)
+        if i1 >= 1
+    ]
+    out += [("pressure_slaved", chi0 + d(1, chi1)), ("harmonic", restricted_laplacian(ctx, chi1))]
+    for a in alpha_range:
+        cross = expr_sum(
+            grad(mu, 1) * d(mu, d(a, chi1)) - grad(mu, a) * d(mu, d(1, chi1))
+            for mu in range(1, m + 1)
+        )
+        out.append((f"compatibility[{a}]", cross))
+    first = d(1, chi01) + 2 * expr_sum(d(a, u(a, unit(1, m)) * chi1) for a in alpha_range)
+    out.append(("gradient_first", first))
+    div_block = expr_sum(u(b, unit(b, m)) for b in alpha_range)
+    for a in alpha_range:
+        transport = expr_sum(grad(mu, a) * d(mu, chi1) for mu in range(1, m + 1))
+        out.append((f"gradient[{a}]", d(a, chi01) + 2 * (transport + d(a, div_block * chi1))))
+    return [(name, reduce(ctx, expr)) for name, expr in out]
+
+
+def test_reduced_system_entry_behaviour(cpe_ctx):
+    # chi0 and chi_alpha enter undifferentiated and are reduced; chi01 and
+    # chi1 are differentiated, which needs canonical coordinates
+    non_canonical = p((2, 0, 0))
+    residuals = dict(reduced_system_residuals(cpe_ctx, ChiTupleCPE({("chi0",): non_canonical})))
+    assert residuals["pressure_slaved"] == reduce(cpe_ctx, non_canonical)
+    assert pvar((2, 0, 0)) not in residuals["pressure_slaved"].variables()
+    chi = ChiTupleCPE({("chi_alpha", 1, 2): u(1, (1, 0, 0))})
+    assert dict(reduced_system_residuals(cpe_ctx, chi))["higher_velocity_vanish[1,2]"] == reduce(
+        cpe_ctx, u(1, (1, 0, 0))
+    )
+    for label in (("chi1",), ("chi01",)):
+        with pytest.raises(ValueError, match="not a canonical coordinate"):
+            reduced_system_residuals(cpe_ctx, ChiTupleCPE({label: non_canonical}))
+
+
+def test_reduced_system_rejects_the_continuity_shape(cpe_ctx):
+    with pytest.raises(ValueError, match="takes a ChiTupleCPE, not a ChiTupleCE"):
+        reduced_system_residuals(cpe_ctx, ChiTupleCE({("chi_p", 0): x(1)}))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_reduced_system_is_the_literal_system(m):
+    # the per-entry rule, summed over a tuple, gives the whole-tuple system:
+    # the same names in the same order and the same residuals
+    ctx = ReductionContext(Setting.CPE, m)
+    rng = random.Random(160 + m)
+    pool = variable_pool(m, max_u_order=2, max_p_order=1, ctx=ctx, allow_t=True)
+    labels = ChiTupleCPE.ansatz_labels(m, 2)
+    without = {1: [("chi1",)], 2: [l for l in labels if l[0] == "chi_alpha"]}
+    for trial in range(12):
+        chosen = [l for l in labels if rng.random() < 0.5 and l not in without.get(trial % 4, [])]
+        chi = ChiTupleCPE({l: random_expr(rng, pool, n_terms=2) for l in chosen})
+        assert reduced_system_residuals(ctx, chi) == _system_literal(ctx, chi)
+
+
 # -- kernel search ------------------------------------------------------------
 
 
@@ -394,6 +470,24 @@ def test_kernel_columns_are_the_transported_derivative(setting, m, ansatz):
         expected[label] = expected.get(label, Expr.zero()) + restricted_derivative(ctx, 1, f)
         assert column == {k: v for k, v in expected.items() if not v.is_zero()}
         assert column == dict(reduced_derivative(ctx, chi).items())
+
+
+@pytest.mark.parametrize("m, ansatz", [(3, AnsatzSpec(1, 1, 1)), (2, AnsatzSpec(2, 2, 1))])
+def test_system_columns_are_the_literal_system(m, ansatz):
+    # reduced_system_kernel reads each unknown's column from _system_entries;
+    # summed, it must be the whole-tuple system of the one-entry tuple
+    ctx = ReductionContext(Setting.CPE, m)
+    for label, mono in _unknowns(ctx, ansatz):
+        f = Expr({mono: 1})
+        df = lambda mu: restricted_derivative(ctx, mu, f)
+        column: dict = {}
+        for name, expr in _system_entries(ctx, label, f, df):
+            column[name] = column.get(name, Expr.zero()) + expr
+        literal = dict(_system_literal(ctx, ChiTupleCPE({label: f})))
+        assert column.keys() <= literal.keys()
+        assert {k: v for k, v in column.items() if not v.is_zero()} == {
+            k: v for k, v in literal.items() if not v.is_zero()
+        }
 
 
 def _chi1_docstring_rule(ctx, f):

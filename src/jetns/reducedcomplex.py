@@ -318,7 +318,6 @@ def _system_entries(ctx: ReductionContext, label: tuple, f: Expr, df):
     """
     m = ctx.m
     alpha_range = range(2, m + 1)
-    grad = lambda la, mu: velocity_gradient_entry(ctx, la, mu)
     kind = label[0]
     if kind == "chi01":
         yield "gradient_first", df(1)
@@ -332,6 +331,7 @@ def _system_entries(ctx: ReductionContext, label: tuple, f: Expr, df):
         yield "pressure_slaved", reduce(ctx, f)
     else:  # chi1
         d = lambda mu, g: restricted_derivative(ctx, mu, g)
+        grad = lambda la, mu: velocity_gradient_entry(ctx, la, mu)
         ddf = cache(lambda mu, a: d(mu, df(a)))  # D_mu D_a f
         for a in alpha_range:
             yield f"velocity_slaved[{a}]", -2 * u(1, unit(a, m)) * f

@@ -392,8 +392,7 @@ def variable_from_label(label: str, m: int) -> JetVariable:
 def records_to_expr(records: list[dict], m: int) -> Expr:
     """The expression the records denote; each factor list is one monomial.
 
-    The constructor Expr(terms) orders each monomial's factors and rejects
-    a repeated factor or an exponent below 1.
+    Expr(terms) orders the factors and rejects a repeat or an exponent below 1.
     """
     terms: dict[Monomial, Fraction] = {}
     for record in records:

@@ -162,11 +162,8 @@ class Expr:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, int | Fraction] | None = None):
-        """The sum of the terms; a monomial's pairs may come in any order.
-
-        A variable may occur once per monomial, with an exponent of at
-        least 1, so that equal expressions keep equal monomial maps.
-        """
+        """The sum of the terms: a monomial's pairs may come in any order, each
+        variable once with an exponent of at least 1, else ValueError."""
         data: dict[Monomial, int | Fraction] = {}
         for mono, coeff in (terms or {}).items():
             if len(dict(mono)) != len(mono) or any(e < 1 for _, e in mono):

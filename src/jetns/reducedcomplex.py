@@ -28,10 +28,12 @@ The continuity and joint labels are disjoint, so the rule never asks
 for the setting, and each entry does only the work of its own rows.
 
 An entry's transported derivative is D_1 f at its own label plus its
-correction entries.  reduced_derivative sums that one rule over a
-tuple's entries, and kernel assembly reads each unknown's column of the
-constraint matrix from the same rule, applied to one monomial at one
-label, with no tuple built.
+correction entries.  The first-order system of the joint setting is one
+more per-entry rule, _system_entries, from an entry to residual names.
+correction, reduced_derivative and reduced_system_residuals sum their
+rule over a tuple's entries in the one loop of _sum_entries, and kernel
+assembly reads each unknown's column from the same rule, applied to one
+monomial at one label, with no tuple built.
 
 The rule reads D_mu f from a table of the entry, filled on first
 request.  Kernel assembly runs monomial-major: each ansatz monomial gets

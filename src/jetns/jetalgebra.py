@@ -5,8 +5,8 @@ exact rationals.  Variables are the space coordinates x^mu, the velocity
 jets u^mu indexed by a multi-index, the pressure jets p indexed likewise,
 the viscosity symbol nu and the time symbol t.  Only finitely many
 variables occur in any expression, monomial maps are kept free of zero
-coefficients, and equal expressions have identical internal maps, so zero
-testing is decidable and printing is deterministic.
+coefficients, and equal expressions have identical internal maps and
+denominators, so zero testing is decidable and printing is deterministic.
 
 A jet variable, like its multi-index, is one object per value; equality
 is identity; interned for the process.  Monomials are tuples of variables,
@@ -14,12 +14,15 @@ so hashing and comparing a monomial runs no Python code.  Identity hashes
 change from run to run, so nothing printed may follow the order of a set
 of variables: variables() sorts by the variable sort key.
 
-A coefficient is an int when it is integral and a Fraction otherwise.
-Most coefficients the package meets are integers, and int arithmetic
-avoids the cost of Fraction.  Every coefficient an expression stores
-passes through _coefficient, which gives each rational that one form.
-An int and a Fraction of equal value compare and hash alike, so maps,
-printed text and the num/den records do not depend on the form.
+An expression stores int numerators over one denominator (FLINT's
+fmpq_poly; Geddes, Czapor & Labahn, Algorithms for Computer Algebra,
+ch. 2): _terms maps monomials to ints and _den >= 1 is coprime to them
+taken together, so zero has _den == 1.  A product multiplies ints and
+divides out one gcd; a sum scales to the lcm of the denominators, which
+are mostly 1.  items(), unsorted_items() (the one reader other modules
+use), coefficient and constant_value give an int when a value is
+integral, else a Fraction, so printed text and num/den records do not
+depend on the stored form.
 
 A product refuses to start when the product of its factors' term counts,
 a bound on the size of its result, exceeds MAX_PRODUCT_TERMS; it raises
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
 from .multiindex import MultiIndex
@@ -141,14 +145,9 @@ Monomial = tuple[tuple[JetVariable, int], ...]
 _ONE_MONOMIAL: Monomial = ()
 
 
-def _coefficient(value) -> int | Fraction:
-    """The one stored form of a rational: an int when integral, else a Fraction."""
-    if type(value) is not int:
-        if type(value) is not Fraction:
-            value = Fraction(value)
-        if value.denominator == 1:
-            return value.numerator
-    return value
+def _rational(num: int, den: int) -> int | Fraction:
+    """num/den as an int when integral, else as a Fraction."""
+    return num // den if num % den == 0 else Fraction(num, den)
 
 
 def _monomial_key(mono: Monomial):
@@ -157,9 +156,12 @@ def _monomial_key(mono: Monomial):
 
 
 class Expr:
-    """A polynomial in canonical form: a map from monomials to rationals."""
+    """A polynomial in canonical form: int numerators over one denominator.
 
-    __slots__ = ("_terms",)
+    The pair (_terms, _den) is canonical, so equal polynomials store equal pairs.
+    """
+
+    __slots__ = ("_terms", "_den")
 
     def __init__(self, terms: Mapping[Monomial, int | Fraction] | None = None):
         """The sum of the terms: a monomial's pairs may come in any order, each
@@ -170,8 +172,11 @@ class Expr:
                 factors = [[v.label(), e] for v, e in mono]
                 raise ValueError(f"a repeated factor or an exponent below 1 in {factors}")
             mono = tuple(sorted(mono, key=lambda ve: ve[0]._key))
-            data[mono] = data.get(mono, 0) + _coefficient(coeff)
-        self._terms = _nonzero(data)._terms
+            data[mono] = data.get(mono, 0) + (coeff if type(coeff) is int else Fraction(coeff))
+        den = lcm(*(c.denominator for c in data.values()))
+        nums = {mono: c.numerator * (den // c.denominator) for mono, c in data.items()}
+        e = _canonical(nums, den)
+        self._terms, self._den = e._terms, e._den
 
     # -- constructors -------------------------------------------------
 
@@ -181,8 +186,8 @@ class Expr:
 
     @staticmethod
     def const(value) -> Expr:
-        c = _coefficient(value)
-        return _raw({_ONE_MONOMIAL: c} if c != 0 else {})
+        q = value if type(value) is int else Fraction(value)
+        return _canonical({_ONE_MONOMIAL: q.numerator}, q.denominator)
 
     @staticmethod
     def var(v: JetVariable) -> Expr:
@@ -193,9 +198,16 @@ class Expr:
     def is_zero(self) -> bool:
         return not self._terms
 
+    def unsorted_items(self) -> Iterable[tuple[Monomial, int | Fraction]]:
+        """Monomial/coefficient pairs in storage order: items() without the sort."""
+        den = self._den
+        if den == 1:
+            return self._terms.items()
+        return [(mono, _rational(c, den)) for mono, c in self._terms.items()]
+
     def items(self) -> list[tuple[Monomial, int | Fraction]]:
         """Monomial/coefficient pairs in canonical order."""
-        return sorted(self._terms.items(), key=lambda kv: _monomial_key(kv[0]))
+        return sorted(self.unsorted_items(), key=lambda kv: _monomial_key(kv[0]))
 
     def variables(self) -> list[JetVariable]:
         """Distinct variables occurring, in canonical order."""
@@ -203,14 +215,14 @@ class Expr:
         return sorted(seen, key=JetVariable.sort_key)
 
     def coefficient(self, mono: Monomial) -> int | Fraction:
-        return self._terms.get(mono, 0)
+        return _rational(self._terms.get(mono, 0), self._den)
 
     def constant_value(self) -> int | Fraction | None:
         """The rational value when the expression is constant, else None."""
         if not self._terms:
             return 0
         if len(self._terms) == 1 and _ONE_MONOMIAL in self._terms:
-            return self._terms[_ONE_MONOMIAL]
+            return _rational(self._terms[_ONE_MONOMIAL], self._den)
         return None
 
     # -- ring operations ----------------------------------------------
@@ -219,19 +231,12 @@ class Expr:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        data = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            new = data.get(mono, 0) + coeff
-            if new == 0:
-                data.pop(mono, None)
-            else:
-                data[mono] = _coefficient(new)
-        return _raw(data)
+        return expr_sum((self, other))
 
     __radd__ = __add__
 
     def __neg__(self) -> Expr:
-        return _raw({mono: -c for mono, c in self._terms.items()})
+        return _raw({mono: -c for mono, c in self._terms.items()}, self._den)
 
     def __sub__(self, other) -> Expr:
         other = _coerce(other)
@@ -252,12 +257,12 @@ class Expr:
         pairs = len(self._terms) * len(other._terms)
         if pairs > MAX_PRODUCT_TERMS:
             raise ExpressionTooLargeError(pairs)
-        data: dict[Monomial, int | Fraction] = {}
+        data: dict[Monomial, int] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 mono = _merge_monomials(m1, m2)
                 data[mono] = data.get(mono, 0) + c1 * c2
-        return _nonzero(data)
+        return _canonical(data, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -280,12 +285,14 @@ class Expr:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._terms == other._terms
 
     def __hash__(self):
         # a constant hashes like the int or Fraction it equals
         value = self.constant_value()
-        return hash(value) if value is not None else hash(frozenset(self._terms.items()))
+        if value is not None:
+            return hash(value)
+        return hash((frozenset(self._terms.items()), self._den))
 
     # -- calculus -----------------------------------------------------
 
@@ -308,7 +315,8 @@ class Expr:
             image_of[v] = image(v)
         if all(img is None for img in image_of.values()):
             return self  # an Expr is never mutated, so sharing it is safe
-        data: dict[Monomial, int | Fraction] = {}
+        data: dict[Monomial, int] = {}
+        den = 1  # data/den is the running sum
         powers: dict[tuple[JetVariable, int], Expr] = {}
         for mono, coeff in self._terms.items():
             kept = []
@@ -323,11 +331,15 @@ class Expr:
                     power = powers[(v, e)] = img ** e
                 product = power if product is None else product * power
             kept = tuple(kept)
+            d = product._den if product is not None else 1
+            if d != den:
+                den = _common_denominator(data, den, d)
+                coeff *= den // d
             images = product._terms.items() if product is not None else [((), 1)]
             for image_mono, c in images:
                 out = _merge_monomials(kept, image_mono) if image_mono else kept
                 data[out] = data.get(out, 0) + coeff * c
-        return _nonzero(data)
+        return _canonical(data, den * self._den)
 
     def evaluate(self, assignment: Mapping[JetVariable, Fraction]) -> Fraction:
         """Exact value at a point; every occurring variable must be assigned."""
@@ -340,7 +352,7 @@ class Expr:
             for v, e in mono:
                 value *= Fraction(assignment[v]) ** e
             total += value
-        return total
+        return total / self._den
 
     # -- printing -------------------------------------------------------
 
@@ -360,15 +372,33 @@ class Expr:
         return f"Expr({self})"
 
 
-def _raw(data: dict[Monomial, int | Fraction]) -> Expr:
+def _raw(data: dict[Monomial, int], den: int = 1) -> Expr:
     e = Expr.__new__(Expr)
     e._terms = data
+    e._den = den
     return e
 
 
-def _nonzero(data: dict[Monomial, int | Fraction]) -> Expr:
-    """The expression of summed terms, dropping those that cancelled."""
-    return _raw({mono: _coefficient(c) for mono, c in data.items() if c != 0})
+def _canonical(data: dict[Monomial, int], den: int) -> Expr:
+    """The expression data/den: cancelled terms dropped, then one gcd divided out."""
+    if 0 in data.values():
+        data = {mono: c for mono, c in data.items() if c}
+    if den != 1:
+        g = gcd(den, *data.values())
+        if g != 1:
+            den //= g
+            data = {mono: c // g for mono, c in data.items()}
+    return _raw(data, den)
+
+
+def _common_denominator(data: dict[Monomial, int], den: int, d: int) -> int:
+    """Rescale the running sum data/den in place to a denominator d divides; returns it."""
+    if den % d:
+        grow = d // gcd(den, d)
+        for mono in data:
+            data[mono] *= grow
+        den *= grow
+    return den
 
 
 def _coerce(value) -> Expr:
@@ -411,18 +441,22 @@ def derive(f: Expr, arg, image) -> Expr:
     This is the one Leibniz loop, over every monomial: it serves diff, the
     total and restricted derivatives and the evolutionary field.
     """
-    data: dict = {}
+    data: dict[Monomial, int] = {}
+    den = 1  # data/den is the running sum
     for mono, coeff in f._terms.items():
         for pos, (v, e) in enumerate(mono):
-            img = image(v, arg)._terms
-            if not img:
+            img = image(v, arg)
+            if not img._terms:
                 continue
             rest = mono[:pos] + ((v, e - 1),) * (e > 1) + mono[pos + 1:]
             scale = coeff * e
-            for image_mono, c in img.items():
+            if img._den != den:
+                den = _common_denominator(data, den, img._den)
+                scale *= den // img._den
+            for image_mono, c in img._terms.items():
                 out = _merge_monomials(rest, image_mono) if image_mono else rest
                 data[out] = data.get(out, 0) + scale * c
-    return _nonzero(data)
+    return _canonical(data, den * f._den)
 
 
 def _monomial_str(mono: Monomial, coeff: int | Fraction) -> str:
@@ -457,7 +491,14 @@ t: Expr = Expr.var(T_VAR)
 
 
 def expr_sum(terms: Iterable[Expr]) -> Expr:
-    total = Expr.zero()
+    """The sum of the expressions, accumulated into one map over one denominator."""
+    data: dict[Monomial, int] = {}
+    den = 1  # data/den is the running sum
     for term in terms:
-        total = total + term
-    return total
+        scale = 1
+        if term._den != den:
+            den = _common_denominator(data, den, term._den)
+            scale = den // term._den
+        for mono, c in term._terms.items():
+            data[mono] = data.get(mono, 0) + c * scale
+    return _canonical(data, den)

@@ -455,7 +455,7 @@ def _solve_homogeneous(
         for label_pos, label in enumerate(labels):
             col = label_pos * len(monomials) + mono_pos
             for slot, expr in column(label, f, df):
-                for out_mono, coeff in expr._terms.items():
+                for out_mono, coeff in expr.unsorted_items():
                     row = rows.setdefault((slot, out_mono), {})
                     row[col] = row.get(col, 0) + coeff
 

@@ -1,8 +1,11 @@
+import ast
 import copy
 import dataclasses
 import pickle
 import random
 from fractions import Fraction
+from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -307,7 +310,7 @@ COEFFICIENT_CASES = {
 def test_integral_coefficients_are_ints(case):
     forms = set()
     for f in COEFFICIENT_CASES[case]():
-        for mono, c in f._terms.items():
+        for mono, c in f.items():
             expected = int if c.denominator == 1 else Fraction
             assert type(c) is expected, (case, mono, c)
             forms.add(type(c))
@@ -322,6 +325,169 @@ def test_one_stored_form_per_rational():
     assert type(Expr({(): Fraction(-6, 3)}).constant_value()) is int
     assert type(Expr.const(Fraction(2, 3)).constant_value()) is Fraction
     assert Expr.const(Fraction(4, 2)) == Expr.const(2) == 2
+
+
+def _assert_canonical(f):
+    """Integer numerators over one denominator, coprime taken together."""
+    nums = list(f._terms.values())
+    assert type(f._den) is int and f._den >= 1, f._den
+    assert all(type(c) is int and c != 0 for c in nums), nums
+    assert gcd(f._den, *nums) == 1, (f._den, nums)
+    if f.is_zero():
+        assert f._den == 1
+
+
+MIXED_DENOMINATORS = (1, 1, 2, 3, 4, 6)
+
+
+def _mixed_expr(rng, pool, n_terms):
+    """A random expression whose coefficients have denominators in MIXED_DENOMINATORS."""
+    terms = {}
+    for _ in range(n_terms):
+        mono = tuple((v, rng.randint(1, 2)) for v in rng.sample(pool, rng.randint(0, 2)))
+        terms[mono] = Fraction(rng.randint(-6, 6) or 1, rng.choice(MIXED_DENOMINATORS))
+    return Expr(terms)
+
+
+def test_named_cases_of_the_canonical_form():
+    x1, x2 = x(1), x(2)
+    product = (half * x1) * (2 * x2)
+    assert product._den == 1 and product == x1 * x2
+    assert half * x1 + half * x1 == x1
+    assert (half * x1 + half * x1)._den == 1
+    zero = third * x1 - third * x1
+    assert zero == 0 and zero.is_zero() and zero._den == 1
+    assert (half * x1 + third * x2)._den == 6
+    for f in (product, half * x1 + half * x1, zero, half * x1 + third * x2):
+        _assert_canonical(f)
+
+
+def test_every_operation_keeps_the_canonical_form():
+    rng = random.Random(1717)
+    pool = [xvar(1), xvar(2), NU_VAR, uvar(1, (0, 1)), pvar((1, 0))]
+    for _ in range(150):
+        f = _mixed_expr(rng, pool, rng.randint(0, 4))
+        g = _mixed_expr(rng, pool, rng.randint(0, 4))
+        c = Fraction(rng.randint(-6, 6), rng.choice(MIXED_DENOMINATORS))
+        images = {v: _mixed_expr(rng, pool, rng.randint(0, 3)) for v in rng.sample(pool, 2)}
+        results = [
+            f, g, Expr.const(c), Expr.const(c.numerator), f + g, f - g, f - f, -f, f * g,
+            f * c, c - f, f ** rng.randint(0, 3), f.subs(images.get), f.diff(rng.choice(pool)),
+            total_derivative(1, f), jetalgebra.expr_sum([f, g, -f, g * c]),
+            jetalgebra.derive(f, None, lambda v, _: images.get(v, Expr.zero())),
+        ]
+        for result in results:
+            _assert_canonical(result)
+
+
+# -- an arithmetic oracle that shares no code with Expr --------------------------
+# A reference polynomial maps frozenset({(variable, exponent), ...}) to a
+# nonzero Fraction.
+
+
+def _ref_add(f, g):
+    out = dict(f)
+    for mono, c in g.items():
+        out[mono] = out.get(mono, 0) + c
+    return {mono: c for mono, c in out.items() if c}
+
+
+def _ref_mul(f, g):
+    out = {}
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            exponents = dict(m1)
+            for v, e in m2:
+                exponents[v] = exponents.get(v, 0) + e
+            mono = frozenset(exponents.items())
+            out[mono] = out.get(mono, 0) + c1 * c2
+    return {mono: c for mono, c in out.items() if c}
+
+
+def _ref_pow(f, n):
+    out = {frozenset(): Fraction(1)}
+    for _ in range(n):
+        out = _ref_mul(out, f)
+    return out
+
+
+def _ref_subs(f, images):
+    out = {}
+    for mono, c in f.items():
+        term = {frozenset(): c}
+        for v, e in mono:
+            factor = images.get(v, {frozenset({(v, 1)}): Fraction(1)})
+            term = _ref_mul(term, _ref_pow(factor, e))
+        out = _ref_add(out, term)
+    return out
+
+
+def _ref_evaluate(f, point):
+    total = Fraction(0)
+    for mono, c in f.items():
+        for v, e in mono:
+            c *= point[v] ** e
+        total += c
+    return total
+
+
+def _random_ref(rng, pool, n_terms):
+    ref = {}
+    for _ in range(n_terms):
+        mono = frozenset((v, rng.randint(1, 2)) for v in rng.sample(pool, rng.randint(0, 2)))
+        coeff = Fraction(rng.randint(-6, 6) or 1, rng.choice(MIXED_DENOMINATORS))
+        ref = _ref_add(ref, {mono: coeff})
+    return ref
+
+
+def _as_expr(ref):
+    return Expr({tuple(mono): c for mono, c in ref.items()})
+
+
+def _assert_matches(f, ref):
+    """f has the reference's terms, read through items(), and equals its Expr."""
+    pairs = f.items()
+    for _, c in pairs:
+        assert type(c) is (int if c.denominator == 1 else Fraction), c
+    assert {frozenset(mono): c for mono, c in pairs} == ref
+    expected = _as_expr(ref)
+    assert f == expected and hash(f) == hash(expected)
+
+
+def test_arithmetic_matches_a_fraction_dict_oracle():
+    rng = random.Random(2024)
+    pool = [xvar(1), xvar(2), NU_VAR, uvar(2, (1, 0)), pvar((0, 1))]
+    for _ in range(200):
+        rf = _random_ref(rng, pool, rng.randint(0, 4))
+        rg = _random_ref(rng, pool, rng.randint(0, 4))
+        f, g = _as_expr(rf), _as_expr(rg)
+        _assert_matches(f, rf)
+        _assert_matches(f + g, _ref_add(rf, rg))
+        _assert_matches(f * g, _ref_mul(rf, rg))
+        n = rng.randint(0, 3)
+        _assert_matches(f ** n, _ref_pow(rf, n))
+        ref_images = {v: _random_ref(rng, pool, rng.randint(0, 3)) for v in rng.sample(pool, 2)}
+        images = {v: _as_expr(ref) for v, ref in ref_images.items()}
+        _assert_matches(f.subs(images.get), _ref_subs(rf, ref_images))
+        point = {v: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for v in pool}
+        assert f.evaluate(point) == _ref_evaluate(rf, point)
+
+
+def test_only_jetalgebra_reads_the_stored_form():
+    # other modules read coefficients through items() or unsorted_items(),
+    # so the stored form stays a decision of jetalgebra alone
+    package = Path(jetalgebra.__file__).parent
+    scanned, readers = [], []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "jetalgebra.py":
+            continue
+        scanned.append(path.name)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            named = node.attr if isinstance(node, ast.Attribute) else getattr(node, "value", None)
+            if isinstance(node, (ast.Attribute, ast.Constant)) and named in ("_terms", "_den"):
+                readers.append(f"{path.name}:{node.lineno}")
+    assert "reducedcomplex.py" in scanned and len(scanned) >= 10
+    assert readers == []
 
 
 # -- cached variable keys -----------------------------------------------------

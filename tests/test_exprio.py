@@ -155,6 +155,43 @@ def test_tuple_expression_error_spans_the_input(text, shape, span):
     assert str(err.value).endswith(f"at {span.start}..{span.end}")
 
 
+# One case per `raise ExprSyntaxError` in exprio.py, in source order:
+# (shape or "expr", input, message, span start, span end).
+_SYNTAX_ERROR_SITES = [
+    ("expr", "x1 $ x2", "unexpected character '$'", 3, 4),
+    ("expr", "(x1 + x2", "expected ')', found 'end of input'", 8, 8),
+    ("expr", "1/0", "zero denominator", 2, 3),
+    ("expr", "x1 + *", "expected a factor, found '*'", 5, 6),
+    ("expr", "y1", "unknown symbol 'y'", 0, 1),
+    ("expr", "u4_[0,0,0]", "component 4 out of range 1..3", 1, 2),
+    ("expr", "u1_[1,0,-1]", "negative index entry", 8, 9),
+    ("expr", "u1_[1,0]", "index has 2 entries, dimension is 3", 3, 8),
+    ("expr", "x1 x2", "trailing input 'x'", 3, 4),
+    ("characteristic", "f1 x1", "expected 'name: expression'", 0, 5),
+    ("characteristic", "f1: 1; f1: 2", "duplicate component 'f1'", 6, 9),
+    ("characteristic", "f1: x1; f2: u1_[0]", "index has 1 entries, dimension is 3", 15, 18),
+    ("chi_cpe", "chi[9,0]: 1", "velocity component 9 out of range 2..3", 0, 8),
+    ("characteristic", "f1: 1; g: 1", "unknown component 'g' for shape characteristic", 6, 8),
+]
+
+
+@pytest.mark.parametrize(
+    "shape, text, message, start, end",
+    _SYNTAX_ERROR_SITES,
+    ids=[f"site{n:02d}" for n in range(1, len(_SYNTAX_ERROR_SITES) + 1)],
+)
+def test_every_syntax_error_site_pins_message_and_span(shape, text, message, start, end):
+    with pytest.raises(ExprSyntaxError) as err:
+        if shape == "expr":
+            parse_expr(text, 3)
+        else:
+            parse_tuple(text, shape, 3)
+    assert err.value.message == message
+    assert err.value.span == SourceSpan(start, end)
+    assert (err.value.span.start, err.value.span.end) == (start, end)
+    assert str(err.value) == f"{message} at {start}..{end}"
+
+
 def test_tuple_chi_component_range():
     with pytest.raises(ExprSyntaxError, match="out of range"):
         parse_tuple("chi[9,0]: 1", "chi_cpe", 3)

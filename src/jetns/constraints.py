@@ -13,12 +13,13 @@ derivative along the first direction,
     p_{i}   ->  -D_{i - 2(1)} Phi                 (i with i^1 > 1)
 
 where Phi is the reduced pressure source and the derivatives on the right
-are the restricted ones.  Each ReductionContext keeps these images in a
-table filled on first use; reduce, the restricted derivative and the
-velocity gradient all read it.  One substitution pass reduces completely
-because every image is already canonical: the u-rule produces only u^b
-jets with b >= 2, and the p-rule produces restricted derivatives of the
-canonical Phi.
+are the restricted ones.  Each ReductionContext keeps the image of each
+variable asked about, None for a canonical coordinate, in a table that
+reduce, the restricted derivative and the velocity gradient all read; a
+jet of another dimension raises on every request and is never stored.
+One substitution pass reduces completely because every image is already
+canonical: the u-rule produces only u^b jets with b >= 2, and the p-rule
+produces restricted derivatives of the canonical Phi.
 
 The restricted derivative is the derivation that sends a canonical
 coordinate v to its free image, the total derivative of v along mu,
@@ -26,14 +27,15 @@ written in canonical coordinates.  A second table of the context holds
 that image for each (v, mu) it has been asked for, so kernel assembly,
 which derives the same few jets for every unknown, builds each image
 once.  The free setting reads the same table: it has no images, so
-there the restricted derivative is the total derivative.  Only images
-are stored: a jet that is not a canonical coordinate, or whose dimension
-is not the context's, raises on every request.  Both tables are caches
-and take no part in the context's equality or hash.
+there the restricted derivative is the total derivative.  This table
+holds derivatives only: a jet that is not a canonical coordinate, or
+whose dimension is not the context's, raises on every request.
 
 Every operation takes an explicit ReductionContext; the free algebra, the
 continuity setting and the joint setting are values of it, not a global
-mode.
+mode.  Like a jet variable, a context is interned for the process: the
+first ReductionContext(setting, m) builds Phi and empty tables, and every
+later call returns that context, so all callers share Phi and both tables.
 """
 
 from __future__ import annotations
@@ -61,29 +63,47 @@ class Setting(enum.Enum):
 
 
 class ReductionContext:
-    """Immutable bundle of (setting, dimension) with the cached reduced Phi.
+    """The one context of a (setting, dimension) value in the process.
 
-    It also memoizes the canonical image of each non-canonical variable
-    and the restricted derivative of each canonical coordinate it has
-    been asked about; the tables are caches and take no part in equality.
+    It holds the reduced Phi, the image table (None for a canonical
+    coordinate) and the restricted-derivative table, built once and
+    shared by every caller; equality is identity.
     """
 
     __slots__ = ("setting", "m", "phi_reduced", "_images", "_derivatives")
 
+    _interned = {}  # (setting, m) -> the one built context of that value
+
+    def __new__(cls, setting: Setting, m: int):
+        ctx = cls._interned.get((setting, m))
+        return ctx if ctx is not None else object.__new__(cls)
+
     def __init__(self, setting: Setting, m: int):
+        if self._interned.get((setting, m)) is self:
+            return  # a hit: built before, tables untouched
         if m < 2:
             raise ValueError(f"dimension must be >= 2, got {m}")
         self.setting = setting
         self.m = m
-        self._images: dict[JetVariable, Expr] = {}
+        self._images: dict[JetVariable, Expr | None] = {}
         self._derivatives: dict[tuple[JetVariable, int], Expr] = {}
         self.phi_reduced = phi_expr(m) if setting is Setting.CPE else None
+        self._interned[setting, m] = self
+
+    def __reduce__(self):
+        return (type(self), (self.setting, self.m))
 
     def image(self, v: JetVariable) -> Expr | None:
         """The canonical image of v, or None when v is a canonical coordinate.
 
-        A u or p jet whose dimension is not the context's raises ValueError.
+        A u or p jet whose dimension is not the context's raises ValueError
+        on every call; every other verdict is stored on first use.
         """
+        if v not in self._images:
+            self._images[v] = self._first_image(v)
+        return self._images[v]
+
+    def _first_image(self, v: JetVariable) -> Expr | None:
         if v.index is None:
             return None
         if v.index.dim != self.m:
@@ -91,17 +111,12 @@ class ReductionContext:
         if v.kind == "u":
             if v.mu != 1 or v.index.first == 0 or self.setting is Setting.FREE:
                 return None
-        elif v.index.first < 2 or self.setting is not Setting.CPE:
+            below = v.index.subtract(unit(1, self.m))
+            return expr_sum(-u(b, below.bump(b)) for b in range(2, self.m + 1))
+        if v.index.first < 2 or self.setting is not Setting.CPE:
             return None
-        if v not in self._images:
-            if v.kind == "u":
-                below = v.index.subtract(unit(1, self.m))
-                img = expr_sum(-u(b, below.bump(b)) for b in range(2, self.m + 1))
-            else:
-                target = v.index.subtract(unit(1, self.m).bump(1))
-                img = -restricted_derivative_multi(self, target, self.phi_reduced)
-            self._images[v] = img
-        return self._images[v]
+        target = v.index.subtract(unit(1, self.m).bump(1))
+        return -restricted_derivative_multi(self, target, self.phi_reduced)
 
     def _derivative_image(self, v: JetVariable, mu: int) -> Expr:
         """The restricted derivative of the canonical coordinate v along mu."""
@@ -112,14 +127,6 @@ class ReductionContext:
 
     def __repr__(self) -> str:
         return f"ReductionContext({self.setting.value}, m={self.m})"
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ReductionContext):
-            return NotImplemented
-        return (self.setting, self.m) == (other.setting, other.m)
-
-    def __hash__(self):
-        return hash((self.setting, self.m))
 
 
 # -- constraint generators ----------------------------------------------

@@ -70,11 +70,13 @@ class ExprSyntaxError(ValueError):
         self.span = span
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'num', 'word', or a literal symbol
-    text: str
-    span: SourceSpan
+# A token is a plain (kind, text, start, end) tuple; kind is 'num', 'word',
+# 'end' or a literal symbol.  A SourceSpan is built only for an error.
+_Token = tuple[str, str, int, int]
+
+
+def _span(tok: _Token) -> SourceSpan:
+    return SourceSpan(tok[2], tok[3])
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -90,22 +92,22 @@ def _tokenize(text: str) -> list[_Token]:
             end = pos
             while end < n and text[end].isdigit():
                 end += 1
-            tokens.append(_Token("num", text[pos:end], SourceSpan(pos, end)))
+            tokens.append(("num", text[pos:end], pos, end))
             pos = end
             continue
         if ch.isalpha():
             end = pos
             while end < n and text[end].isalpha():
                 end += 1
-            tokens.append(_Token("word", text[pos:end], SourceSpan(pos, end)))
+            tokens.append(("word", text[pos:end], pos, end))
             pos = end
             continue
         if ch in "+-*/^()[],_":
-            tokens.append(_Token(ch, ch, SourceSpan(pos, pos + 1)))
+            tokens.append((ch, ch, pos, pos + 1))
             pos += 1
             continue
         raise ExprSyntaxError(f"unexpected character {ch!r}", SourceSpan(pos, pos + 1))
-    tokens.append(_Token("end", "", SourceSpan(n, n)))
+    tokens.append(("end", "", n, n))
     return tokens
 
 
@@ -118,6 +120,9 @@ class _Parser:
     def peek(self) -> _Token:
         return self.tokens[self.pos]
 
+    def kind(self) -> str:
+        return self.tokens[self.pos][0]
+
     def advance(self) -> _Token:
         tok = self.tokens[self.pos]
         self.pos += 1
@@ -125,67 +130,66 @@ class _Parser:
 
     def expect(self, kind: str) -> _Token:
         tok = self.peek()
-        if tok.kind != kind:
+        if tok[0] != kind:
             raise ExprSyntaxError(
-                f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.span
+                f"expected {kind!r}, found {tok[1] or 'end of input'!r}", _span(tok)
             )
         return self.advance()
 
     def parse_expr(self) -> Expr:
         negate = False
-        if self.peek().kind == "-":
+        if self.kind() == "-":
             self.advance()
             negate = True
         result = self.parse_term()
         if negate:
             result = -result
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
+        while self.kind() in ("+", "-"):
+            op = self.advance()[0]
             term = self.parse_term()
-            result = result + term if op.kind == "+" else result - term
+            result = result + term if op == "+" else result - term
         return result
 
     def parse_term(self) -> Expr:
         result = self.parse_factor()
-        while self.peek().kind == "*":
+        while self.kind() == "*":
             self.advance()
             result = result * self.parse_factor()
         return result
 
     def parse_factor(self) -> Expr:
         base = self.parse_base()
-        if self.peek().kind == "^":
+        if self.kind() == "^":
             self.advance()
-            tok = self.expect("num")
-            return base ** int(tok.text)
+            return base ** int(self.expect("num")[1])
         return base
 
     def parse_base(self) -> Expr:
         tok = self.peek()
-        if tok.kind == "num":
+        if tok[0] == "num":
             self.advance()
-            value = Fraction(int(tok.text))
-            if self.peek().kind == "/":
+            value = Fraction(int(tok[1]))
+            if self.kind() == "/":
                 self.advance()
                 den = self.expect("num")
-                if int(den.text) == 0:
-                    raise ExprSyntaxError("zero denominator", den.span)
-                value = value / int(den.text)
+                if int(den[1]) == 0:
+                    raise ExprSyntaxError("zero denominator", _span(den))
+                value = value / int(den[1])
             return Expr.const(value)
-        if tok.kind == "(":
+        if tok[0] == "(":
             self.advance()
             inner = self.parse_expr()
             self.expect(")")
             return inner
-        if tok.kind == "word":
+        if tok[0] == "word":
             return self.parse_symbol()
         raise ExprSyntaxError(
-            f"expected a factor, found {tok.text or 'end of input'!r}", tok.span
+            f"expected a factor, found {tok[1] or 'end of input'!r}", _span(tok)
         )
 
     def parse_symbol(self) -> Expr:
         tok = self.advance()
-        word = tok.text
+        word = tok[1]
         if word == "nu":
             return Expr.var(NU_VAR)
         if word == "t":
@@ -203,13 +207,13 @@ class _Parser:
             self.expect("_")
             index = self.parse_index()
             return Expr.var(pvar(index))
-        raise ExprSyntaxError(f"unknown symbol {word!r}", tok.span)
+        raise ExprSyntaxError(f"unknown symbol {word!r}", _span(tok))
 
     def _component(self, tok: _Token) -> int:
-        mu = int(tok.text)
+        mu = int(tok[1])
         if not 1 <= mu <= self.m:
             raise ExprSyntaxError(
-                f"component {mu} out of range 1..{self.m}", tok.span
+                f"component {mu} out of range 1..{self.m}", _span(tok)
             )
         return mu
 
@@ -217,12 +221,10 @@ class _Parser:
         open_tok = self.expect("[")
         entries = []
         while True:
-            tok = self.peek()
-            if tok.kind == "-":
-                raise ExprSyntaxError("negative index entry", tok.span)
-            num = self.expect("num")
-            entries.append(int(num.text))
-            if self.peek().kind == ",":
+            if self.kind() == "-":
+                raise ExprSyntaxError("negative index entry", _span(self.peek()))
+            entries.append(int(self.expect("num")[1]))
+            if self.kind() == ",":
                 self.advance()
                 continue
             close = self.expect("]")
@@ -230,14 +232,14 @@ class _Parser:
         if len(entries) != self.m:
             raise ExprSyntaxError(
                 f"index has {len(entries)} entries, dimension is {self.m}",
-                SourceSpan(open_tok.span.start, close.span.end),
+                SourceSpan(open_tok[2], close[3]),
             )
         return MultiIndex(tuple(entries))
 
     def finish(self, result):
         tok = self.peek()
-        if tok.kind != "end":
-            raise ExprSyntaxError(f"trailing input {tok.text!r}", tok.span)
+        if tok[0] != "end":
+            raise ExprSyntaxError(f"trailing input {tok[1]!r}", _span(tok))
         return result
 
 

@@ -58,14 +58,15 @@ class JetVariable:
 
     Variables key every monomial, so there is one object per value;
     equality is identity; interned for the process.  A miss in the table
-    validates and builds the variable, with its sort key, and stores it;
-    a hit returns the stored variable.
+    validates and builds the variable, with its sort key and label, and
+    stores it; a hit returns the stored variable.
     """
 
     kind: str
     mu: int = 0
     index: MultiIndex | None = None
     _key: tuple = field(init=False, repr=False)
+    _label: str = field(init=False, repr=False)
 
     _interned = {}  # (kind, mu, index) -> the one variable with those fields
 
@@ -89,15 +90,16 @@ class JetVariable:
             raise ValueError(f"{kind}-variable carries no multi-index")
         rank = _KIND_RANK[kind]
         if kind == "u":
-            key = (rank, mu, index.sort_key())
+            key, label = (rank, mu, index.sort_key()), f"u{mu}_{index}"
         elif kind == "p":
-            key = (rank, 0, index.sort_key())
+            key, label = (rank, 0, index.sort_key()), f"p_{index}"
         else:
-            key = (rank, mu, ((), ()))
+            key, label = (rank, mu, ((), ())), f"x{mu}" if kind == "x" else kind
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_label", label)
 
     def __reduce__(self):
         return (type(self), (self.kind, self.mu, self.index))
@@ -107,13 +109,7 @@ class JetVariable:
 
     def label(self) -> str:
         """Token form used by the expression grammar."""
-        if self.kind == "x":
-            return f"x{self.mu}"
-        if self.kind == "u":
-            return f"u{self.mu}_{self.index}"
-        if self.kind == "p":
-            return f"p_{self.index}"
-        return self.kind
+        return self._label
 
     def __str__(self) -> str:
         return self.label()
@@ -462,7 +458,7 @@ def derive(f: Expr, arg, image) -> Expr:
 def _monomial_str(mono: Monomial, coeff: int | Fraction) -> str:
     factors = []
     for v, e in mono:
-        factors.append(v.label() if e == 1 else f"{v.label()}^{e}")
+        factors.append(v._label if e == 1 else f"{v._label}^{e}")
     mag = abs(coeff)
     if not factors:
         return str(mag)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from jetns import cli
+from jetns import cli, constraints
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -197,6 +197,20 @@ def test_ns_check_passes():
     assert "velocity_divergence: 0" in proc.stdout
     assert "divergence_identity_free: 0" in proc.stdout
     assert "(informational)" in proc.stdout
+
+
+def test_a_second_call_rebuilds_no_context(monkeypatch, capsys):
+    # contexts are interned per (setting, m), so only the first call in a
+    # process may build Phi; every later one reuses that context
+    calls = []
+    build = constraints.phi_expr
+    monkeypatch.setattr(constraints, "phi_expr", lambda m: calls.append(m) or build(m))
+    assert cli.main(["ns", "check", "--dim", "3"]) == 0
+    first = capsys.readouterr()
+    calls.clear()
+    assert cli.main(["ns", "check", "--dim", "3"]) == 0
+    assert calls == []
+    assert capsys.readouterr() == first
 
 
 def test_ns_check_structured_records():

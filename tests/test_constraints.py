@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -188,17 +190,16 @@ def _warm(ctx: ReductionContext, seed: int) -> list:
 
 @pytest.mark.parametrize("setting", [Setting.FREE, Setting.CE, Setting.CPE])
 def test_derivative_table_is_only_a_cache(setting):
+    # a second ReductionContext(setting, 3) is this warm context itself, so
+    # the reference takes the free derivative of the reduced input and
+    # reduces it by substitution: no derivative of f comes from the table
     ctx = ReductionContext(setting, 3)
-    cold_hash = hash(ctx)
     inputs = _warm(ctx, 31)
     assert ctx._derivatives  # the table is warm
-    assert hash(ctx) == cold_hash
-    assert ctx == ReductionContext(setting, 3)
-    assert len({ctx, ReductionContext(setting, 3)}) == 1
     for f in inputs:
+        assert reduce(ctx, f) is f  # a reduced input
         for mu in (1, 2, 3):
-            cold = ReductionContext(setting, 3)
-            assert restricted_derivative(ctx, mu, f) == restricted_derivative(cold, mu, f)
+            assert restricted_derivative(ctx, mu, f) == reduce(ctx, total_derivative(mu, f))
 
 
 def test_derivative_table_never_stores_an_error():
@@ -219,6 +220,58 @@ def test_derivative_table_never_stores_an_error():
                 restricted_derivative(ctx, 1, x(1) * f)
             assert (xvar(1), 1) in ctx._derivatives
             assert not any(key[0] == v for key in ctx._derivatives)
+
+
+# -- one context per value ------------------------------------------------
+
+
+@pytest.mark.parametrize("setting", [Setting.FREE, Setting.CE, Setting.CPE])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_one_context_per_value(setting, m):
+    ctx = ReductionContext(setting, m)
+    assert ReductionContext(setting, m) is ctx
+    assert ReductionContext(Setting(setting.value), m) is ctx
+    assert copy.copy(ctx) is ctx
+    assert copy.deepcopy(ctx) is ctx
+    assert copy.deepcopy([ctx, ctx])[1] is ctx
+    assert pickle.loads(pickle.dumps(ctx)) is ctx
+    assert all(ReductionContext(s, m) is not ctx for s in Setting if s is not setting)
+    assert ReductionContext(setting, m + 1) is not ctx
+
+
+def test_a_hit_leaves_the_tables_untouched(cpe_ctx):
+    _warm(cpe_ctx, 33)
+    phi, images, derivatives = cpe_ctx.phi_reduced, cpe_ctx._images, cpe_ctx._derivatives
+    before = dict(images), dict(derivatives)
+    assert images and derivatives
+    assert ReductionContext(Setting.CPE, 3) is cpe_ctx
+    assert cpe_ctx.phi_reduced is phi
+    assert cpe_ctx._images is images and cpe_ctx._derivatives is derivatives
+    assert (dict(images), dict(derivatives)) == before
+
+
+def test_an_invalid_dimension_raises_every_call_and_is_never_stored():
+    interned = dict(ReductionContext._interned)
+    for _ in range(3):
+        for setting in Setting:
+            with pytest.raises(ValueError, match="dimension must be >= 2"):
+                ReductionContext(setting, 1)
+    assert ReductionContext._interned == interned
+
+
+def test_image_table_holds_verdicts_but_never_a_mismatch(cpe_ctx):
+    canonical, eliminated = uvar(2, (1, 0, 0)), pvar((2, 1, 0))
+    for _ in range(2):
+        assert cpe_ctx.image(canonical) is None
+        assert cpe_ctx.image(xvar(1)) is None
+    assert cpe_ctx.image(eliminated) is cpe_ctx.image(eliminated)
+    assert cpe_ctx._images[canonical] is None
+    assert cpe_ctx._images[eliminated] is cpe_ctx.image(eliminated)
+    for bad in (uvar(2, (1, 1)), pvar((2, 0, 0, 0))):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                cpe_ctx.image(bad)
+            assert bad not in cpe_ctx._images
 
 
 # -- the scaling grading ---------------------------------------------------

@@ -94,7 +94,7 @@ class JetVariable:
         elif kind == "p":
             key, label = (rank, 0, index.sort_key()), f"p_{index}"
         else:
-            key, label = (rank, mu, ((), ())), f"x{mu}" if kind == "x" else kind
+            key, label = (rank, mu, ((), ())), (f"x{mu}" if kind == "x" else kind)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "index", index)

@@ -88,9 +88,9 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isspace():
             pos += 1
             continue
-        if ch.isdigit():
+        if ch in "0123456789":  # ASCII only: str.isdigit() also takes '²' and '٣'
             end = pos
-            while end < n and text[end].isdigit():
+            while end < n and text[end] in "0123456789":
                 end += 1
             tokens.append(("num", text[pos:end], pos, end))
             pos = end

@@ -23,11 +23,13 @@ column of its own, and together they span the row space.  The pivot
 columns, and so the solution basis, are therefore those of the row space
 alone, whatever the order of the rows or of the peeling.  Solutions
 back-solve the pivots in reverse column order, sparsely: a solution
-keeps only its nonzero entries.
+keeps only its nonzero entries.  A one-entry pivot, peeled or not, is
+not back-solved: its column is zero in every solution.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -71,12 +73,12 @@ def row_reduce(rows: list[dict[int, int | Fraction]]) -> dict[int, Row]:
     caller's rows are read, never changed.
     """
     live: list[int] = []
-    holders: dict[int, list[int]] = {}
+    holders: defaultdict[int, list[int]] = defaultdict(list)
     for i, raw in enumerate(rows):
         count = 0
         for c, v in raw.items():
-            if v != 0:
-                holders.setdefault(c, []).append(i)
+            if v:
+                holders[c].append(i)
                 count += 1
         live.append(count)
     units: dict[int, Row] = {}
@@ -85,7 +87,9 @@ def row_reduce(rows: list[dict[int, int | Fraction]]) -> dict[int, Row]:
         i = work.pop()
         if live[i] != 1:
             continue  # peeled down to nothing since it was queued
-        col = next(c for c, v in rows[i].items() if v != 0 and c not in units)
+        for col, v in rows[i].items():
+            if v and col not in units:
+                break
         units[col] = {col: 1}
         for j in holders[col]:
             live[j] -= 1
@@ -110,10 +114,10 @@ def nullspace(rows: list[dict[int, int | Fraction]], ncols: int) -> list[tuple[i
     Each is scaled to coprime integers, positive at its free column.  The
     rows may come in any order: the pivot columns depend only on the row
     space, and each vector is the one solution so fixed.  The back-solve
-    keeps a vector's nonzero entries only and multiplies only those.
+    keeps nonzero entries only and skips one-entry pivots, forced zeros.
     """
     pivots = row_reduce(rows)
-    order = sorted(pivots, reverse=True)
+    order = sorted((c for c, row in pivots.items() if len(row) > 1), reverse=True)
     basis: list[tuple[int, ...]] = []
     for free in (c for c in range(ncols) if c not in pivots):
         solution = {free: Fraction(1)}

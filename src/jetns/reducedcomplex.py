@@ -37,13 +37,13 @@ monomial at one label, with no tuple built.
 
 The rule reads D_mu f from a table of the entry, filled on first
 request.  Kernel assembly runs monomial-major: each ansatz monomial gets
-one table, which the columns of all labels read, so each monomial's
-derivatives are computed once.  The chi1 row is applied through Leibniz,
-D_b(g f) = D_b(g) f + g D_b f: each of its first-order targets receives
-c0 f + sum_b c_b D_b f, with coefficients that depend only on the
-setting and m and are built once per context value, and chi0 receives
--sum_a D_a(D_a f).  The table above stays the rule: one row per source
-label.
+one table, which the columns of all labels read, and the rows are
+indexed by output slot, then by output monomial.  The chi1 row is
+applied through Leibniz, D_b(g f) = D_b(g) f + g D_b f: each first-order
+target receives c0 f and each c_b D_b f as terms of their own, summed in
+assembly or _sum_entries, with coefficients built once per (setting, m);
+chi0 receives -sum_a D_a(D_a f).  The table above stays the rule: one
+row per source label.
 """
 
 from __future__ import annotations
@@ -212,10 +212,10 @@ class AnsatzTooLargeError(ValueError):
 def _chi1_coefficients(ctx: ReductionContext) -> tuple:
     """The first-order chi1 rows as (target, c0, ((b, c_b), ...)), one per target.
 
-    The target receives c0 f + sum_b c_b D_b f.  Each term D_b(g f) of the
-    rule adds D_b g to c0 and g to c_b; each term g f adds g to c0.  The
-    coefficients depend only on the context's value, so they are built
-    once per (setting, m).
+    The target receives c0 f + sum_b c_b D_b f, term by term.  Each term
+    D_b(g f) of the rule adds D_b g to c0 and g to c_b; each term g f adds
+    g to c0.  The coefficients depend only on the context's value, so they
+    are built once per (setting, m).
     """
     m = ctx.m
     alpha_range = range(2, m + 1)
@@ -257,13 +257,21 @@ def _correction_entries(ctx: ReductionContext, label: tuple, f: Expr, df):
         yield ("chi1",), f
     else:  # chi1
         for target, c0, cs in _chi1_coefficients(ctx):
-            yield target, expr_sum([c0 * f] + [c * df(b) for b, c in cs])
+            yield target, c0 * f
+            for b, c in cs:
+                yield target, c * df(b)
         yield ("chi0",), -expr_sum(restricted_derivative(ctx, a, df(a)) for a in alpha_range)
 
 
 def _derivative_table(ctx: ReductionContext, f: Expr):
     """df with df(mu) = D_mu f, each derivative computed on its first request."""
-    return cache(partial(restricted_derivative, ctx, f=f))
+    table: dict[int, Expr] = {}
+    def df(mu: int) -> Expr:
+        d = table.get(mu)
+        if d is None:
+            d = table[mu] = restricted_derivative(ctx, mu, f)
+        return d
+    return df
 
 
 _SHAPES = {Setting.CE: ChiTupleCE, Setting.CPE: ChiTupleCPE}
@@ -448,19 +456,25 @@ def _solve_homogeneous(
     if len(unknowns) > max_unknowns:
         raise AnsatzTooLargeError(len(unknowns), max_unknowns)
 
-    rows: dict[tuple, dict[int, int | Fraction]] = {}
+    rows: list[dict[int, int | Fraction]] = []  # in first-seen order
+    index: dict = {}  # slot -> output monomial -> its row
     for mono_pos, mono in enumerate(monomials):
         f = _raw({mono: 1})
         df = _derivative_table(ctx, f)
         for label_pos, label in enumerate(labels):
             col = label_pos * len(monomials) + mono_pos
             for slot, expr in column(label, f, df):
+                by_mono = index.setdefault(slot, {})
                 for out_mono, coeff in expr.unsorted_items():
-                    row = rows.setdefault((slot, out_mono), {})
-                    row[col] = row.get(col, 0) + coeff
+                    row = by_mono.get(out_mono)
+                    if row is None:
+                        row = by_mono[out_mono] = {col: coeff}
+                        rows.append(row)
+                    else:
+                        row[col] = row.get(col, 0) + coeff
 
     # the basis does not depend on the order of the rows (see linalg.nullspace)
-    vectors = linalg.nullspace(list(rows.values()), len(unknowns))
+    vectors = linalg.nullspace(rows, len(unknowns))
 
     basis = []
     for vec in vectors:

@@ -68,6 +68,17 @@ def test_malformed_input_is_usage_error():
     assert "parse error" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "text, span", [("x1^²", "3..4"), ("x٣", "1..2")], ids=["superscript", "arabic-indic"]
+)
+def test_non_ascii_digit_is_a_parse_error(text, span, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert cli.main(["reduce"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"parse error: unexpected character {text[-1]!r} at {span}\n"
+
+
 def test_reduce_from_file(tmp_path: Path):
     path = tmp_path / "expr.txt"
     path.write_text("p_[2,0,0] + p_[0,2,0] + p_[0,0,2]\n")

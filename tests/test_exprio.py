@@ -192,6 +192,19 @@ def test_every_syntax_error_site_pins_message_and_span(shape, text, message, sta
     assert str(err.value) == f"{message} at {start}..{end}"
 
 
+@pytest.mark.parametrize(
+    "text, char, start",
+    [("x1^²", "²", 3), ("x²", "²", 1), ("u1_[1,0,²]", "²", 8), ("x٣", "٣", 1)],
+    ids=["superscript-exponent", "superscript-component", "superscript-index", "arabic-indic"],
+)
+def test_non_ascii_digits_are_unexpected_characters(text, char, start):
+    # str.isdigit() took these: '²' then failed in int() with no span, and
+    # the Arabic-Indic '٣' was read as 3, so x٣ parsed as x3
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr(text, 3)
+    assert str(err.value) == f"unexpected character {char!r} at {start}..{start + 1}"
+
+
 def test_tuple_chi_component_range():
     with pytest.raises(ExprSyntaxError, match="out of range"):
         parse_tuple("chi[9,0]: 1", "chi_cpe", 3)

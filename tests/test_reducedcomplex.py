@@ -1,6 +1,7 @@
 import copy
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -490,6 +491,39 @@ def test_system_columns_are_the_literal_system(m, ansatz):
         }
 
 
+@pytest.mark.parametrize(
+    "setting, m, ansatz",
+    [(Setting.CE, 3, AnsatzSpec(1, 1, 1)), (Setting.CPE, 3, AnsatzSpec(1, 1, 1)),
+     (Setting.CPE, 2, AnsatzSpec(2, 2, 1))],
+)
+def test_kernel_rows_are_the_literal_matrix(setting, m, ansatz, monkeypatch):
+    # the rows kernel_search hands to nullspace, as a multiset, are the
+    # matrix read off reduced_derivative of every one-entry tuple: one row
+    # per (slot, monomial) of the outputs, one column per unknown
+    ctx = ReductionContext(setting, m)
+    shape = ChiTupleCE if setting is Setting.CE else ChiTupleCPE
+    handed = []
+    real = linalg.nullspace
+    monkeypatch.setattr(linalg, "nullspace", lambda rows, n: handed.append(rows) or real(rows, n))
+    kernel_search(ctx, ansatz)
+    literal: dict = {}
+    for col, (label, mono) in enumerate(_unknowns(ctx, ansatz)):
+        for slot, expr in reduced_derivative(ctx, shape({label: Expr({mono: 1})})).items():
+            for out_mono, coeff in expr.items():
+                literal.setdefault((slot, out_mono), {})[col] = coeff
+    as_multiset = lambda rows: Counter(
+        tuple(sorted((c, v) for c, v in row.items() if v != 0)) for row in rows
+    )
+    [rows] = handed
+    assert as_multiset(rows) == as_multiset(literal.values())
+    if setting is Setting.CPE:
+        # the chi1 columns, assembled from per-term pairs, are in the rows
+        labels = ChiTupleCPE.ansatz_labels(m, ansatz.max_order)
+        width = len(_unknowns(ctx, ansatz)) // len(labels)
+        first = labels.index(("chi1",)) * width
+        assert any(first <= c < first + width for row in rows for c in row)
+
+
 def _chi1_docstring_rule(ctx, f):
     """The chi1 row of the reducedcomplex docstring, term by term, from restricted_derivative."""
     m = ctx.m
@@ -659,6 +693,41 @@ def test_nullspace_matches_naive_gauss():
         rows = _peeling_system(rng, ncols)
         free += ncols - _check_nullspace(rows, ncols, trial)
     assert free >= 60
+
+
+def test_nullspace_of_a_system_that_peels_completely():
+    # {2} is a singleton; peeling 2 leaves {0}, peeling 0 leaves {4}: every
+    # pivot is a unit row, and each basis vector is a free column's unit vector
+    rows = [{2: 4}, {0: -3, 2: 1}, {0: 2, 2: 5, 4: 1}]
+    pivots = linalg.row_reduce(rows)
+    assert pivots == {0: {0: 1}, 2: {2: 1}, 4: {4: 1}}
+    basis = linalg.nullspace(rows, 5)
+    assert basis == [(0, 1, 0, 0, 0), (0, 0, 0, 1, 0)]
+    dense = [tuple(Fraction(row.get(c, 0)) for c in range(5)) for row in rows]
+    assert basis == _gauss_jordan_nullspace(dense, 5)[0]
+
+
+def test_nullspace_with_a_one_entry_pivot_left_by_elimination():
+    # no row is a singleton, so nothing peels; elimination turns the second
+    # row into the one-entry pivot {1: 1}, which forces x1 = 0.  Free column
+    # 3 still back-solves through the longer pivot row at column 0.
+    rows = [{0: 1, 1: 1, 3: 1}, {0: 1, 1: -1, 3: 1}]
+    pivots = linalg.row_reduce(rows)
+    assert pivots == {0: {0: 1, 1: 1, 3: 1}, 1: {1: 1}}
+    basis = linalg.nullspace(rows, 4)
+    assert basis == [(0, 0, 1, 0), (-1, 0, 0, 1)]
+    dense = [tuple(Fraction(row.get(c, 0)) for c in range(4)) for row in rows]
+    assert basis == _gauss_jordan_nullspace(dense, 4)[0]
+
+
+def test_nullspace_calls_row_reduce_once_through_the_module(monkeypatch):
+    # the bench tracer reads the rank and the row_reduce span from this call
+    calls = []
+    real = linalg.row_reduce
+    monkeypatch.setattr(linalg, "row_reduce", lambda rows: calls.append(rows) or real(rows))
+    rows = [{0: 1, 1: 1, 3: 1}, {0: 1, 1: -1, 3: 1}, {2: 5}]
+    assert linalg.nullspace(rows, 4) == [(-1, 0, 0, 1)]
+    assert len(calls) == 1 and calls[0] is rows
 
 
 def test_rank_and_span_helpers():

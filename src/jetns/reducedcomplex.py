@@ -31,19 +31,14 @@ An entry's transported derivative is D_1 f at its own label plus its
 correction entries.  The first-order system of the joint setting is one
 more per-entry rule, _system_entries, from an entry to residual names.
 correction, reduced_derivative and reduced_system_residuals sum their
-rule over a tuple's entries in the one loop of _sum_entries, and kernel
+rule over a tuple's entries in the one loop of _sum_entries.  Kernel
 assembly reads each unknown's column from the same rule, applied to one
-monomial at one label, with no tuple built.
-
-The rule reads D_mu f from a table of the entry, filled on first
-request.  Kernel assembly runs monomial-major: each ansatz monomial gets
-one table, which the columns of all labels read, and the rows are
-indexed by output slot, then by output monomial.  The chi1 row is
-applied through Leibniz, D_b(g f) = D_b(g) f + g D_b f: each first-order
-target receives c0 f and each c_b D_b f as terms of their own, summed in
-assembly or _sum_entries, with coefficients built once per (setting, m);
-chi0 receives -sum_a D_a(D_a f).  The table above stays the rule: one
-row per source label.
+monomial at one label, with no tuple built: it runs monomial-major, so
+the columns of all labels read one table of D_path f per monomial, and
+it indexes its rows by output slot, then by output monomial.  The chi1
+rows of both rules are terms g D_path f or D_b(g D_path f), which one
+builder expands through Leibniz into coefficient rows once per (setting,
+m) and rule, so no product of a coordinate and f is differentiated.
 """
 
 from __future__ import annotations
@@ -208,68 +203,92 @@ class AnsatzTooLargeError(ValueError):
 # -- the transported derivative -------------------------------------------
 
 
-@cache
-def _chi1_coefficients(ctx: ReductionContext) -> tuple:
-    """The first-order chi1 rows as (target, c0, ((b, c_b), ...)), one per target.
+def _chi1_terms(ctx: ReductionContext, rule: str) -> list:
+    """The chi1 row of rule, "correction" or "system", as terms (target, g, b, path).
 
-    The target receives c0 f + sum_b c_b D_b f, term by term.  Each term
-    D_b(g f) of the rule adds D_b g to c0 and g to c_b; each term g f adds
-    g to c0.  The coefficients depend only on the context's value, so they
-    are built once per (setting, m).
+    A term adds g D_path f to its target, or D_b(g D_path f) when b is set;
+    a path is a tuple of directions, () for f itself.
     """
     m = ctx.m
-    alpha_range = range(2, m + 1)
-    div_block = expr_sum(u(b, unit(b, m)) for b in alpha_range)
-    terms = [(("chi01",), a, 2 * u(a, unit(1, m))) for a in alpha_range]  # (target, b, g)
-    for a in alpha_range:
-        terms.append((("chi_alpha", 0, a), a, 2 * div_block))
-        terms += [(("chi_alpha", 0, a), b, 2 * u(b, unit(a, m))) for b in alpha_range]
-        terms.append((("chi_alpha", 1, a), None, -2 * u(1, unit(a, m))))
-    rows: dict[tuple, tuple[list, dict]] = {}
-    for target, b, g in terms:
-        c0, cs = rows.setdefault(target, ([], {}))
-        if b is None:
-            c0.append(g)
-        else:
-            c0.append(restricted_derivative(ctx, b, g))
-            cs[b] = cs.get(b, Expr.zero()) + g
-    return tuple(
-        (target, expr_sum(c0), tuple((b, c) for b, c in cs.items() if not c.is_zero()))
-        for target, (c0, cs) in rows.items()
-    )
+    alphas, directions = range(2, m + 1), range(1, m + 1)
+    one, grad = Expr.const(1), partial(velocity_gradient_entry, ctx)
+    div = expr_sum(u(b, unit(b, m)) for b in alphas)
+    if rule == "correction":
+        terms = [(("chi01",), 2 * u(a, unit(1, m)), a, ()) for a in alphas]
+        for a in alphas:
+            terms.append((("chi_alpha", 0, a), 2 * div, a, ()))
+            terms += [(("chi_alpha", 0, a), 2 * u(b, unit(a, m)), b, ()) for b in alphas]
+            terms.append((("chi_alpha", 1, a), -2 * u(1, unit(a, m)), None, ()))
+        return terms + [(("chi0",), -one, None, (a, a)) for a in alphas]
+    terms = [(f"velocity_slaved[{a}]", -2 * u(1, unit(a, m)), None, ()) for a in alphas]
+    terms.append(("pressure_slaved", one, None, (1,)))
+    terms += [("harmonic", one, None, (mu, mu)) for mu in directions]
+    for a in alphas:
+        terms += [(f"compatibility[{a}]", grad(mu, 1), None, (mu, a)) for mu in directions]
+        terms += [(f"compatibility[{a}]", -grad(mu, a), None, (mu, 1)) for mu in directions]
+    terms += [("gradient_first", 2 * u(a, unit(1, m)), a, ()) for a in alphas]
+    for a in alphas:
+        terms += [(f"gradient[{a}]", 2 * grad(mu, a), None, (mu,)) for mu in directions]
+        terms.append((f"gradient[{a}]", 2 * div, a, ()))
+    return terms
+
+
+@cache
+def _chi1_rows(ctx: ReductionContext, rule: str) -> tuple:
+    """The chi1 row of rule as (target, coefficient, path), built once per (context, rule).
+
+    Each term is expanded through Leibniz.  Paths are sorted, since
+    restricted derivatives commute; the coefficients of a (target, path)
+    are summed, and 1 and -1 stay ints, so applying them takes no product.
+    """
+    sums: dict[tuple, list[Expr]] = {}  # (target, sorted path) -> its coefficients
+    for target, g, b, path in _chi1_terms(ctx, rule):
+        parts = [(g, path)]
+        if b is not None:  # D_b(g D_path f) = D_b(g) D_path f + g D_(b, path) f
+            parts = [(restricted_derivative(ctx, b, g), path), (g, (b, *path))]
+        for c, c_path in parts:
+            sums.setdefault((target, tuple(sorted(c_path))), []).append(c)
+    rows = []
+    for (target, path), gs in sums.items():
+        c = expr_sum(gs)
+        rows.append((target, c.constant_value() if c in (1, -1) else c, path))
+    return tuple(rows)
+
+
+def _chi1_entries(ctx: ReductionContext, rule: str, df):
+    """The (target, expression) pairs of a chi1 entry under rule, df(path) being D_path f."""
+    for target, c, path in _chi1_rows(ctx, rule):
+        d = df(path)
+        yield target, c * d if type(c) is Expr else d if c == 1 else -d
 
 
 def _correction_entries(ctx: ReductionContext, label: tuple, f: Expr, df):
     """The (target label, expression) pairs the entry f at label adds to the correction.
 
-    df(mu) is D_mu f.  The chi1 row is the docstring rule expanded through
-    Leibniz, D_b(g f) = D_b(g) f + g D_b f, with the per-context
-    coefficients of _chi1_coefficients.
+    df(path) is D_path f; the chi1 row is applied through _chi1_rows.
     """
-    alpha_range = range(2, ctx.m + 1)
     kind = label[0]
     if kind == "chi01":
-        for a in alpha_range:
-            yield ("chi_alpha", 0, a), df(a)
+        for a in range(2, ctx.m + 1):
+            yield ("chi_alpha", 0, a), df((a,))
     elif kind in ("chi_alpha", "chi_p"):
         yield (kind, label[1] + 1) + label[2:], f
     elif kind == "chi0":
         yield ("chi1",), f
     else:  # chi1
-        for target, c0, cs in _chi1_coefficients(ctx):
-            yield target, c0 * f
-            for b, c in cs:
-                yield target, c * df(b)
-        yield ("chi0",), -expr_sum(restricted_derivative(ctx, a, df(a)) for a in alpha_range)
+        yield from _chi1_entries(ctx, "correction", df)
 
 
 def _derivative_table(ctx: ReductionContext, f: Expr):
-    """df with df(mu) = D_mu f, each derivative computed on its first request."""
-    table: dict[int, Expr] = {}
-    def df(mu: int) -> Expr:
-        d = table.get(mu)
+    """df with df(path) = D_path f, for up to two directions, each computed on first request."""
+    table: dict[tuple, Expr] = {(): f}
+    def df(path: tuple) -> Expr:  # not recursive: a closure naming itself is a cycle for the gc
+        d = table.get(path)
         if d is None:
-            d = table[mu] = restricted_derivative(ctx, mu, f)
+            inner = table.get(path[1:])
+            if inner is None:  # the tail D_a f of D_(mu, a) f
+                inner = table[path[1:]] = restricted_derivative(ctx, path[1], f)
+            d = table[path] = restricted_derivative(ctx, path[0], inner)
         return d
     return df
 
@@ -287,9 +306,9 @@ def _shape(ctx: ReductionContext, what: str) -> type[ChiTuple]:
 def _derivative_entries(ctx: ReductionContext, label: tuple, f: Expr, df):
     """The (target label, expression) pairs of the entry f at label in D_1 plus the correction.
 
-    df(mu) is D_mu f, as _derivative_table gives it.
+    df(path) is D_path f, as _derivative_table gives it.
     """
-    yield label, df(1)
+    yield label, df((1,))
     yield from _correction_entries(ctx, label, f, df)
 
 
@@ -322,17 +341,15 @@ def reduced_derivative(ctx: ReductionContext, chi: ChiTuple) -> ChiTuple:
 def _system_entries(ctx: ReductionContext, label: tuple, f: Expr, df):
     """The (residual name, expression) pairs of the entry f at label in the system.
 
-    df(mu) is D_mu f.  chi_alpha and chi0 enter undifferentiated, so they
+    df(path) is D_path f.  chi_alpha and chi0 enter undifferentiated, so they
     are reduced here; every other output is built from restricted
     derivatives and products of canonical coordinates, and is canonical.
     """
-    m = ctx.m
-    alpha_range = range(2, m + 1)
     kind = label[0]
     if kind == "chi01":
-        yield "gradient_first", df(1)
-        for a in alpha_range:
-            yield f"gradient[{a}]", df(a)
+        yield "gradient_first", df((1,))
+        for a in range(2, ctx.m + 1):
+            yield f"gradient[{a}]", df((a,))
     elif kind == "chi_alpha":
         i1, a = label[1:]
         name = f"velocity_slaved[{a}]" if i1 == 0 else f"higher_velocity_vanish[{i1},{a}]"
@@ -340,22 +357,7 @@ def _system_entries(ctx: ReductionContext, label: tuple, f: Expr, df):
     elif kind == "chi0":
         yield "pressure_slaved", reduce(ctx, f)
     else:  # chi1
-        d = lambda mu, g: restricted_derivative(ctx, mu, g)
-        grad = lambda la, mu: velocity_gradient_entry(ctx, la, mu)
-        ddf = cache(lambda mu, a: d(mu, df(a)))  # D_mu D_a f
-        for a in alpha_range:
-            yield f"velocity_slaved[{a}]", -2 * u(1, unit(a, m)) * f
-        yield "pressure_slaved", df(1)
-        yield "harmonic", expr_sum(ddf(mu, mu) for mu in range(1, m + 1))
-        for a in alpha_range:
-            yield f"compatibility[{a}]", expr_sum(
-                grad(mu, 1) * ddf(mu, a) - grad(mu, a) * ddf(mu, 1) for mu in range(1, m + 1)
-            )
-        yield "gradient_first", 2 * expr_sum(d(a, u(a, unit(1, m)) * f) for a in alpha_range)
-        div_block = expr_sum(u(b, unit(b, m)) for b in alpha_range)
-        for a in alpha_range:
-            transport = expr_sum(grad(mu, a) * df(mu) for mu in range(1, m + 1))
-            yield f"gradient[{a}]", 2 * (transport + d(a, div_block * f))
+        yield from _chi1_entries(ctx, "system", df)
 
 
 def reduced_system_residuals(
@@ -443,8 +445,8 @@ def _solve_homogeneous(
     """Nullspace basis of a chi-linear constraint map within the ansatz.
 
     column(label, f, df) yields the (slot, expression) pairs the map sends
-    the one-entry tuple f at label to, df(mu) being D_mu f; every one must
-    vanish identically.  Each (slot, monomial) of the outputs is one linear
+    the one-entry tuple f at label to, df(path) being D_path f; every one
+    must vanish identically.  Each (slot, monomial) of the outputs is one linear
     constraint on the unknown coefficients, and each unknown fills its
     column of the rows.  Assembly runs monomial by monomial, so each
     monomial's derivatives are computed once for all labels; the columns

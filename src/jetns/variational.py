@@ -19,7 +19,7 @@ from typing import Iterable
 
 from .constraints import ReductionContext, reduce
 from .evolutionary import Characteristic
-from .jetalgebra import Expr
+from .jetalgebra import Expr, expr_sum
 from .multiindex import MultiIndex, sub_indices
 from .totalderiv import total_derivative, total_derivative_multi
 
@@ -178,7 +178,5 @@ def helmholtz_residual(chi: Cotuple, m: int) -> OperatorCoefficients:
 
 def current_divergence(ctx: ReductionContext, current: CurrentTuple) -> Expr:
     """The reduced divergence of the flux; zero for a conserved current."""
-    total = Expr.zero()
-    for mu, comp in enumerate(current.components, start=1):
-        total = total + total_derivative(mu, comp)
-    return reduce(ctx, total)
+    flux = enumerate(current.components, start=1)
+    return reduce(ctx, expr_sum(total_derivative(mu, comp) for mu, comp in flux))

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from jetns.constraints import ReductionContext, Setting
+from jetns.constraints import ReductionContext, Setting, restricted_derivative
 from jetns.evolutionary import Characteristic
 from jetns.jetalgebra import Expr, NU_VAR, T_VAR, pvar, uvar, xvar
 from jetns.multiindex import indices_up_to
@@ -58,6 +58,16 @@ def random_expr(
             term = term * Expr.var(rng.choice(pool)) ** rng.randint(1, max_exponent)
         total = total + term
     return total
+
+
+def path_derivatives(ctx: ReductionContext, f: Expr):
+    """df with df(path) = D_path f from restricted_derivative alone, the last direction first."""
+    def df(path: tuple) -> Expr:
+        g = f
+        for mu in reversed(path):
+            g = restricted_derivative(ctx, mu, g)
+        return g
+    return df
 
 
 def random_characteristic(rng: random.Random, pool, m: int = 3, n_terms: int = 2) -> Characteristic:

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 import random
 
@@ -22,7 +23,7 @@ from jetns.multiindex import MultiIndex, indices_up_to, zero
 from jetns.reducedcomplex import AnsatzSpec, _derivative_entries, _unknowns
 from jetns.totalderiv import laplacian_primed, total_derivative, total_derivative_multi
 
-from conftest import random_expr, variable_pool
+from conftest import path_derivatives, random_expr, variable_pool
 
 
 def test_u1_elimination_rule():
@@ -175,6 +176,24 @@ def test_dimension_two_reduction():
 
 
 # -- the derivative-image table ------------------------------------------------
+
+
+@pytest.mark.parametrize("setting", [Setting.FREE, Setting.CE, Setting.CPE])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_restricted_derivatives_commute(setting, m):
+    # kernel and system assembly sort each second-order path, so D_mu D_nu f
+    # must equal D_nu D_mu f on canonical inputs in every setting
+    ctx = ReductionContext(setting, m)
+    rng = random.Random(f"commute-{setting.value}-{m}")
+    pool = variable_pool(m, max_u_order=2, max_p_order=2, ctx=ctx)
+    nonzero = 0
+    for _ in range(15):
+        f = random_expr(rng, pool)
+        for mu, nu in itertools.combinations(range(1, m + 1), 2):
+            lhs = restricted_derivative(ctx, mu, restricted_derivative(ctx, nu, f))
+            assert lhs == restricted_derivative(ctx, nu, restricted_derivative(ctx, mu, f))
+            nonzero += not lhs.is_zero()
+    assert nonzero
 
 
 def _warm(ctx: ReductionContext, seed: int) -> list:
@@ -344,7 +363,7 @@ def _kernel_columns(ctx: ReductionContext):
     """(label, monomial, target, expression) for every output of every unknown's column."""
     for label, mono in _unknowns(ctx, _COLUMN_ANSATZ):
         f = Expr({mono: 1})
-        df = lambda mu: restricted_derivative(ctx, mu, f)
+        df = path_derivatives(ctx, f)
         for target, expr in _derivative_entries(ctx, label, f, df):
             yield label, mono, target, expr
 

@@ -7,7 +7,7 @@ from math import gcd, lcm
 
 import pytest
 
-from jetns import linalg
+from jetns import linalg, reducedcomplex
 from jetns.constraints import (
     ReductionContext,
     Setting,
@@ -39,7 +39,7 @@ from jetns.reducedcomplex import (
 
 from jetns.variational import helmholtz_residual, Cotuple
 
-from conftest import random_expr, variable_pool
+from conftest import path_derivatives, random_expr, variable_pool
 
 
 def density_pool(ctx, max_ord=1):
@@ -461,7 +461,7 @@ def test_kernel_columns_are_the_transported_derivative(setting, m, ansatz):
     shape = ChiTupleCE if setting is Setting.CE else ChiTupleCPE
     for label, mono in _unknowns(ctx, ansatz):
         f = Expr({mono: 1})
-        df = lambda mu: restricted_derivative(ctx, mu, f)
+        df = path_derivatives(ctx, f)
         column: dict = {}
         for target, expr in _derivative_entries(ctx, label, f, df):
             column[target] = column.get(target, Expr.zero()) + expr
@@ -480,7 +480,7 @@ def test_system_columns_are_the_literal_system(m, ansatz):
     ctx = ReductionContext(Setting.CPE, m)
     for label, mono in _unknowns(ctx, ansatz):
         f = Expr({mono: 1})
-        df = lambda mu: restricted_derivative(ctx, mu, f)
+        df = path_derivatives(ctx, f)
         column: dict = {}
         for name, expr in _system_entries(ctx, label, f, df):
             column[name] = column.get(name, Expr.zero()) + expr
@@ -542,8 +542,8 @@ def _chi1_docstring_rule(ctx, f):
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_chi1_correction_is_the_docstring_rule(m):
-    # the chi1 row is assembled through Leibniz from per-context
-    # coefficients; the oracle differentiates each product as written
+    # the chi1 row is applied through the Leibniz rows of _chi1_rows; the
+    # oracle differentiates each product as written
     ctx = ReductionContext(Setting.CPE, m)
     rng = random.Random(46 + m)
     pool = variable_pool(m, max_u_order=2, max_p_order=1, ctx=ctx, allow_t=True)
@@ -551,7 +551,7 @@ def test_chi1_correction_is_the_docstring_rule(m):
         f = random_expr(rng, pool, n_terms=4)
         expected = _chi1_docstring_rule(ctx, f)
         entries: dict = {}
-        df = lambda mu: restricted_derivative(ctx, mu, f)
+        df = path_derivatives(ctx, f)
         for target, expr in _correction_entries(ctx, ("chi1",), f, df):
             entries[target] = entries.get(target, Expr.zero()) + expr
         assert {k: v for k, v in entries.items() if not v.is_zero()} == expected
@@ -569,6 +569,34 @@ def test_kernel_cap_enforced(cpe_ctx):
 def test_kernel_requires_constrained_setting(free_ctx):
     with pytest.raises(ValueError):
         kernel_search(free_ctx, AnsatzSpec(0, 0, 0))
+
+
+@pytest.mark.parametrize("setting", [Setting.CE, Setting.FREE])
+def test_system_kernel_requires_the_joint_setting(setting):
+    # _system_entries asks for no setting, so this guard is the only one
+    # on the system solve
+    with pytest.raises(ValueError, match="^the reduced system lives in the cpe setting$"):
+        reduced_system_kernel(ReductionContext(setting, 3), AnsatzSpec(0, 0, 0))
+
+
+def test_system_solve_differentiates_only_table_entries(monkeypatch):
+    # on a warm context every restricted derivative of the system solve is
+    # a table entry: D_mu of an ansatz monomial or of one of its first
+    # derivatives, never of a product of a coordinate and the monomial
+    ctx = ReductionContext(Setting.CPE, 3)
+    ansatz = AnsatzSpec(1, 1, 1)
+    reduced_system_kernel(ctx, ansatz)
+    seen = []
+    real = reducedcomplex.restricted_derivative
+    monkeypatch.setattr(
+        reducedcomplex, "restricted_derivative", lambda c, mu, g: seen.append(g) or real(c, mu, g)
+    )
+    reduced_system_kernel(ctx, ansatz)
+    allowed = set()
+    for mono in ansatz_monomials(ctx, ansatz):
+        f = Expr({mono: 1})
+        allowed |= {f} | {restricted_derivative(ctx, mu, f) for mu in (1, 2, 3)}
+    assert seen and [g for g in seen if g not in allowed] == []
 
 
 def test_kernel_helmholtz_report(cpe_ctx):

@@ -117,7 +117,7 @@ def _cmd_euler(args) -> int:
 
 def _cmd_helmholtz(args) -> int:
     chi = parse_tuple(_read_input(args.input), "cotuple", args.dim)
-    residual = helmholtz_residual(chi, args.dim)
+    residual = helmholtz_residual(chi)
     entries = [
         (f"coefficient[{t},{s},{k}]", expr) for (t, s, k), expr in residual.items()
     ]

@@ -11,12 +11,10 @@ residuals vanish.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .constraints import (
     ReductionContext,
     Setting,
-    reduce,
     restricted_derivative,
     restricted_derivative_multi,
     restricted_laplacian,
@@ -25,51 +23,7 @@ from .constraints import (
 from .jetalgebra import Expr, T_VAR, expr_sum
 from .multiindex import MultiIndex, unit
 from .totalderiv import derive
-
-
-@dataclass
-class Characteristic:
-    """Generating tuple of an evolutionary field: (f^1..f^m; f)."""
-
-    velocity: tuple[Expr, ...]
-    pressure: Expr
-
-    def __post_init__(self) -> None:
-        self.velocity = tuple(self.velocity)
-
-    @property
-    def m(self) -> int:
-        return len(self.velocity)
-
-    def component(self, slot: int) -> Expr:
-        """Slot 1..m selects a velocity component, slot 0 the pressure one."""
-        return self.pressure if slot == 0 else self.velocity[slot - 1]
-
-    def reduce(self, ctx: ReductionContext) -> Characteristic:
-        return type(self)(
-            tuple(reduce(ctx, c) for c in self.velocity), reduce(ctx, self.pressure)
-        )
-
-    def __add__(self, other: Characteristic) -> Characteristic:
-        return type(self)(
-            tuple(a + b for a, b in zip(self.velocity, other.velocity)),
-            self.pressure + other.pressure,
-        )
-
-    def __sub__(self, other: Characteristic) -> Characteristic:
-        return type(self)(
-            tuple(a - b for a, b in zip(self.velocity, other.velocity)),
-            self.pressure - other.pressure,
-        )
-
-    def __mul__(self, scalar) -> Characteristic:
-        c = Fraction(scalar)
-        return type(self)(tuple(c * a for a in self.velocity), c * self.pressure)
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return self.pressure.is_zero() and all(c.is_zero() for c in self.velocity)
+from .tuples import Characteristic
 
 
 def _field_action(ctx: ReductionContext, f: Characteristic, g: Expr, cache: dict) -> Expr:
@@ -136,7 +90,7 @@ def divergence_residual(ctx: ReductionContext, f: Characteristic) -> Expr:
     """The reduced divergence of the velocity components."""
     f = f.reduce(ctx)
     return expr_sum(
-        restricted_derivative(ctx, mu, f.velocity[mu - 1]) for mu in range(1, ctx.m + 1)
+        restricted_derivative(ctx, mu, f.component(mu)) for mu in range(1, ctx.m + 1)
     )
 
 
@@ -146,7 +100,7 @@ def pressure_coupling_residual(ctx: ReductionContext, f: Characteristic) -> Expr
     m = ctx.m
     coupling = expr_sum(
         velocity_gradient_entry(ctx, la, mu)
-        * restricted_derivative(ctx, la, f.velocity[mu - 1])
+        * restricted_derivative(ctx, la, f.component(mu))
         for la in range(1, m + 1)
         for mu in range(1, m + 1)
     )
@@ -200,10 +154,8 @@ def linearize_evolution(field: EvolutionField, f: Characteristic) -> Characteris
     ctx = field.context
     cache: dict[tuple[int, MultiIndex], Expr] = {}
     e = field.characteristic
-    return Characteristic(
-        tuple(_field_action(ctx, f, comp, cache) for comp in e.velocity),
-        _field_action(ctx, f, e.pressure, cache),
-    )
+    action = {label: _field_action(ctx, f, comp, cache) for label, comp in e.items()}
+    return Characteristic(e.m, action)
 
 
 def time_symmetry_residual(field: EvolutionField, f: Characteristic) -> Characteristic:
@@ -211,28 +163,18 @@ def time_symmetry_residual(field: EvolutionField, f: Characteristic) -> Characte
 
     Zero exactly when f generates a symmetry preserved by the evolution.
     """
-    linear = linearize_evolution(field, f)
-    velocity = tuple(
-        evolution_derivative(field, comp) - lin
-        for comp, lin in zip(f.velocity, linear.velocity)
-    )
-    pressure = evolution_derivative(field, f.pressure) - linear.pressure
-    return Characteristic(velocity, pressure)
+    rate = {label: evolution_derivative(field, comp) for label, comp in f.items()}
+    return Characteristic(f.m, rate) - linearize_evolution(field, f)
 
 
 def translation_characteristic(ctx: ReductionContext, la: int) -> Characteristic:
     """The shift along direction la: velocity parts u^mu_(la), pressure part p_(la)."""
     from .jetalgebra import p
 
-    idx = unit(la, ctx.m)
-    velocity = tuple(
-        velocity_gradient_entry(ctx, mu, la) for mu in range(1, ctx.m + 1)
-    )
-    return Characteristic(velocity, p(idx))
+    velocity = {("u", mu): velocity_gradient_entry(ctx, mu, la) for mu in range(1, ctx.m + 1)}
+    return Characteristic(ctx.m, {**velocity, ("p",): p(unit(la, ctx.m))})
 
 
 def pressure_shift_characteristic(ctx: ReductionContext) -> Characteristic:
     """The constant pressure shift: zero velocity parts, pressure part 1."""
-    return Characteristic(
-        tuple(Expr.zero() for _ in range(ctx.m)), Expr.const(1)
-    )
+    return Characteristic(ctx.m, {("p",): Expr.const(1)})

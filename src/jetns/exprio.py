@@ -16,19 +16,10 @@ Tuples use named components separated by ';', e.g.
 
     f1: u1_[1,0,0]; f2: u2_[1,0,0]; f3: u3_[1,0,0]; f: p_[1,0,0]
 
-Component names: f1..fm and f for characteristics and cotuples, j1..jm
-for currents.  The reduced-complex tuples name their labels as follows:
-
-    label                name        shapes
-    ("chi01",)           chi01       chi_ce, chi_cpe
-    ("chi_alpha", i1, a) chi[a,i1]   chi_ce, chi_cpe   (a in 2..m)
-    ("chi_p", i1)        chi[i1]     chi_ce
-    ("chi0",)            chi0        chi_cpe
-    ("chi1",)            chi1        chi_cpe
-
-Only the names print_tuple writes are accepted, so f01 and chi[2,00] are
-unknown, and a second component for one slot or label is a duplicate.
-Missing components default to zero.
+The component names, like f1 and f above, and their print order come from
+each shape's kinds table in the tuples module.  Only the names print_tuple
+writes are accepted, so f01 and chi[2,00] are unknown, and a second
+component for one label is a duplicate.  Missing components default to zero.
 
 The structured serialization mirrors the canonical monomial map: a list
 of records with integer numerator and denominator and a factor list of
@@ -37,11 +28,9 @@ of records with integer numerator and denominator and a factor list of
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .evolutionary import Characteristic
 from .jetalgebra import (
     Expr,
     JetVariable,
@@ -53,8 +42,7 @@ from .jetalgebra import (
     xvar,
 )
 from .multiindex import MultiIndex
-from .reducedcomplex import ChiTuple, ChiTupleCE, ChiTupleCPE
-from .variational import Cotuple, CurrentTuple
+from .tuples import SHAPES, LabelTuple
 
 
 @dataclass(frozen=True)
@@ -261,38 +249,12 @@ def print_expr(f: Expr) -> str:
 
 # -- tuples -----------------------------------------------------------------
 
-_CHI_NAME = re.compile(r"^chi\[(\d+)(?:,(\d+))?\]$")
-
-_SHAPE_TYPES = {
-    "characteristic": Characteristic,
-    "cotuple": Cotuple,
-    "current": CurrentTuple,
-    "chi_ce": ChiTupleCE,
-    "chi_cpe": ChiTupleCPE,
-}
-SHAPES = tuple(_SHAPE_TYPES)
-
-
-def _chi_label(name: str) -> tuple | None:
-    """The tuple label a component name denotes, or None."""
-    match = _CHI_NAME.match(name)
-    if match is None:
-        return (name,) if name in ("chi01", "chi0", "chi1") else None
-    first, second = match.groups()
-    return ("chi_p", int(first)) if second is None else ("chi_alpha", int(second), int(first))
-
-
-def _chi_name(label: tuple) -> str:
-    if label[0] == "chi_alpha":
-        return f"chi[{label[2]},{label[1]}]"
-    if label[0] == "chi_p":
-        return f"chi[{label[1]}]"
-    return label[0]
-
-
-def parse_tuple(text: str, shape: str, m: int):
+def parse_tuple(text: str, shape: str, m: int) -> LabelTuple:
+    """The tuple of the shape named in SHAPES that text spells at dimension m."""
     if shape not in SHAPES:
         raise ValueError(f"unknown tuple shape {shape!r}")
+    cls = SHAPES[shape]
+    cls(m)  # refuses a dimension below 1 before any component is read
     components: dict = {}
     offset = 0
     for part in text.split(";"):
@@ -307,66 +269,34 @@ def parse_tuple(text: str, shape: str, m: int):
         name_text, expr_text = part.split(":", 1)
         name = name_text.strip()
         span = SourceSpan(start, start + len(name_text))
-        key = _component_key(name, shape, m, span)
-        if key in components:
+        try:
+            label = cls.label(name, m)
+        except ValueError as err:
+            raise ExprSyntaxError(str(err), span) from None
+        if label in components:
             raise ExprSyntaxError(f"duplicate component {name!r}", span)
         try:
-            components[key] = parse_expr(expr_text, m)
+            components[label] = parse_expr(expr_text, m)
         except ExprSyntaxError as err:  # the span is within expr_text: make it the input's
             shift = start + len(name_text) + 1
             span = SourceSpan(err.span.start + shift, err.span.end + shift)
             raise ExprSyntaxError(err.message, span) from None
-    if shape in ("chi_ce", "chi_cpe"):
-        return _SHAPE_TYPES[shape](components)
-    slots = [components.get(k, Expr.zero()) for k in range(m + 1)]
-    if shape == "current":
-        return CurrentTuple(tuple(slots[:m]))
-    return _SHAPE_TYPES[shape](tuple(slots[:m]), slots[m])
+    return cls(m, components)
 
 
-def _component_key(name: str, shape: str, m: int, span: SourceSpan):
-    """The label, or the slot position, of a component name print_tuple writes."""
-    if shape in ("chi_ce", "chi_cpe"):
-        label = _chi_label(name)
-        if label is not None and _SHAPE_TYPES[shape].allows(label) and _chi_name(label) == name:
-            if label[0] == "chi_alpha" and not 2 <= label[2] <= m:
-                raise ExprSyntaxError(
-                    f"velocity component {label[2]} out of range 2..{m}", span
-                )
-            return label
-    else:
-        letter = "j" if shape == "current" else "f"
-        names = [f"{letter}{mu}" for mu in range(1, m + 1)]
-        if shape != "current":
-            names.append("f")
-        if name in names:
-            return names.index(name)
-    raise ExprSyntaxError(f"unknown component {name!r} for shape {shape}", span)
+def print_tuple(value: LabelTuple) -> str:
+    """Canonical tuple rendering; inverse of parse_tuple for its shape.
+
+    A dense shape prints every label at m; the others print their nonzero
+    entries, or their first label as 0 when they have none.
+    """
+    labels = value.labels(value.m) if value.dense else [label for label, _ in value.items()]
+    parts = labels or value.labels(value.m)[:1]
+    return "; ".join(f"{value.name(label)}: {value[label]}" for label in parts)
 
 
-def print_tuple(value) -> str:
-    """Canonical tuple rendering; inverse of parse_tuple for its shape."""
-    if isinstance(value, Characteristic):  # a Cotuple is one too
-        parts = [
-            f"f{mu}: {value.velocity[mu - 1]}" for mu in range(1, value.m + 1)
-        ]
-        parts.append(f"f: {value.pressure}")
-        return "; ".join(parts)
-    if isinstance(value, CurrentTuple):
-        return "; ".join(
-            f"j{mu}: {comp}" for mu, comp in enumerate(value.components, start=1)
-        )
-    if isinstance(value, ChiTuple):
-        parts = [f"{_chi_name(label)}: {expr}" for label, expr in value.items()]
-        return "; ".join(parts) if parts else "chi01: 0"
-    raise TypeError(f"cannot print value of type {type(value).__name__}")
-
-
-def tuple_shape(value) -> str:
-    for shape, cls in _SHAPE_TYPES.items():
-        if type(value) is cls:
-            return shape
-    raise TypeError(f"no tuple shape for {type(value).__name__}")
+def tuple_shape(value: LabelTuple) -> str:
+    return value.shape
 
 
 # -- structured serialization ------------------------------------------------

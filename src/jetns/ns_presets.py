@@ -75,15 +75,15 @@ def _evolution_component(m: int, mu: int, visc: Expr) -> Expr:
 
 def evolution_current(inst: NsInstance) -> CurrentTuple:
     """The evolution flux as a current; conserved on the constrained setting."""
-    return CurrentTuple(inst.evolution_velocity)
+    flux = enumerate(inst.evolution_velocity, start=1)
+    return CurrentTuple(inst.m, {("j", mu): comp for mu, comp in flux})
 
 
 def evolution_field(inst: NsInstance, pressure_component: Expr | None = None) -> EvolutionField:
     """The evolution field, with the given (or zero) pressure component, reduced."""
     pressure = pressure_component if pressure_component is not None else Expr.zero()
-    characteristic = Characteristic(inst.evolution_velocity, pressure).reduce(
-        inst.context
-    )
+    entries = {("u", mu): comp for mu, comp in enumerate(inst.evolution_velocity, start=1)}
+    characteristic = Characteristic(inst.m, {**entries, ("p",): pressure}).reduce(inst.context)
     return EvolutionField(characteristic, inst.context)
 
 

@@ -47,7 +47,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from itertools import combinations_with_replacement, product
-from typing import Mapping
 
 from . import linalg
 from .constraints import (
@@ -70,105 +69,8 @@ from .jetalgebra import (
     xvar,
 )
 from .multiindex import indices_up_to, unit
+from .tuples import SHAPES, ChiTuple, ChiTupleCPE
 from .variational import euler_collect
-
-
-_KIND_RANK = {"chi01": 0, "chi_alpha": 1, "chi_p": 2, "chi0": 2, "chi1": 3}
-
-
-class ChiTuple:
-    """A tuple of the reduced complex: its nonzero entries keyed by label.
-
-    ("chi01",) is the entry dual to the unconstrained first velocity
-    component and ("chi_alpha", i1, a) the entry at first-direction order
-    i1 and spatial component a in 2..m.  Each subclass declares its
-    pressure block by pressure_labels(max_order): the pressure labels of
-    an ansatz up to that first-direction order, indexed by order.  A tuple
-    is built only from its entries keyed by label: ChiTupleCE({label: f}).
-    Zero entries are dropped and the rest kept in canonical order: chi01,
-    chi_alpha by (i1, a), pressure.
-    """
-
-    def __init_subclass__(cls) -> None:
-        cls._kinds = frozenset(["chi01", "chi_alpha"] + [p[0] for p in cls.pressure_labels(0)])
-
-    def __init__(self, entries: Mapping[tuple, Expr] = {}) -> None:
-        if not {label[0] for label in entries} <= self._kinds:
-            raise ValueError(f"{type(self).__name__} has no entry for one of {list(entries)}")
-        nonzero = [(k, v) for k, v in entries.items() if not v.is_zero()]
-        self._entries = dict(sorted(nonzero, key=lambda kv: (_KIND_RANK[kv[0][0]], kv[0][1:])))
-
-    @classmethod
-    def allows(cls, label: tuple) -> bool:
-        return label[0] in cls._kinds
-
-    @classmethod
-    def ansatz_labels(cls, m: int, max_order: int) -> list[tuple]:
-        velocity = [
-            ("chi_alpha", i1, a) for i1 in range(max_order + 1) for a in range(2, m + 1)
-        ]
-        return [("chi01",)] + velocity + cls.pressure_labels(max_order)
-
-    def items(self) -> list[tuple[tuple, Expr]]:
-        return list(self._entries.items())
-
-    def is_zero(self) -> bool:
-        return not self._entries
-
-    def reduce(self, ctx: ReductionContext) -> ChiTuple:
-        return type(self)({k: reduce(ctx, v) for k, v in self._entries.items()})
-
-    @property
-    def chi01(self) -> Expr:
-        return self._entries.get(("chi01",), Expr.zero())
-
-    @property
-    def chi_alpha(self) -> dict[tuple[int, int], Expr]:
-        """Entries by (first-direction order, spatial component)."""
-        return {label[1:]: v for label, v in self._entries.items() if label[0] == "chi_alpha"}
-
-    def __eq__(self, other) -> bool:
-        return type(self) is type(other) and self._entries == other._entries
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({dict(self.items())!r})"
-
-
-class ChiTupleCE(ChiTuple):
-    """Tuple for the continuity-setting complex.
-
-    The pressure block keeps one entry ("chi_p", i1) per first-direction
-    order i1; chi_p maps i1 to that entry.
-    """
-
-    @staticmethod
-    def pressure_labels(max_order: int) -> list[tuple]:
-        return [("chi_p", i1) for i1 in range(max_order + 1)]
-
-    @property
-    def chi_p(self) -> dict[int, Expr]:
-        return {label[1]: v for label, v in self._entries.items() if label[0] == "chi_p"}
-
-
-class ChiTupleCPE(ChiTuple):
-    """Tuple for the joint-setting complex.
-
-    Velocity entries as in the continuity shape; the pressure block
-    collapses to the two entries chi0 and chi1 because only the first two
-    first-direction orders of the pressure survive the reduction.
-    """
-
-    @staticmethod
-    def pressure_labels(max_order: int) -> list[tuple]:
-        return [("chi0",), ("chi1",)]
-
-    @property
-    def chi0(self) -> Expr:
-        return self._entries.get(("chi0",), Expr.zero())
-
-    @property
-    def chi1(self) -> Expr:
-        return self._entries.get(("chi1",), Expr.zero())
 
 
 @dataclass(frozen=True)
@@ -293,14 +195,12 @@ def _derivative_table(ctx: ReductionContext, f: Expr):
     return df
 
 
-_SHAPES = {Setting.CE: ChiTupleCE, Setting.CPE: ChiTupleCPE}
-
-
 def _shape(ctx: ReductionContext, what: str) -> type[ChiTuple]:
     """The tuple class of the context's setting."""
-    if ctx.setting not in _SHAPES:
+    shape = SHAPES.get(f"chi_{ctx.setting.value}")
+    if shape is None:
         raise ValueError(f"{what} requires the ce or cpe setting")
-    return _SHAPES[ctx.setting]
+    return shape
 
 
 def _derivative_entries(ctx: ReductionContext, label: tuple, f: Expr, df):
@@ -315,9 +215,10 @@ def _derivative_entries(ctx: ReductionContext, label: tuple, f: Expr, df):
 def _sum_entries(ctx: ReductionContext, chi: ChiTuple, rule, what: str, entries: dict) -> dict:
     """entries plus every entry's rule(ctx, label, f, df) pairs, summed by target."""
     shape = _shape(ctx, what)
-    if type(chi) is not shape:
+    if type(chi) is not shape or chi.m != ctx.m:
         raise ValueError(
-            f"the {ctx.setting.value} setting takes a {shape.__name__}, not a {type(chi).__name__}"
+            f"the {ctx.setting.value} setting at m={ctx.m} takes a {shape.__name__}, "
+            f"not a {type(chi).__name__} at m={chi.m}"
         )
     for label, f in chi.items():
         for target, expr in rule(ctx, label, f, _derivative_table(ctx, f)):
@@ -327,12 +228,12 @@ def _sum_entries(ctx: ReductionContext, chi: ChiTuple, rule, what: str, entries:
 
 def correction(ctx: ReductionContext, chi: ChiTuple) -> ChiTuple:
     """The linear correction of the transported derivative: every entry's rule, summed."""
-    return type(chi)(_sum_entries(ctx, chi, _correction_entries, "correction", {}))
+    return type(chi)(chi.m, _sum_entries(ctx, chi, _correction_entries, "correction", {}))
 
 
 def reduced_derivative(ctx: ReductionContext, chi: ChiTuple) -> ChiTuple:
     """Componentwise restricted first derivative plus the correction."""
-    return type(chi)(_sum_entries(ctx, chi, _derivative_entries, "reduced derivative", {}))
+    return type(chi)(chi.m, _sum_entries(ctx, chi, _derivative_entries, "reduced derivative", {}))
 
 
 # -- the equivalent first-order system (joint setting) ---------------------
@@ -394,13 +295,13 @@ def reduced_variational_derivative(ctx: ReductionContext, L: Expr):
             label = ("chi01",) if i1 == 0 else None
         elif kind == "u":
             label = ("chi_alpha", i1, mu)
-        else:
-            pressure = shape.pressure_labels(i1)  # indexed by first-direction order
+        else:  # the shape's pressure labels, indexed by first-direction order
+            pressure = [k for k in shape.labels(ctx.m, i1) if k[0] not in ChiTuple.kinds]
             label = pressure[i1] if i1 < len(pressure) else None
         if label is None:
             raise ValueError("density is not in canonical coordinates")
         entries[label] = entries.get(label, Expr.zero()) + expr
-    return shape(entries)
+    return shape(ctx.m, entries)
 
 
 # -- bounded-order kernel search --------------------------------------------
@@ -431,7 +332,7 @@ def ansatz_monomials(ctx: ReductionContext, ansatz: AnsatzSpec) -> list[Monomial
 def _ansatz_axes(ctx: ReductionContext, ansatz: AnsatzSpec) -> tuple[list[tuple], list[Monomial]]:
     """The ansatz labels and monomials; the unknowns are their pairs, label-major."""
     shape = _shape(ctx, "kernel search")
-    return shape.ansatz_labels(ctx.m, ansatz.max_order), ansatz_monomials(ctx, ansatz)
+    return shape.labels(ctx.m, ansatz.max_order), ansatz_monomials(ctx, ansatz)
 
 
 def _unknowns(ctx: ReductionContext, ansatz: AnsatzSpec) -> list[tuple[tuple, Monomial]]:
@@ -484,7 +385,7 @@ def _solve_homogeneous(
         for (label, mono), coeff in zip(unknowns, vec):
             if coeff != 0:
                 terms.setdefault(label, {})[mono] = coeff
-        basis.append(shape({label: _raw(t) for label, t in terms.items()}))
+        basis.append(shape(ctx.m, {label: _raw(t) for label, t in terms.items()}))
     return basis
 
 

@@ -13,35 +13,16 @@ the pressure slot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from .constraints import ReductionContext, reduce
-from .evolutionary import Characteristic
 from .jetalgebra import Expr, expr_sum
 from .multiindex import MultiIndex, sub_indices
 from .totalderiv import total_derivative, total_derivative_multi
+from .tuples import Cotuple, CurrentTuple
 
 PRESSURE_SLOT = 0
-
-
-class Cotuple(Characteristic):
-    """A tuple dual to characteristics: m velocity entries and a pressure entry."""
-
-
-@dataclass
-class CurrentTuple:
-    """Components of a flux: one expression per spatial direction."""
-
-    components: tuple[Expr, ...]
-
-    def __post_init__(self) -> None:
-        self.components = tuple(self.components)
-
-    @property
-    def m(self) -> int:
-        return len(self.components)
 
 
 class OperatorCoefficients:
@@ -128,22 +109,15 @@ def euler_operator(L: Expr, m: int) -> Cotuple:
     """The variational derivative of a density, one entry per slot."""
     collected = euler_collect(L, range(1, m + 1))
     zeros = (0,) * m
-    velocity = tuple(
-        collected.get(("u", mu, zeros), Expr.zero()) for mu in range(1, m + 1)
-    )
-    pressure = collected.get(("p", 0, zeros), Expr.zero())
-    return Cotuple(velocity, pressure)
+    entries = {("u", mu): collected.get(("u", mu, zeros), Expr.zero()) for mu in range(1, m + 1)}
+    return Cotuple(m, {**entries, ("p",): collected.get(("p", 0, zeros), Expr.zero())})
 
 
-def _slots(m: int) -> list[int]:
-    return list(range(1, m + 1)) + [PRESSURE_SLOT]
-
-
-def frechet_linearization(chi: Cotuple, m: int) -> OperatorCoefficients:
+def frechet_linearization(chi: Cotuple) -> OperatorCoefficients:
     """Coefficients of the linearization: the formal partials of each entry."""
     data: dict[tuple[int, int, MultiIndex], Expr] = {}
-    for target in _slots(m):
-        component = chi.component(target)
+    for label, component in chi.items():
+        target = label[1] if label[0] == "u" else PRESSURE_SLOT
         for v in component.variables():
             if v.kind == "u":
                 data[(target, v.mu, v.index)] = component.diff(v)
@@ -152,9 +126,9 @@ def frechet_linearization(chi: Cotuple, m: int) -> OperatorCoefficients:
     return OperatorCoefficients(data)
 
 
-def formal_adjoint(chi: Cotuple, m: int) -> OperatorCoefficients:
+def formal_adjoint(chi: Cotuple) -> OperatorCoefficients:
     """Coefficients of the formal adjoint: the adjoint of the linearization."""
-    return operator_adjoint(frechet_linearization(chi, m), m)
+    return operator_adjoint(frechet_linearization(chi), chi.m)
 
 
 def operator_adjoint(op: OperatorCoefficients, m: int) -> OperatorCoefficients:
@@ -170,13 +144,15 @@ def operator_adjoint(op: OperatorCoefficients, m: int) -> OperatorCoefficients:
     return OperatorCoefficients(data)
 
 
-def helmholtz_residual(chi: Cotuple, m: int) -> OperatorCoefficients:
+def helmholtz_residual(chi: Cotuple) -> OperatorCoefficients:
     """Linearization minus formal adjoint; empty exactly for variational cotuples."""
-    linearization = frechet_linearization(chi, m)
-    return linearization - operator_adjoint(linearization, m)
+    linearization = frechet_linearization(chi)
+    return linearization - operator_adjoint(linearization, chi.m)
 
 
 def current_divergence(ctx: ReductionContext, current: CurrentTuple) -> Expr:
     """The reduced divergence of the flux; zero for a conserved current."""
-    flux = enumerate(current.components, start=1)
-    return reduce(ctx, expr_sum(total_derivative(mu, comp) for mu, comp in flux))
+    if current.m != ctx.m:
+        raise ValueError(f"current has {current.m} components, context m={ctx.m}")
+    flux = (total_derivative(mu, comp) for (_, mu), comp in current.items())
+    return reduce(ctx, expr_sum(flux))

@@ -70,11 +70,11 @@ def path_derivatives(ctx: ReductionContext, f: Expr):
     return df
 
 
-def random_characteristic(rng: random.Random, pool, m: int = 3, n_terms: int = 2) -> Characteristic:
-    return Characteristic(
-        tuple(random_expr(rng, pool, n_terms=n_terms) for _ in range(m)),
-        random_expr(rng, pool, n_terms=n_terms),
-    )
+def random_characteristic(
+    rng: random.Random, pool, m: int = 3, n_terms: int = 2, shape=Characteristic
+) -> Characteristic:
+    """A characteristic, or a tuple of another dense shape, with every entry random."""
+    return shape(m, {label: random_expr(rng, pool, n_terms=n_terms) for label in shape.labels(m)})
 
 
 def random_point(rng: random.Random, variables) -> dict:

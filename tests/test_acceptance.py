@@ -130,9 +130,9 @@ def test_c06_helmholtz_soundness():
     pool = variable_pool(max_u_order=2, max_p_order=2)
     for _ in range(30):
         L = random_expr(rng, pool)
-        assert helmholtz_residual(euler_operator(L, 3), 3).is_zero()
-    non_variational = Cotuple((u(1, (1, 0, 0)), Expr.zero(), Expr.zero()), Expr.zero())
-    residual = helmholtz_residual(non_variational, 3)
+        assert helmholtz_residual(euler_operator(L, 3)).is_zero()
+    non_variational = Cotuple(3, {("u", 1): u(1, (1, 0, 0))})
+    residual = helmholtz_residual(non_variational)
     assert residual.items() == [((1, 1, MultiIndex((1, 0, 0))), Expr.const(2))]
     _report(6, "variationality test sound and complete at test scale", started, 10.0)
 
@@ -152,7 +152,7 @@ def test_c07_ce_kernel_is_one_dimensional():
 def test_c08_cpe_kernel_and_reduced_system_agree():
     started = time.monotonic()
     ctx = ReductionContext(Setting.CPE, 3)
-    constant = ChiTupleCPE({("chi01",): Expr.const(1)})
+    constant = ChiTupleCPE(3, {("chi01",): Expr.const(1)})
     assert reduced_derivative(ctx, constant).is_zero()
     ansatz = AnsatzSpec(max_order=1, max_degree=1, max_x_degree=1)
     kernel = kernel_search(ctx, ansatz)

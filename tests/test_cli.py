@@ -118,6 +118,17 @@ def test_symmetry_rejects_a_padded_component_name():
     assert "unknown component 'f01'" in proc.stderr
 
 
+@pytest.mark.parametrize("dim", ["0", "-2"])
+def test_tuple_command_below_dimension_one_is_usage_error(dim, monkeypatch, capsys):
+    # --dim -2 once ended in an IndexError traceback with exit 1, and
+    # --dim 0 printed helmholtz: 0 and exited 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO("f: 1"))
+    assert cli.main(["helmholtz", "--dim", dim, "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: dimension {dim} is below 1\n"
+
+
 def test_euler_command():
     proc = run_cli("euler", stdin="p_[0,0,0]*u1_[1,0,0] + p_[0,0,0]*u2_[0,1,0] + p_[0,0,0]*u3_[0,0,1]")
     assert proc.returncode == 0
@@ -171,6 +182,42 @@ def test_time_symmetry_of_evolution_against_itself(tmp_path: Path):
     # itself in the velocity components but not in the pressure one
     proc = run_cli("time-symmetry", "--evolution", "ns", stdin="f1: 0")
     assert proc.returncode in (0, 1)
+
+
+_EVOLUTION = "f1: x2*u1_[0,1,0]; f2: u2_[0,0,1]; f3: u3_[0,1,0]; f: p_[0,1,0] + x1"
+_EVOLUTION_TEXT = [
+    "velocity[1]: x1*u2_[0,0,1] - x1*x2*u2_[0,1,0]",
+    "velocity[2]: 0",
+    "velocity[3]: 0",
+    "pressure: -p_[0,0,0] + x1*x2",
+]
+_EVOLUTION_STRUCTURED = [
+    '{"checked": true, "name": "velocity[1]", "residual": [{"den": 1, "factors": [["x1", 1], '
+    '["u2_[0,0,1]", 1]], "num": 1}, {"den": 1, "factors": [["x1", 1], ["x2", 1], '
+    '["u2_[0,1,0]", 1]], "num": -1}], "zero": false}',
+    '{"checked": true, "name": "velocity[2]", "residual": [], "zero": true}',
+    '{"checked": true, "name": "velocity[3]", "residual": [], "zero": true}',
+    '{"checked": true, "name": "pressure", "residual": [{"den": 1, "factors": [["p_[0,0,0]", 1]], '
+    '"num": -1}, {"den": 1, "factors": [["x1", 1], ["x2", 1]], "num": 1}], "zero": false}',
+]
+
+
+@pytest.mark.parametrize(
+    "fmt, expected",
+    [("text", _EVOLUTION_TEXT), ("structured", _EVOLUTION_STRUCTURED)],
+)
+def test_time_symmetry_against_an_evolution_file(fmt, expected, tmp_path: Path, monkeypatch, capsys):
+    # --evolution FILE reads the evolution characteristic and reduces it in the
+    # joint setting; the outputs are those of the tuple code before it was
+    # keyed by label
+    path = tmp_path / "evolution.txt"
+    path.write_text(_EVOLUTION)
+    f = "f1: x1*u2_[0,0,0]; f2: u2_[0,1,0]; f3: x3; f: x2*p_[0,0,0]"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(f))
+    assert cli.main(["time-symmetry", "--evolution", str(path), "--format", fmt, "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == expected
+    assert captured.err == ""
 
 
 def test_kernel_ce_constants():

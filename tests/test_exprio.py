@@ -21,6 +21,7 @@ from jetns.exprio import (
 from jetns.jetalgebra import Expr, nu, p, u, x
 from jetns.multiindex import MultiIndex
 from jetns.reducedcomplex import ChiTupleCPE
+from jetns.tuples import SHAPES
 
 from conftest import random_expr, variable_pool
 
@@ -241,6 +242,14 @@ def test_random_round_trip():
     for _ in range(40):
         f = random_expr(rng, pool)
         assert parse_expr(print_expr(f), 3) == f
+    # tuples of every shape, with about half the labels up to order 2 set
+    for m in (2, 3, 4):
+        pool = variable_pool(m, allow_nu=True, allow_t=True)
+        for shape, cls in SHAPES.items():
+            for _ in range(6):
+                labels = [label for label in cls.labels(m, 2) if rng.random() < 0.5]
+                value = cls(m, {label: random_expr(rng, pool, n_terms=2) for label in labels})
+                assert parse_tuple(print_tuple(value), shape, m) == value
 
 
 def test_printer_determinism():

@@ -21,8 +21,6 @@ from jetns.multiindex import indices_up_to, unit
 from jetns.reducedcomplex import (
     AnsatzSpec,
     AnsatzTooLargeError,
-    ChiTupleCE,
-    ChiTupleCPE,
     ansatz_monomials,
     correction,
     kernel_search,
@@ -36,8 +34,8 @@ from jetns.reducedcomplex import (
     _system_entries,
     _unknowns,
 )
-
-from jetns.variational import helmholtz_residual, Cotuple
+from jetns.tuples import ChiTupleCE, ChiTupleCPE, Cotuple
+from jetns.variational import helmholtz_residual
 
 from conftest import path_derivatives, random_expr, variable_pool
 
@@ -58,14 +56,14 @@ def density_pool(ctx, max_ord=1):
 
 
 def test_correction_ce_kills_constants(ce_ctx):
-    chi = ChiTupleCE({("chi01",): Expr.const(1)})
+    chi = ChiTupleCE(3, {("chi01",): Expr.const(1)})
     out = correction(ce_ctx, chi)
     assert out.is_zero()
 
 
 def _spatial_gradient(ctx, shape):
     # chi01 feeds only the order-zero velocity entries, whatever the shape
-    out = correction(ctx, shape({("chi01",): x(2) ** 2}))
+    out = correction(ctx, shape(ctx.m, {("chi01",): x(2) ** 2}))
     assert out.chi01.is_zero()
     assert out.chi_alpha[(0, 2)] == 2 * x(2)
     assert (0, 3) not in out.chi_alpha
@@ -84,14 +82,14 @@ def test_correction_cpe_spatial_gradient(cpe_ctx):
 
 
 def _velocity_index_shift(ctx, shape):
-    out = correction(ctx, shape({("chi_alpha", 0, 2): Expr.const(5)}))
+    out = correction(ctx, shape(ctx.m, {("chi_alpha", 0, 2): Expr.const(5)}))
     assert out.chi_alpha == {(1, 2): Expr.const(5)}
     assert out.items() == [(("chi_alpha", 1, 2), Expr.const(5))]
 
 
 def test_correction_ce_index_shift(ce_ctx):
     _velocity_index_shift(ce_ctx, ChiTupleCE)
-    chi = ChiTupleCE({("chi_p", 0): Expr.const(7)})
+    chi = ChiTupleCE(3, {("chi_p", 0): Expr.const(7)})
     assert correction(ce_ctx, chi).chi_p == {1: Expr.const(7)}
 
 
@@ -100,12 +98,12 @@ def test_correction_cpe_index_shift(cpe_ctx):
 
 
 def test_correction_cpe_of_constant_tuple(cpe_ctx):
-    assert correction(cpe_ctx, ChiTupleCPE({("chi01",): Expr.const(1)})).is_zero()
+    assert correction(cpe_ctx, ChiTupleCPE(3, {("chi01",): Expr.const(1)})).is_zero()
 
 
 def test_correction_cpe_of_unit_chi1(cpe_ctx):
     # expand each displayed term for chi1 = 1 and freeze the results
-    out = correction(cpe_ctx, ChiTupleCPE({("chi1",): Expr.const(1)}))
+    out = correction(cpe_ctx, ChiTupleCPE(3, {("chi1",): Expr.const(1)}))
     assert out.chi01 == 2 * (u(2, (1, 1, 0)) + u(3, (1, 0, 1)))
     assert out.chi0.is_zero()
     assert out.chi1.is_zero()
@@ -117,7 +115,7 @@ def test_correction_cpe_of_unit_chi1(cpe_ctx):
 
 
 def test_correction_cpe_chi0_feeds_chi1(cpe_ctx):
-    out = correction(cpe_ctx, ChiTupleCPE({("chi0",): Expr.const(3)}))
+    out = correction(cpe_ctx, ChiTupleCPE(3, {("chi0",): Expr.const(3)}))
     assert out.chi1 == Expr.const(3)
     assert out.chi01.is_zero() and not out.chi_alpha and out.chi0.is_zero()
 
@@ -126,17 +124,17 @@ def test_correction_is_linear(cpe_ctx, ce_ctx):
     rng = random.Random(41)
     pool = density_pool(cpe_ctx)
     for _ in range(5):
-        a = ChiTupleCPE({
+        a = ChiTupleCPE(3, {
             ("chi01",): random_expr(rng, pool, n_terms=2),
             ("chi_alpha", 0, 2): random_expr(rng, pool, n_terms=2),
             ("chi1",): random_expr(rng, pool, n_terms=2),
         })
-        b = ChiTupleCPE({
+        b = ChiTupleCPE(3, {
             ("chi01",): random_expr(rng, pool, n_terms=2),
             ("chi0",): random_expr(rng, pool, n_terms=2),
             ("chi1",): random_expr(rng, pool, n_terms=2),
         })
-        combined = ChiTupleCPE({
+        combined = ChiTupleCPE(3, {
             ("chi01",): 2 * a.chi01 + 3 * b.chi01,
             ("chi_alpha", 0, 2): 2 * a.chi_alpha.get((0, 2), Expr.zero()),
             ("chi0",): 3 * b.chi0,
@@ -156,18 +154,18 @@ def test_correction_is_linear(cpe_ctx, ce_ctx):
 
     pool = density_pool(ce_ctx)
     for _ in range(5):
-        a = ChiTupleCE({
+        a = ChiTupleCE(3, {
             ("chi01",): random_expr(rng, pool, n_terms=2),
             ("chi_alpha", 0, 2): random_expr(rng, pool, n_terms=2),
             ("chi_p", 0): random_expr(rng, pool, n_terms=2),
         })
-        b = ChiTupleCE({
+        b = ChiTupleCE(3, {
             ("chi_alpha", 1, 3): random_expr(rng, pool, n_terms=2),
             ("chi_p", 0): random_expr(rng, pool, n_terms=2),
             ("chi_p", 1): random_expr(rng, pool, n_terms=2),
         })
         entries_a, entries_b = dict(a.items()), dict(b.items())
-        combined = ChiTupleCE({
+        combined = ChiTupleCE(3, {
             k: 2 * entries_a.get(k, Expr.zero()) + 3 * entries_b.get(k, Expr.zero())
             for k in set(entries_a) | set(entries_b)
         })
@@ -183,28 +181,28 @@ def test_correction_is_linear(cpe_ctx, ce_ctx):
 
 def test_tuple_value_equality():
     one = {("chi01",): Expr.const(1)}
-    assert ChiTupleCPE(one) == ChiTupleCPE({("chi01",): Expr.const(1)})
-    assert ChiTupleCPE(one) != ChiTupleCPE({("chi01",): Expr.const(2)})
+    assert ChiTupleCPE(3, one) == ChiTupleCPE(3, {("chi01",): Expr.const(1)})
+    assert ChiTupleCPE(3, one) != ChiTupleCPE(3, {("chi01",): Expr.const(2)})
     # a zero entry is dropped
-    assert ChiTupleCE({("chi01",): Expr.zero(), ("chi_alpha", 0, 2): Expr.zero()}) == ChiTupleCE()
+    assert ChiTupleCE(3, {("chi01",): Expr.zero(), ("chi_alpha", 0, 2): Expr.zero()}) == ChiTupleCE(3)
     # the entries are kept in canonical order, whatever order they come in
-    joint = ChiTupleCPE({("chi1",): x(2), ("chi0",): x(1), ("chi01",): Expr.const(1)})
-    assert joint == ChiTupleCPE({("chi01",): Expr.const(1), ("chi0",): x(1), ("chi1",): x(2)})
+    joint = ChiTupleCPE(3, {("chi1",): x(2), ("chi0",): x(1), ("chi01",): Expr.const(1)})
+    assert joint == ChiTupleCPE(3, {("chi01",): Expr.const(1), ("chi0",): x(1), ("chi1",): x(2)})
     assert [label for label, _ in joint.items()] == [("chi01",), ("chi0",), ("chi1",)]
     # a continuity tuple never equals a joint one, not even when both are zero
-    assert ChiTupleCE(one) != ChiTupleCPE(one)
-    assert ChiTupleCE() != ChiTupleCPE()
+    assert ChiTupleCE(3, one) != ChiTupleCPE(3, one)
+    assert ChiTupleCE(3) != ChiTupleCPE(3)
 
 
 def test_tuple_rejects_labels_of_the_other_shape(ce_ctx, cpe_ctx):
     with pytest.raises(ValueError):
-        ChiTupleCPE({("chi_p", 0): Expr.const(1)})
+        ChiTupleCPE(3, {("chi_p", 0): Expr.const(1)})
     with pytest.raises(ValueError):
-        ChiTupleCE({("chi1",): Expr.const(1)})
-    assert ChiTupleCE({("chi_p", 0): Expr.const(1)}).chi_p == {0: Expr.const(1)}
+        ChiTupleCE(3, {("chi1",): Expr.const(1)})
+    assert ChiTupleCE(3, {("chi_p", 0): Expr.const(1)}).chi_p == {0: Expr.const(1)}
     # a tuple of the other shape is refused even when its labels exist in both
     entry = {("chi01",): x(2)}
-    for ctx, chi in ((cpe_ctx, ChiTupleCE(entry)), (ce_ctx, ChiTupleCPE(entry))):
+    for ctx, chi in ((cpe_ctx, ChiTupleCE(3, entry)), (ce_ctx, ChiTupleCPE(3, entry))):
         with pytest.raises(ValueError):
             reduced_derivative(ctx, chi)
         with pytest.raises(ValueError):
@@ -215,18 +213,18 @@ def test_tuple_rejects_labels_of_the_other_shape(ce_ctx, cpe_ctx):
 
 
 def test_reduced_derivative_kills_constant_ce(ce_ctx):
-    assert reduced_derivative(ce_ctx, ChiTupleCE({("chi01",): Expr.const(1)})).is_zero()
+    assert reduced_derivative(ce_ctx, ChiTupleCE(3, {("chi01",): Expr.const(1)})).is_zero()
 
 
 def test_reduced_derivative_kills_constant_cpe(cpe_ctx):
-    assert reduced_derivative(cpe_ctx, ChiTupleCPE({("chi01",): Expr.const(1)})).is_zero()
+    assert reduced_derivative(cpe_ctx, ChiTupleCPE(3, {("chi01",): Expr.const(1)})).is_zero()
 
 
 def test_reduced_derivative_of_x1_entry(ce_ctx):
-    out = reduced_derivative(ce_ctx, ChiTupleCE({("chi01",): x(1)}))
+    out = reduced_derivative(ce_ctx, ChiTupleCE(3, {("chi01",): x(1)}))
     assert out.chi01 == Expr.const(1)
     assert not out.chi_alpha and not out.chi_p
-    out = reduced_derivative(ce_ctx, ChiTupleCE({("chi01",): x(2)}))
+    out = reduced_derivative(ce_ctx, ChiTupleCE(3, {("chi01",): x(2)}))
     assert out.chi01.is_zero()
     assert out.chi_alpha == {(0, 2): Expr.const(1)}
 
@@ -295,14 +293,14 @@ def test_variational_derivative_pressure_slot(ce_ctx):
 
 
 def test_reduced_system_constant_solution(cpe_ctx):
-    chi = ChiTupleCPE({("chi01",): Expr.const(4)})
+    chi = ChiTupleCPE(3, {("chi01",): Expr.const(4)})
     assert all(expr.is_zero() for _, expr in reduced_system_residuals(cpe_ctx, chi))
 
 
 def test_reduced_system_harmonic_violation(cpe_ctx):
     # chi1 = u1 with the slaved components still fails the harmonic equation
     chi1 = u(1, (0, 0, 0))
-    chi = ChiTupleCPE({
+    chi = ChiTupleCPE(3, {
         ("chi_alpha", 0, 2): 2 * u(1, (0, 1, 0)) * chi1,
         ("chi_alpha", 0, 3): 2 * u(1, (0, 0, 1)) * chi1,
         ("chi0",): -restricted_derivative(cpe_ctx, 1, chi1),
@@ -318,7 +316,7 @@ def test_reduced_system_harmonic_violation(cpe_ctx):
 
 
 def test_reduced_system_pressure_relation_witness(cpe_ctx):
-    chi = ChiTupleCPE({("chi0",): x(1), ("chi1",): x(1)})
+    chi = ChiTupleCPE(3, {("chi0",): x(1), ("chi1",): x(1)})
     residuals = dict(reduced_system_residuals(cpe_ctx, chi))
     assert residuals["pressure_slaved"] == x(1) + Expr.const(1)
 
@@ -359,21 +357,21 @@ def test_reduced_system_entry_behaviour(cpe_ctx):
     # chi0 and chi_alpha enter undifferentiated and are reduced; chi01 and
     # chi1 are differentiated, which needs canonical coordinates
     non_canonical = p((2, 0, 0))
-    residuals = dict(reduced_system_residuals(cpe_ctx, ChiTupleCPE({("chi0",): non_canonical})))
+    residuals = dict(reduced_system_residuals(cpe_ctx, ChiTupleCPE(3, {("chi0",): non_canonical})))
     assert residuals["pressure_slaved"] == reduce(cpe_ctx, non_canonical)
     assert pvar((2, 0, 0)) not in residuals["pressure_slaved"].variables()
-    chi = ChiTupleCPE({("chi_alpha", 1, 2): u(1, (1, 0, 0))})
+    chi = ChiTupleCPE(3, {("chi_alpha", 1, 2): u(1, (1, 0, 0))})
     assert dict(reduced_system_residuals(cpe_ctx, chi))["higher_velocity_vanish[1,2]"] == reduce(
         cpe_ctx, u(1, (1, 0, 0))
     )
     for label in (("chi1",), ("chi01",)):
         with pytest.raises(ValueError, match="not a canonical coordinate"):
-            reduced_system_residuals(cpe_ctx, ChiTupleCPE({label: non_canonical}))
+            reduced_system_residuals(cpe_ctx, ChiTupleCPE(3, {label: non_canonical}))
 
 
 def test_reduced_system_rejects_the_continuity_shape(cpe_ctx):
     with pytest.raises(ValueError, match="takes a ChiTupleCPE, not a ChiTupleCE"):
-        reduced_system_residuals(cpe_ctx, ChiTupleCE({("chi_p", 0): x(1)}))
+        reduced_system_residuals(cpe_ctx, ChiTupleCE(3, {("chi_p", 0): x(1)}))
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -383,11 +381,11 @@ def test_reduced_system_is_the_literal_system(m):
     ctx = ReductionContext(Setting.CPE, m)
     rng = random.Random(160 + m)
     pool = variable_pool(m, max_u_order=2, max_p_order=1, ctx=ctx, allow_t=True)
-    labels = ChiTupleCPE.ansatz_labels(m, 2)
+    labels = ChiTupleCPE.labels(m, 2)
     without = {1: [("chi1",)], 2: [l for l in labels if l[0] == "chi_alpha"]}
     for trial in range(12):
         chosen = [l for l in labels if rng.random() < 0.5 and l not in without.get(trial % 4, [])]
-        chi = ChiTupleCPE({l: random_expr(rng, pool, n_terms=2) for l in chosen})
+        chi = ChiTupleCPE(m, {l: random_expr(rng, pool, n_terms=2) for l in chosen})
         assert reduced_system_residuals(ctx, chi) == _system_literal(ctx, chi)
 
 
@@ -412,7 +410,7 @@ def test_kernel_cpe_contains_constant(cpe_ctx):
     ansatz = AnsatzSpec(0, 0, 0)
     basis = kernel_search(cpe_ctx, ansatz)
     vectors = [kernel_vectors(cpe_ctx, ansatz, chi) for chi in basis]
-    constant = kernel_vectors(cpe_ctx, ansatz, ChiTupleCPE({("chi01",): Expr.const(1)}))
+    constant = kernel_vectors(cpe_ctx, ansatz, ChiTupleCPE(3, {("chi01",): Expr.const(1)}))
     assert linalg.in_span(vectors, constant)
 
 
@@ -466,7 +464,7 @@ def test_kernel_columns_are_the_transported_derivative(setting, m, ansatz):
         for target, expr in _derivative_entries(ctx, label, f, df):
             column[target] = column.get(target, Expr.zero()) + expr
         column = {k: v for k, v in column.items() if not v.is_zero()}
-        chi = shape({label: f})
+        chi = shape(m, {label: f})
         expected = dict(correction(ctx, chi).items())
         expected[label] = expected.get(label, Expr.zero()) + restricted_derivative(ctx, 1, f)
         assert column == {k: v for k, v in expected.items() if not v.is_zero()}
@@ -484,7 +482,7 @@ def test_system_columns_are_the_literal_system(m, ansatz):
         column: dict = {}
         for name, expr in _system_entries(ctx, label, f, df):
             column[name] = column.get(name, Expr.zero()) + expr
-        literal = dict(_system_literal(ctx, ChiTupleCPE({label: f})))
+        literal = dict(_system_literal(ctx, ChiTupleCPE(m, {label: f})))
         assert column.keys() <= literal.keys()
         assert {k: v for k, v in column.items() if not v.is_zero()} == {
             k: v for k, v in literal.items() if not v.is_zero()
@@ -508,7 +506,7 @@ def test_kernel_rows_are_the_literal_matrix(setting, m, ansatz, monkeypatch):
     kernel_search(ctx, ansatz)
     literal: dict = {}
     for col, (label, mono) in enumerate(_unknowns(ctx, ansatz)):
-        for slot, expr in reduced_derivative(ctx, shape({label: Expr({mono: 1})})).items():
+        for slot, expr in reduced_derivative(ctx, shape(m, {label: Expr({mono: 1})})).items():
             for out_mono, coeff in expr.items():
                 literal.setdefault((slot, out_mono), {})[col] = coeff
     as_multiset = lambda rows: Counter(
@@ -518,7 +516,7 @@ def test_kernel_rows_are_the_literal_matrix(setting, m, ansatz, monkeypatch):
     assert as_multiset(rows) == as_multiset(literal.values())
     if setting is Setting.CPE:
         # the chi1 columns, assembled from per-term pairs, are in the rows
-        labels = ChiTupleCPE.ansatz_labels(m, ansatz.max_order)
+        labels = ChiTupleCPE.labels(m, ansatz.max_order)
         width = len(_unknowns(ctx, ansatz)) // len(labels)
         first = labels.index(("chi1",)) * width
         assert any(first <= c < first + width for row in rows for c in row)
@@ -555,10 +553,10 @@ def test_chi1_correction_is_the_docstring_rule(m):
         for target, expr in _correction_entries(ctx, ("chi1",), f, df):
             entries[target] = entries.get(target, Expr.zero()) + expr
         assert {k: v for k, v in entries.items() if not v.is_zero()} == expected
-        assert dict(correction(ctx, ChiTupleCPE({("chi1",): f})).items()) == expected
+        assert dict(correction(ctx, ChiTupleCPE(m, {("chi1",): f})).items()) == expected
         expected[("chi1",)] = restricted_derivative(ctx, 1, f)
         assert not expected[("chi1",)].is_zero()
-        assert dict(reduced_derivative(ctx, ChiTupleCPE({("chi1",): f})).items()) == expected
+        assert dict(reduced_derivative(ctx, ChiTupleCPE(m, {("chi1",): f})).items()) == expected
 
 
 def test_kernel_cap_enforced(cpe_ctx):
@@ -604,8 +602,8 @@ def test_kernel_helmholtz_report(cpe_ctx):
     # the constant tuple passes it trivially
     basis = kernel_search(cpe_ctx, AnsatzSpec(0, 0, 0))
     chi = basis[0]
-    cot = Cotuple((chi.chi01, Expr.zero(), Expr.zero()), chi.chi0)
-    assert helmholtz_residual(cot, 3).is_zero()
+    cot = Cotuple(3, {("u", 1): chi.chi01, ("p",): chi.chi0})
+    assert helmholtz_residual(cot).is_zero()
 
 
 # -- exact linear algebra -----------------------------------------------------

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from jetns.constraints import reduce
+from jetns.exprio import parse_tuple
 from jetns.jetalgebra import Expr, expr_sum, p, u, x
 from jetns.multiindex import MultiIndex, unit
 from jetns.ns_presets import evolution_current, ns_build
@@ -58,8 +61,8 @@ def test_euler_annihilates_random_divergences():
 
 
 def test_frechet_identity_operator():
-    chi = Cotuple((u(1, (0, 0, 0)), u(2, (0, 0, 0)), u(3, (0, 0, 0))), Expr.zero())
-    op = frechet_linearization(chi, 3)
+    chi = Cotuple(3, {("u", mu): u(mu, (0, 0, 0)) for mu in (1, 2, 3)})
+    op = frechet_linearization(chi)
     zero3 = MultiIndex((0, 0, 0))
     for mu in (1, 2, 3):
         assert op.coefficient(mu, mu, zero3) == Expr.const(1)
@@ -67,8 +70,8 @@ def test_frechet_identity_operator():
 
 
 def test_frechet_single_derivative():
-    chi = Cotuple((u(1, (1, 0, 0)), Expr.zero(), Expr.zero()), Expr.zero())
-    op = frechet_linearization(chi, 3)
+    chi = Cotuple(3, {("u", 1): u(1, (1, 0, 0))})
+    op = frechet_linearization(chi)
     assert op.items() == [((1, 1, MultiIndex((1, 0, 0))), Expr.const(1))]
 
 
@@ -81,7 +84,7 @@ def test_frechet_reproduces_ev_action(free_ctx):
     pool = variable_pool(max_u_order=1, max_p_order=1)
     L = p((0, 0, 0)) * expr_sum(u(mu, unit(mu, 3)) for mu in (1, 2, 3))
     chi = euler_operator(L, 3)
-    op = frechet_linearization(chi, 3)
+    op = frechet_linearization(chi)
     for _ in range(5):
         f = random_characteristic(rng, pool)
         for target in (1, 2, 3, 0):
@@ -94,13 +97,13 @@ def test_frechet_reproduces_ev_action(free_ctx):
 
 
 def test_adjoint_of_multiplication_is_itself():
-    chi = Cotuple((u(1, (0, 0, 0)), u(2, (0, 0, 0)), u(3, (0, 0, 0))), Expr.zero())
-    assert formal_adjoint(chi, 3) == frechet_linearization(chi, 3)
+    chi = Cotuple(3, {("u", mu): u(mu, (0, 0, 0)) for mu in (1, 2, 3)})
+    assert formal_adjoint(chi) == frechet_linearization(chi)
 
 
 def test_adjoint_of_first_derivative_flips_sign():
-    chi = Cotuple((u(1, (1, 0, 0)), Expr.zero(), Expr.zero()), Expr.zero())
-    op = formal_adjoint(chi, 3)
+    chi = Cotuple(3, {("u", 1): u(1, (1, 0, 0))})
+    op = formal_adjoint(chi)
     assert op.items() == [((1, 1, MultiIndex((1, 0, 0))), Expr.const(-1))]
 
 
@@ -108,16 +111,16 @@ def test_adjoint_matches_operator_adjoint_of_linearization():
     rng = random.Random(33)
     pool = variable_pool(max_u_order=2, max_p_order=1)
     for _ in range(8):
-        chi = Cotuple(tuple(random_expr(rng, pool, n_terms=2) for _ in range(3)), random_expr(rng, pool, n_terms=2))
-        assert formal_adjoint(chi, 3) == operator_adjoint(frechet_linearization(chi, 3), 3)
+        chi = random_characteristic(rng, pool, shape=Cotuple)
+        assert formal_adjoint(chi) == operator_adjoint(frechet_linearization(chi), 3)
 
 
 def test_adjoint_involution():
     rng = random.Random(34)
     pool = variable_pool(max_u_order=2, max_p_order=1)
     for _ in range(8):
-        chi = Cotuple(tuple(random_expr(rng, pool, n_terms=2) for _ in range(3)), random_expr(rng, pool, n_terms=2))
-        op = frechet_linearization(chi, 3)
+        chi = random_characteristic(rng, pool, shape=Cotuple)
+        op = frechet_linearization(chi)
         assert operator_adjoint(operator_adjoint(op, 3), 3) == op
 
 
@@ -126,22 +129,37 @@ def test_helmholtz_passes_on_euler_images():
     pool = variable_pool(max_u_order=2, max_p_order=2)
     for _ in range(10):
         L = random_expr(rng, pool, n_terms=3)
-        assert helmholtz_residual(euler_operator(L, 3), 3).is_zero()
+        assert helmholtz_residual(euler_operator(L, 3)).is_zero()
 
 
 def test_helmholtz_fails_on_first_derivative():
-    chi = Cotuple((u(1, (1, 0, 0)), Expr.zero(), Expr.zero()), Expr.zero())
-    residual = helmholtz_residual(chi, 3)
+    chi = Cotuple(3, {("u", 1): u(1, (1, 0, 0))})
+    residual = helmholtz_residual(chi)
     assert residual.items() == [((1, 1, MultiIndex((1, 0, 0))), Expr.const(2))]
 
 
 def test_helmholtz_passes_on_symmetric_multiplication():
-    chi = Cotuple((Expr.zero(), Expr.zero(), Expr.zero()), p((0, 0, 0)))
-    assert helmholtz_residual(chi, 3).is_zero()
+    chi = Cotuple(3, {("p",): p((0, 0, 0))})
+    assert helmholtz_residual(chi).is_zero()
+
+
+def test_helmholtz_reads_the_dimension_off_the_cotuple():
+    # with m passed alongside, m=1 gave an empty family for this cotuple,
+    # so it passed as variational, and m=3 raised IndexError
+    chi = parse_tuple("f1: u1_[1,0]", "cotuple", 2)
+    assert helmholtz_residual(chi).items() == [((1, 1, MultiIndex((1, 0))), Expr.const(2))]
+    assert helmholtz_residual(parse_tuple("f1: u1_[0,0]; f2: u2_[0,0]", "cotuple", 2)).is_zero()
+
+
+def test_current_divergence_refuses_another_dimension(cpe_ctx):
+    # a 2-component current in an m=3 context once returned 2
+    current = CurrentTuple(2, {("j", 1): x(1), ("j", 2): x(2)})
+    with pytest.raises(ValueError, match="current has 2 components, context m=3"):
+        current_divergence(cpe_ctx, current)
 
 
 def test_velocity_current_is_conserved_on_ce(ce_ctx):
-    current = CurrentTuple(tuple(u(mu, (0, 0, 0)) for mu in (1, 2, 3)))
+    current = CurrentTuple(3, {("j", mu): u(mu, (0, 0, 0)) for mu in (1, 2, 3)})
     assert current_divergence(ce_ctx, current).is_zero()
 
 
@@ -151,7 +169,7 @@ def test_evolution_current_conserved_on_cpe(cpe_ctx):
 
 
 def test_nonconserved_current_witness(cpe_ctx):
-    current = CurrentTuple((u(1, (0, 0, 0)) ** 2, Expr.zero(), Expr.zero()))
+    current = CurrentTuple(3, {("j", 1): u(1, (0, 0, 0)) ** 2})
     residual = current_divergence(cpe_ctx, current)
     expected = reduce(cpe_ctx, 2 * u(1, (0, 0, 0)) * u(1, (1, 0, 0)))
     assert residual == expected
@@ -178,8 +196,8 @@ def test_free_divergence_identity_exact():
 def test_cotuple_arithmetic_keeps_its_shape(cpe_ctx):
     from jetns.exprio import tuple_shape
 
-    a = Cotuple((u(1, (1, 0, 0)), x(2), Expr.zero()), p((2, 0, 0)))
-    b = Cotuple((x(1), Expr.zero(), u(2, (0, 1, 0))), Expr.const(1))
+    a = Cotuple(3, {("u", 1): u(1, (1, 0, 0)), ("u", 2): x(2), ("p",): p((2, 0, 0))})
+    b = Cotuple(3, {("u", 1): x(1), ("u", 3): u(2, (0, 1, 0)), ("p",): Expr.const(1)})
     for value in (a + b, a - b, 3 * a, a.reduce(cpe_ctx)):
         assert type(value) is Cotuple
         assert tuple_shape(value) == "cotuple"

@@ -88,7 +88,11 @@ class ResidualReport:
 
 def divergence_residual(ctx: ReductionContext, f: Characteristic) -> Expr:
     """The reduced divergence of the velocity components."""
-    f = f.reduce(ctx)
+    return _divergence(ctx, f.reduce(ctx))
+
+
+def _divergence(ctx: ReductionContext, f: Characteristic) -> Expr:
+    """divergence_residual of an f already in canonical coordinates."""
     return expr_sum(
         restricted_derivative(ctx, mu, f.component(mu)) for mu in range(1, ctx.m + 1)
     )
@@ -96,7 +100,11 @@ def divergence_residual(ctx: ReductionContext, f: Characteristic) -> Expr:
 
 def pressure_coupling_residual(ctx: ReductionContext, f: Characteristic) -> Expr:
     """Laplacian of the pressure component plus twice the gradient coupling."""
-    f = f.reduce(ctx)
+    return _pressure_coupling(ctx, f.reduce(ctx))
+
+
+def _pressure_coupling(ctx: ReductionContext, f: Characteristic) -> Expr:
+    """pressure_coupling_residual of an f already in canonical coordinates."""
     m = ctx.m
     coupling = expr_sum(
         velocity_gradient_entry(ctx, la, mu)
@@ -118,9 +126,10 @@ def symmetry_residuals(ctx: ReductionContext, f: Characteristic) -> ResidualRepo
         raise ValueError(f"characteristic has {f.m} velocity components, context m={ctx.m}")
     if ctx.setting is Setting.FREE:
         return ResidualReport([])
-    entries = [("divergence", divergence_residual(ctx, f))]
+    f = f.reduce(ctx)
+    entries = [("divergence", _divergence(ctx, f))]
     if ctx.setting is Setting.CPE:
-        entries.append(("pressure_poisson", pressure_coupling_residual(ctx, f)))
+        entries.append(("pressure_poisson", _pressure_coupling(ctx, f)))
     return ResidualReport(entries)
 
 

@@ -39,13 +39,27 @@ it indexes its rows by output slot, then by output monomial.  The chi1
 rows of both rules are terms g D_path f or D_b(g D_path f), which one
 builder expands through Leibniz into coefficient rows once per (setting,
 m) and rule, so no product of a coordinate and f is differentiated.
+
+Before assembly, the labels whose unknowns every solution sets to zero
+are peeled, read off the rule itself: it runs once per label on a probe,
+and a write that passes f on unchanged is an identity, such as the three
+label shifts above or the system's higher_velocity_vanish rows.  A slot
+whose one write, once the peeled labels are left out, is an identity
+from L holds a one-entry row for each of L's unknowns, so L is peeled,
+and the shifts cascade from the top order down.  In the continuity
+setting every label but chi01 goes; in the joint setting the chi_alpha
+labels of order 1 and up, under both rules.  A peeled label's columns
+are never computed: its unknowns are pinned by one-entry rows.  Those
+unit rows lie in the row space of the full matrix, since elimination
+would peel the same singletons, so the row space, the pivot columns
+and the basis are the ones full assembly gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from itertools import combinations_with_replacement, product
 
 from . import linalg
@@ -329,10 +343,17 @@ def ansatz_monomials(ctx: ReductionContext, ansatz: AnsatzSpec) -> list[Monomial
     return monomials
 
 
-def _ansatz_axes(ctx: ReductionContext, ansatz: AnsatzSpec) -> tuple[list[tuple], list[Monomial]]:
-    """The ansatz labels and monomials; the unknowns are their pairs, label-major."""
+@lru_cache(maxsize=64)
+def _ansatz_axes(
+    ctx: ReductionContext, ansatz: AnsatzSpec
+) -> tuple[tuple[tuple, ...], tuple[Monomial, ...]]:
+    """The ansatz labels and monomials, built once per (context, ansatz).
+
+    The unknowns are their pairs, label-major.  Tuples, so no caller can
+    change what the next one reads.
+    """
     shape = _shape(ctx, "kernel search")
-    return shape.labels(ctx.m, ansatz.max_order), ansatz_monomials(ctx, ansatz)
+    return tuple(shape.labels(ctx.m, ansatz.max_order)), tuple(ansatz_monomials(ctx, ansatz))
 
 
 def _unknowns(ctx: ReductionContext, ansatz: AnsatzSpec) -> list[tuple[tuple, Monomial]]:
@@ -340,33 +361,70 @@ def _unknowns(ctx: ReductionContext, ansatz: AnsatzSpec) -> list[tuple[tuple, Mo
     return list(product(*_ansatz_axes(ctx, ansatz)))
 
 
+@lru_cache(maxsize=64)
+def _forced_zero_labels(ctx: ReductionContext, labels: tuple, rule) -> frozenset:
+    """The labels whose unknowns are zero in every solution of rule's map, read off rule.
+
+    rule(ctx, label, f, df) runs once per label on the constant monomial;
+    the slots it yields depend on the label alone, and a yield that is f
+    itself is an identity write.  A slot whose one write, among the labels
+    not yet marked, is the identity from L holds the row {(L, mono): 1}
+    for every monomial, so every unknown at L is zero.  Marking L can
+    leave another slot with one identity write, so the pass repeats until
+    nothing changes.
+    """
+    f = _raw({(): 1})  # a fresh object: only a write that passes f on is f
+    df = _derivative_table(ctx, f)
+    writes: dict = {}  # slot -> [(label, whether the write is f itself)]
+    for label in labels:
+        for slot, expr in rule(ctx, label, f, df):
+            writes.setdefault(slot, []).append((label, expr is f))
+    zero: set = set()
+    grew = True
+    while grew:
+        grew = False
+        for slot_writes in writes.values():
+            live = [w for w in slot_writes if w[0] not in zero]
+            if len(live) == 1 and live[0][1]:
+                zero.add(live[0][0])
+                grew = True
+    return frozenset(zero)
+
+
 def _solve_homogeneous(
-    ctx: ReductionContext, ansatz: AnsatzSpec, column, max_unknowns: int
+    ctx: ReductionContext, ansatz: AnsatzSpec, rule, max_unknowns: int
 ) -> list:
     """Nullspace basis of a chi-linear constraint map within the ansatz.
 
-    column(label, f, df) yields the (slot, expression) pairs the map sends
-    the one-entry tuple f at label to, df(path) being D_path f; every one
-    must vanish identically.  Each (slot, monomial) of the outputs is one linear
-    constraint on the unknown coefficients, and each unknown fills its
-    column of the rows.  Assembly runs monomial by monomial, so each
-    monomial's derivatives are computed once for all labels; the columns
-    stay label-major.
+    rule(ctx, label, f, df) yields the (slot, expression) pairs the map
+    sends the one-entry tuple f at label to, df(path) being D_path f;
+    every one must vanish identically.  Each (slot, monomial) of the
+    outputs is one linear constraint on the unknown coefficients, and each
+    unknown fills its column of the rows.  Assembly runs monomial by
+    monomial, so each monomial's derivatives are computed once for all
+    labels; the columns stay label-major.  A forced-zero label's columns
+    are not computed: a one-entry row pins each of its unknowns.
     """
     shape = _shape(ctx, "kernel search")
     labels, monomials = _ansatz_axes(ctx, ansatz)
-    unknowns = list(product(labels, monomials))
-    if len(unknowns) > max_unknowns:
-        raise AnsatzTooLargeError(len(unknowns), max_unknowns)
+    width, count = len(monomials), len(labels) * len(monomials)
+    if count > max_unknowns:
+        raise AnsatzTooLargeError(count, max_unknowns)
+    zero = _forced_zero_labels(ctx, labels, rule)
+    live = [(pos, label) for pos, label in enumerate(labels) if label not in zero]
 
-    rows: list[dict[int, int | Fraction]] = []  # in first-seen order
+    rows: list[dict[int, int | Fraction]] = [  # the pins, then the rest in first-seen order
+        {col: 1}
+        for pos, label in enumerate(labels) if label in zero
+        for col in range(pos * width, (pos + 1) * width)
+    ]
     index: dict = {}  # slot -> output monomial -> its row
     for mono_pos, mono in enumerate(monomials):
         f = _raw({mono: 1})
         df = _derivative_table(ctx, f)
-        for label_pos, label in enumerate(labels):
-            col = label_pos * len(monomials) + mono_pos
-            for slot, expr in column(label, f, df):
+        for label_pos, label in live:
+            col = label_pos * width + mono_pos
+            for slot, expr in rule(ctx, label, f, df):
                 by_mono = index.setdefault(slot, {})
                 for out_mono, coeff in expr.unsorted_items():
                     row = by_mono.get(out_mono)
@@ -377,12 +435,12 @@ def _solve_homogeneous(
                         row[col] = row.get(col, 0) + coeff
 
     # the basis does not depend on the order of the rows (see linalg.nullspace)
-    vectors = linalg.nullspace(rows, len(unknowns))
+    vectors = linalg.nullspace(rows, count)
 
     basis = []
     for vec in vectors:
         terms: dict[tuple, dict[Monomial, int]] = {}
-        for (label, mono), coeff in zip(unknowns, vec):
+        for (label, mono), coeff in zip(product(labels, monomials), vec):
             if coeff != 0:
                 terms.setdefault(label, {})[mono] = coeff
         basis.append(shape(ctx.m, {label: _raw(t) for label, t in terms.items()}))
@@ -400,7 +458,7 @@ def kernel_search(
     The basis is deterministically ordered and scaled to coprime
     integers.
     """
-    return _solve_homogeneous(ctx, ansatz, partial(_derivative_entries, ctx), max_unknowns)
+    return _solve_homogeneous(ctx, ansatz, _derivative_entries, max_unknowns)
 
 
 def reduced_system_kernel(
@@ -414,7 +472,7 @@ def reduced_system_kernel(
     """
     if ctx.setting is not Setting.CPE:
         raise ValueError("the reduced system lives in the cpe setting")
-    return _solve_homogeneous(ctx, ansatz, partial(_system_entries, ctx), max_unknowns)
+    return _solve_homogeneous(ctx, ansatz, _system_entries, max_unknowns)
 
 
 def kernel_vectors(ctx: ReductionContext, ansatz: AnsatzSpec, chi) -> tuple[Fraction, ...]:

@@ -128,10 +128,10 @@ def frechet_linearization(chi: Cotuple) -> OperatorCoefficients:
 
 def formal_adjoint(chi: Cotuple) -> OperatorCoefficients:
     """Coefficients of the formal adjoint: the adjoint of the linearization."""
-    return operator_adjoint(frechet_linearization(chi), chi.m)
+    return operator_adjoint(frechet_linearization(chi))
 
 
-def operator_adjoint(op: OperatorCoefficients, m: int) -> OperatorCoefficients:
+def operator_adjoint(op: OperatorCoefficients) -> OperatorCoefficients:
     """The adjoint of a general coefficient family: transpose and integrate by parts."""
     data: dict[tuple[int, int, MultiIndex], Expr] = {}
     for (target, source, i), expr in op.items():
@@ -147,7 +147,7 @@ def operator_adjoint(op: OperatorCoefficients, m: int) -> OperatorCoefficients:
 def helmholtz_residual(chi: Cotuple) -> OperatorCoefficients:
     """Linearization minus formal adjoint; empty exactly for variational cotuples."""
     linearization = frechet_linearization(chi)
-    return linearization - operator_adjoint(linearization, chi.m)
+    return linearization - operator_adjoint(linearization)
 
 
 def current_divergence(ctx: ReductionContext, current: CurrentTuple) -> Expr:

@@ -5,6 +5,7 @@ wall-clock budgets are asserted alongside the algebra.  Run with
 ``pytest tests/test_acceptance.py -v`` for the per-criterion lines.
 """
 
+import json
 import random
 import time
 from fractions import Fraction
@@ -48,6 +49,20 @@ from jetns.variational import Cotuple, euler_operator, helmholtz_residual
 from conftest import random_characteristic, random_expr, variable_pool
 
 GOLDEN = Path(__file__).parent / "golden"
+BENCH = Path(__file__).parent.parent / "bench"
+
+
+def _bench_kernel_ansatzes(workload: str) -> list[tuple[int, AnsatzSpec, str]]:
+    """(m, ansatz, file stem) of each kernel_search ansatz a bench workload runs."""
+    spec = json.loads((BENCH / "spec.json").read_text(encoding="utf-8"))
+    return [
+        (
+            a["m"],
+            AnsatzSpec(a["max_order"], a["max_degree"], a["max_x_degree"]),
+            f"cpe_m{a['m']}_o{a['max_order']}_d{a['max_degree']}_x{a['max_x_degree']}",
+        )
+        for a in spec["workloads"][workload]["dims"]["ansatz"]
+    ]
 
 
 def _report(number: int, name: str, started: float, budget: float) -> None:
@@ -146,6 +161,10 @@ def test_c07_ce_kernel_is_one_dimensional():
     assert representative.chi01.constant_value() not in (None, Fraction(0))
     assert not representative.chi_alpha
     assert not representative.chi_p
+    # the bench kernel-ce ansatzes: the constant chi01 alone
+    for m, ansatz, _ in _bench_kernel_ansatzes("kernel-ce"):
+        [chi] = kernel_search(ReductionContext(Setting.CE, m), ansatz)
+        assert chi.items() == [(("chi01",), Expr.const(1))]
     _report(7, "continuity-setting kernel is the constants", started, 60.0)
 
 
@@ -165,14 +184,17 @@ def test_c08_cpe_kernel_and_reduced_system_agree():
         assert all(expr.is_zero() for _, expr in reduced_system_residuals(ctx, chi))
     for chi in system:
         assert reduced_derivative(ctx, chi).is_zero()
-    # on the bench kernel ansatzes the two solves print the same basis: the
-    # space alone fixes the free columns of the nullspace and the scaling
-    for m, max_order, degree, count in ((3, 1, 2, 5), (2, 3, 2, 4), (4, 1, 1, 2)):
+    # on the bench kernel-cpe ansatzes the two solves print the bench's
+    # expected basis: the space alone fixes the free columns of the
+    # nullspace and the scaling
+    counts = {3: 5, 2: 4, 4: 2}  # basis size at each bench m
+    for m, ansatz, stem in _bench_kernel_ansatzes("kernel-cpe"):
         ctx = ReductionContext(Setting.CPE, m)
-        ansatz = AnsatzSpec(max_order=max_order, max_degree=degree, max_x_degree=degree)
-        kernel = [print_tuple(chi) for chi in kernel_search(ctx, ansatz)]
-        assert len(kernel) == count
-        assert [print_tuple(chi) for chi in reduced_system_kernel(ctx, ansatz)] == kernel
+        expected = (BENCH / "expected" / f"{stem}.txt").read_text(encoding="utf-8")
+        kernel = "".join(print_tuple(chi) + "\n" for chi in kernel_search(ctx, ansatz))
+        assert kernel == expected and expected.count("\n") == counts[m]
+        system = reduced_system_kernel(ctx, ansatz)
+        assert "".join(print_tuple(chi) + "\n" for chi in system) == expected
     _report(8, "joint-setting kernel matches the first-order system", started, 300.0)
 
 

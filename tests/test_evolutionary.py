@@ -8,9 +8,11 @@ from jetns.evolutionary import (
     Characteristic,
     EvolutionField,
     commutator_with_total,
+    divergence_residual,
     ev_apply,
     evolution_derivative,
     linearize_evolution,
+    pressure_coupling_residual,
     pressure_shift_characteristic,
     symmetry_residuals,
     time_symmetry_residual,
@@ -20,6 +22,7 @@ from jetns.jetalgebra import Expr, p, t, u, x
 from jetns.multiindex import MultiIndex
 from jetns.ns_presets import evolution_field, ns_build
 from jetns.reducedcomplex import ChiTupleCPE, reduced_system_residuals
+from jetns.tuples import LabelTuple
 
 from conftest import random_characteristic, random_expr, variable_pool
 
@@ -155,6 +158,23 @@ def test_symmetry_residuals_of_violating_field(cpe_ctx):
     report = symmetry_residuals(cpe_ctx, f)
     assert not report.passed
     assert report.residual("divergence") == reduce(cpe_ctx, u(2, (1, 0, 0)))
+
+
+def test_symmetry_residuals_reduce_their_input_once(cpe_ctx, monkeypatch):
+    # both cpe residuals read the one reduced tuple, and equal the public
+    # residuals, which each reduce their input
+    rng = random.Random(57)
+    f = random_characteristic(rng, variable_pool(max_u_order=2, max_p_order=1))
+    reduced = []
+    real = LabelTuple.reduce
+    spy = lambda self, ctx: reduced.append(self) or real(self, ctx)
+    monkeypatch.setattr(LabelTuple, "reduce", spy)
+    report = symmetry_residuals(cpe_ctx, f)
+    assert sum(g is f for g in reduced) == 1
+    assert report.entries == [
+        ("divergence", divergence_residual(cpe_ctx, f)),
+        ("pressure_poisson", pressure_coupling_residual(cpe_ctx, f)),
+    ]
 
 
 def test_evolution_derivative_examples():

@@ -31,6 +31,7 @@ from jetns.reducedcomplex import (
     reduced_variational_derivative,
     _correction_entries,
     _derivative_entries,
+    _forced_zero_labels,
     _system_entries,
     _unknowns,
 )
@@ -489,37 +490,81 @@ def test_system_columns_are_the_literal_system(m, ansatz):
         }
 
 
+def _assert_rows_are_the_pinned_literal_matrix(ctx, ansatz, solve, rule, literal_column, monkeypatch):
+    """The rows solve hands to nullspace against the full literal matrix.
+
+    The oracle has one row per (slot, monomial) of literal_column(label, f)
+    over every unknown and one column per unknown.  The handed rows are
+    one pin {col: 1} per unknown of a forced-zero label plus the oracle's
+    rows on the other columns; every pinned column is a one-entry pivot of
+    the oracle, and both give the same nullspace.
+    """
+    handed = []
+    real = linalg.nullspace
+    monkeypatch.setattr(linalg, "nullspace", lambda rows, n: handed.append(rows) or real(rows, n))
+    solve(ctx, ansatz)
+    [rows] = handed
+    unknowns = _unknowns(ctx, ansatz)
+    literal: dict = {}
+    for col, (label, mono) in enumerate(unknowns):
+        for slot, expr in literal_column(label, Expr({mono: 1})):
+            for out_mono, coeff in expr.items():
+                literal.setdefault((slot, out_mono), {})[col] = coeff
+    literal = list(literal.values())
+    labels = list(dict.fromkeys(label for label, _ in unknowns))
+    zero = _forced_zero_labels(ctx, tuple(labels), rule)
+    pinned = {col for col, (label, _) in enumerate(unknowns) if label in zero}
+    assert pinned
+    as_multiset = lambda rows: Counter(
+        key for key in (tuple(sorted((c, v) for c, v in row.items() if v != 0)) for row in rows)
+        if key
+    )
+    live_rows = ({c: v for c, v in row.items() if c not in pinned} for row in literal)
+    pins = Counter(((c, 1),) for c in pinned)
+    assert as_multiset(rows) == pins + as_multiset(live_rows)
+    pivots = linalg.row_reduce(literal)
+    assert all(pivots.get(c) == {c: 1} for c in pinned)
+    assert real(rows, len(unknowns)) == real(literal, len(unknowns))
+    return rows, labels, zero
+
+
+def _peeled_by_the_shifts(setting, labels):
+    """The labels the shifts force to zero: ce all but chi01, cpe chi_alpha of order >= 1."""
+    if setting is Setting.CE:
+        return {l for l in labels if l != ("chi01",)}
+    return {l for l in labels if l[0] == "chi_alpha" and l[1] >= 1}
+
+
 @pytest.mark.parametrize(
     "setting, m, ansatz",
     [(Setting.CE, 3, AnsatzSpec(1, 1, 1)), (Setting.CPE, 3, AnsatzSpec(1, 1, 1)),
      (Setting.CPE, 2, AnsatzSpec(2, 2, 1))],
 )
 def test_kernel_rows_are_the_literal_matrix(setting, m, ansatz, monkeypatch):
-    # the rows kernel_search hands to nullspace, as a multiset, are the
-    # matrix read off reduced_derivative of every one-entry tuple: one row
-    # per (slot, monomial) of the outputs, one column per unknown
+    # the oracle is read off reduced_derivative of every one-entry tuple
     ctx = ReductionContext(setting, m)
     shape = ChiTupleCE if setting is Setting.CE else ChiTupleCPE
-    handed = []
-    real = linalg.nullspace
-    monkeypatch.setattr(linalg, "nullspace", lambda rows, n: handed.append(rows) or real(rows, n))
-    kernel_search(ctx, ansatz)
-    literal: dict = {}
-    for col, (label, mono) in enumerate(_unknowns(ctx, ansatz)):
-        for slot, expr in reduced_derivative(ctx, shape(m, {label: Expr({mono: 1})})).items():
-            for out_mono, coeff in expr.items():
-                literal.setdefault((slot, out_mono), {})[col] = coeff
-    as_multiset = lambda rows: Counter(
-        tuple(sorted((c, v) for c, v in row.items() if v != 0)) for row in rows
+    rows, labels, zero = _assert_rows_are_the_pinned_literal_matrix(
+        ctx, ansatz, kernel_search, _derivative_entries,
+        lambda label, f: reduced_derivative(ctx, shape(m, {label: f})).items(), monkeypatch,
     )
-    [rows] = handed
-    assert as_multiset(rows) == as_multiset(literal.values())
+    assert zero == _peeled_by_the_shifts(setting, labels)
     if setting is Setting.CPE:
         # the chi1 columns, assembled from per-term pairs, are in the rows
-        labels = ChiTupleCPE.labels(m, ansatz.max_order)
         width = len(_unknowns(ctx, ansatz)) // len(labels)
         first = labels.index(("chi1",)) * width
         assert any(first <= c < first + width for row in rows for c in row)
+
+
+@pytest.mark.parametrize("m, ansatz", [(3, AnsatzSpec(1, 1, 1)), (2, AnsatzSpec(2, 2, 1))])
+def test_system_rows_are_the_literal_matrix(m, ansatz, monkeypatch):
+    # the oracle is read off the whole-tuple system of every one-entry tuple
+    ctx = ReductionContext(Setting.CPE, m)
+    _, labels, zero = _assert_rows_are_the_pinned_literal_matrix(
+        ctx, ansatz, reduced_system_kernel, _system_entries,
+        lambda label, f: _system_literal(ctx, ChiTupleCPE(m, {label: f})), monkeypatch,
+    )
+    assert zero == _peeled_by_the_shifts(Setting.CPE, labels)
 
 
 def _chi1_docstring_rule(ctx, f):
@@ -562,6 +607,18 @@ def test_chi1_correction_is_the_docstring_rule(m):
 def test_kernel_cap_enforced(cpe_ctx):
     with pytest.raises(AnsatzTooLargeError):
         kernel_search(cpe_ctx, AnsatzSpec(0, 0, 0), max_unknowns=0)
+
+
+def test_ansatz_axes_are_cached_tuples_and_the_cap_comes_first(cpe_ctx, monkeypatch):
+    ansatz = AnsatzSpec(1, 1, 1)
+    labels, monomials = reducedcomplex._ansatz_axes(cpe_ctx, ansatz)
+    assert type(labels) is tuple and type(monomials) is tuple
+    assert list(monomials) == ansatz_monomials(cpe_ctx, ansatz)
+    assert reducedcomplex._ansatz_axes(cpe_ctx, AnsatzSpec(1, 1, 1))[1] is monomials
+    # an ansatz over the cap is refused before any column is assembled
+    monkeypatch.setattr(reducedcomplex, "_derivative_table", lambda *a: pytest.fail("assembled"))
+    with pytest.raises(AnsatzTooLargeError):
+        kernel_search(cpe_ctx, ansatz, max_unknowns=len(labels) * len(monomials) - 1)
 
 
 def test_kernel_requires_constrained_setting(free_ctx):

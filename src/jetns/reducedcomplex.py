@@ -40,19 +40,21 @@ rows of both rules are terms g D_path f or D_b(g D_path f), which one
 builder expands through Leibniz into coefficient rows once per (setting,
 m) and rule, so no product of a coordinate and f is differentiated.
 
-Before assembly, the labels whose unknowns every solution sets to zero
-are peeled, read off the rule itself: it runs once per label on a probe,
-and a write that passes f on unchanged is an identity, such as the three
-label shifts above or the system's higher_velocity_vanish rows.  A slot
-whose one write, once the peeled labels are left out, is an identity
-from L holds a one-entry row for each of L's unknowns, so L is peeled,
-and the shifts cascade from the top order down.  In the continuity
-setting every label but chi01 goes; in the joint setting the chi_alpha
-labels of order 1 and up, under both rules.  A peeled label's columns
-are never computed: its unknowns are pinned by one-entry rows.  Those
-unit rows lie in the row space of the full matrix, since elimination
-would peel the same singletons, so the row space, the pivot columns
-and the basis are the ones full assembly gives.
+Before assembly, singleton presolve over (label, monomial) pairs pins
+the unknowns every solution sets to zero, reading the writes off the
+rule itself.  Each write W of a label to a slot is linear of order at
+most 2 in the restricted derivatives, or reduce, the identity on
+canonical input, so W multiplies by c = W(1) exactly when W(p) = c p on
+the probes x_mu and x_mu x_nu.  The label shifts and
+higher_velocity_vanish have c = 1; chi1's writes to (chi_alpha, 1, a)
+and velocity_slaved[a] have c = -2 u^1_(a).  On a slot whose live
+writers all multiply by one term, (L, M) enters only the row (slot, c M);
+a row with one unpinned unknown pins it, and a label pinned whole leaves
+the writers, so the shifts cascade from the top order down.  In ce every
+label but chi01 goes; in cpe the chi_alpha labels of order 1 and up, and
+most unknowns of (chi_alpha, 0, a) and chi1.  A pinned unknown is zero in
+every solution, a pivot and never free, so dropping its column keeps the
+free columns, pivots and vectors of full assembly, and so the basis.
 """
 
 from __future__ import annotations
@@ -74,12 +76,14 @@ from .jetalgebra import (
     Expr,
     Monomial,
     T_VAR,
+    _merge_monomials,
     _monomial_key,
     _raw,
     expr_sum,
     pvar,
     u,
     uvar,
+    x,
     xvar,
 )
 from .multiindex import indices_up_to, unit
@@ -361,34 +365,58 @@ def _unknowns(ctx: ReductionContext, ansatz: AnsatzSpec) -> list[tuple[tuple, Mo
     return list(product(*_ansatz_axes(ctx, ansatz)))
 
 
-@lru_cache(maxsize=64)
-def _forced_zero_labels(ctx: ReductionContext, labels: tuple, rule) -> frozenset:
-    """The labels whose unknowns are zero in every solution of rule's map, read off rule.
-
-    rule(ctx, label, f, df) runs once per label on the constant monomial;
-    the slots it yields depend on the label alone, and a yield that is f
-    itself is an identity write.  A slot whose one write, among the labels
-    not yet marked, is the identity from L holds the row {(L, mono): 1}
-    for every monomial, so every unknown at L is zero.  Marking L can
-    leave another slot with one identity write, so the pass repeats until
-    nothing changes.
-    """
-    f = _raw({(): 1})  # a fresh object: only a write that passes f on is f
-    df = _derivative_table(ctx, f)
-    writes: dict = {}  # slot -> [(label, whether the write is f itself)]
+def _writes(ctx: ReductionContext, labels: tuple, rule) -> dict:
+    """slot -> {label: c}: c = W(1) when the label's write W to the slot is multiplication by
+    one term (W(p) = c p on every probe p), else None; writes zero on every probe are left out."""
+    xs = [x(mu) for mu in range(1, ctx.m + 1)]
+    quadratic = (a * b for a, b in combinations_with_replacement(xs, 2))
+    probes = [(p, _derivative_table(ctx, p)) for p in [Expr.const(1), *xs, *quadratic]]
+    zero, writes = Expr.zero(), {}
     for label in labels:
-        for slot, expr in rule(ctx, label, f, df):
-            writes.setdefault(slot, []).append((label, expr is f))
-    zero: set = set()
+        outs: list[dict] = [{} for _ in probes]  # per probe p, slot -> W(p)
+        for (p, df), out in zip(probes, outs):
+            for slot, expr in rule(ctx, label, p, df):
+                out[slot] = out[slot] + expr if slot in out else expr
+        for slot in dict.fromkeys(slot for out in outs for slot in out):
+            c = outs[0].get(slot, zero)
+            if len(c.unsorted_items()) > 1 or any(
+                out.get(slot, zero) != c * p for (p, _), out in zip(probes, outs)
+            ):
+                writes.setdefault(slot, {})[label] = None
+            elif not c.is_zero():
+                writes.setdefault(slot, {})[label] = c
+    return writes
+
+
+@lru_cache(maxsize=64)
+def _forced_zero_unknowns(ctx: ReductionContext, ansatz: AnsatzSpec, rule) -> tuple:
+    """Per ansatz label, the monomial positions whose unknowns every solution zeroes: the
+    singleton cascade of the module docstring over _writes, run until nothing changes."""
+    labels, monomials = _ansatz_axes(ctx, ansatz)
+    width = len(monomials)
+    writes = _writes(ctx, labels, rule)
+    pinned: dict = {label: set() for label in labels}  # a label pinned whole holds range(width)
     grew = True
     while grew:
         grew = False
-        for slot_writes in writes.values():
-            live = [w for w in slot_writes if w[0] not in zero]
-            if len(live) == 1 and live[0][1]:
-                zero.add(live[0][0])
+        for writers in writes.values():
+            live = [(label, c) for label, c in writers.items() if len(pinned[label]) < width]
+            if any(c is None for _, c in live):
+                continue
+            if len(live) == 1:
+                pinned[live[0][0]] = range(width)
                 grew = True
-    return frozenset(zero)
+                continue
+            rows: dict = {}  # output monomial -> its unpinned (label, position) unknowns
+            for label, c in live:
+                [(c_mono, _)] = c.unsorted_items()
+                for pos, mono in enumerate(monomials):
+                    if pos not in pinned[label]:
+                        rows.setdefault(_merge_monomials(c_mono, mono), []).append((label, pos))
+            for label, pos in (row[0] for row in rows.values() if len(row) == 1):
+                pinned[label].add(pos)
+                grew = True
+    return tuple(frozenset(pinned[label]) for label in labels)
 
 
 def _solve_homogeneous(
@@ -402,28 +430,29 @@ def _solve_homogeneous(
     outputs is one linear constraint on the unknown coefficients, and each
     unknown fills its column of the rows.  Assembly runs monomial by
     monomial, so each monomial's derivatives are computed once for all
-    labels; the columns stay label-major.  A forced-zero label's columns
-    are not computed: a one-entry row pins each of its unknowns.
+    labels.  The unknowns _forced_zero_unknowns pins get no column: the
+    others are numbered label-major, and each vector is mapped back.
     """
     shape = _shape(ctx, "kernel search")
     labels, monomials = _ansatz_axes(ctx, ansatz)
-    width, count = len(monomials), len(labels) * len(monomials)
+    count = len(labels) * len(monomials)
     if count > max_unknowns:
         raise AnsatzTooLargeError(count, max_unknowns)
-    zero = _forced_zero_labels(ctx, labels, rule)
-    live = [(pos, label) for pos, label in enumerate(labels) if label not in zero]
-
-    rows: list[dict[int, int | Fraction]] = [  # the pins, then the rest in first-seen order
-        {col: 1}
-        for pos, label in enumerate(labels) if label in zero
-        for col in range(pos * width, (pos + 1) * width)
+    kept = [  # the unpinned unknowns as (label, monomial position), column by column
+        (label, pos)
+        for label, zero in zip(labels, _forced_zero_unknowns(ctx, ansatz, rule))
+        for pos in range(len(monomials)) if pos not in zero
     ]
+    columns: list = [[] for _ in monomials]  # monomial position -> its (label, column) pairs
+    for col, (label, pos) in enumerate(kept):
+        columns[pos].append((label, col))
+
+    rows: list[dict[int, int | Fraction]] = []  # in first-seen order
     index: dict = {}  # slot -> output monomial -> its row
-    for mono_pos, mono in enumerate(monomials):
+    for mono, mono_columns in zip(monomials, columns):
         f = _raw({mono: 1})
         df = _derivative_table(ctx, f)
-        for label_pos, label in live:
-            col = label_pos * width + mono_pos
+        for label, col in mono_columns:
             for slot, expr in rule(ctx, label, f, df):
                 by_mono = index.setdefault(slot, {})
                 for out_mono, coeff in expr.unsorted_items():
@@ -435,14 +464,12 @@ def _solve_homogeneous(
                         row[col] = row.get(col, 0) + coeff
 
     # the basis does not depend on the order of the rows (see linalg.nullspace)
-    vectors = linalg.nullspace(rows, count)
-
     basis = []
-    for vec in vectors:
+    for vec in linalg.nullspace(rows, len(kept)):
         terms: dict[tuple, dict[Monomial, int]] = {}
-        for (label, mono), coeff in zip(product(labels, monomials), vec):
+        for (label, pos), coeff in zip(kept, vec):
             if coeff != 0:
-                terms.setdefault(label, {})[mono] = coeff
+                terms.setdefault(label, {})[monomials[pos]] = coeff
         basis.append(shape(ctx.m, {label: _raw(t) for label, t in terms.items()}))
     return basis
 

@@ -1,15 +1,17 @@
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from jetns import ns_presets
 from jetns.constraints import reduce
 from jetns.evolutionary import (
     pressure_shift_characteristic,
     symmetry_residuals,
     translation_characteristic,
 )
-from jetns.jetalgebra import Expr, NU_VAR, u, uvar
+from jetns.jetalgebra import Expr, NU_VAR, u, uvar, x
 from jetns.ns_presets import (
     divergence_identity_residual,
     evolution_current,
@@ -75,6 +77,26 @@ def test_verify_report_checked_entries_pass():
     assert report.passed
     assert report.residual("divergence_identity_free").is_zero()
     assert report.residual("flux_divergence_reduced").is_zero()
+
+
+def test_verify_computes_the_free_divergence_once(monkeypatch):
+    # both divergence entries read one D_mu E^mu; on an evolution that is
+    # not the flow's they are nonzero and still the public functions' values
+    inst = ns_build(3)
+    bent = replace(inst, evolution_velocity=tuple(
+        e + x(mu) ** 2 for mu, e in enumerate(inst.evolution_velocity, start=1)
+    ))
+    expected = {
+        "velocity_divergence": reduce(bent.context, ns_presets._free_divergence(bent)),
+        "divergence_identity_free": divergence_identity_residual(bent),
+    }
+    assert not any(v.is_zero() for v in expected.values())
+    calls = []
+    real = ns_presets._free_divergence
+    monkeypatch.setattr(ns_presets, "_free_divergence", lambda i: calls.append(i) or real(i))
+    report = ns_verify(bent)
+    assert len(calls) == 1
+    assert {name: report.residual(name) for name in expected} == expected
 
 
 def test_poisson_entry_informational_without_candidate():

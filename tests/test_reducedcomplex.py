@@ -31,9 +31,10 @@ from jetns.reducedcomplex import (
     reduced_variational_derivative,
     _correction_entries,
     _derivative_entries,
-    _forced_zero_labels,
+    _forced_zero_unknowns,
     _system_entries,
     _unknowns,
+    _writes,
 )
 from jetns.tuples import ChiTupleCE, ChiTupleCPE, Cotuple
 from jetns.variational import helmholtz_residual
@@ -490,20 +491,30 @@ def test_system_columns_are_the_literal_system(m, ansatz):
         }
 
 
+def _pinned_unknowns(ctx, ansatz, rule):
+    """The (label, monomial) unknowns _forced_zero_unknowns pins."""
+    labels, monomials = reducedcomplex._ansatz_axes(ctx, ansatz)
+    pins = _forced_zero_unknowns(ctx, ansatz, rule)
+    return {(label, monomials[k]) for label, zero in zip(labels, pins) for k in zero}
+
+
 def _assert_rows_are_the_pinned_literal_matrix(ctx, ansatz, solve, rule, literal_column, monkeypatch):
     """The rows solve hands to nullspace against the full literal matrix.
 
     The oracle has one row per (slot, monomial) of literal_column(label, f)
     over every unknown and one column per unknown.  The handed rows are
-    one pin {col: 1} per unknown of a forced-zero label plus the oracle's
-    rows on the other columns; every pinned column is a one-entry pivot of
-    the oracle, and both give the same nullspace.
+    the oracle's rows on the unpinned columns, renumbered in order; every
+    pinned column is a one-entry pivot of the oracle, and the handed
+    nullspace, embedded in the unknowns, is the oracle's.  Returns the
+    pinned unknowns.
     """
     handed = []
     real = linalg.nullspace
-    monkeypatch.setattr(linalg, "nullspace", lambda rows, n: handed.append(rows) or real(rows, n))
+    monkeypatch.setattr(
+        linalg, "nullspace", lambda rows, n: handed.append((rows, n)) or real(rows, n)
+    )
     solve(ctx, ansatz)
-    [rows] = handed
+    [(rows, ncols)] = handed
     unknowns = _unknowns(ctx, ansatz)
     literal: dict = {}
     for col, (label, mono) in enumerate(unknowns):
@@ -511,60 +522,154 @@ def _assert_rows_are_the_pinned_literal_matrix(ctx, ansatz, solve, rule, literal
             for out_mono, coeff in expr.items():
                 literal.setdefault((slot, out_mono), {})[col] = coeff
     literal = list(literal.values())
-    labels = list(dict.fromkeys(label for label, _ in unknowns))
-    zero = _forced_zero_labels(ctx, tuple(labels), rule)
-    pinned = {col for col, (label, _) in enumerate(unknowns) if label in zero}
+    pinned_unknowns = _pinned_unknowns(ctx, ansatz, rule)
+    pinned = {col for col, unknown in enumerate(unknowns) if unknown in pinned_unknowns}
     assert pinned
+    kept = [col for col in range(len(unknowns)) if col not in pinned]
+    assert ncols == len(kept)
+    renumber = {col: k for k, col in enumerate(kept)}
     as_multiset = lambda rows: Counter(
         key for key in (tuple(sorted((c, v) for c, v in row.items() if v != 0)) for row in rows)
         if key
     )
-    live_rows = ({c: v for c, v in row.items() if c not in pinned} for row in literal)
-    pins = Counter(((c, 1),) for c in pinned)
-    assert as_multiset(rows) == pins + as_multiset(live_rows)
+    restricted = ({renumber[c]: v for c, v in row.items() if c not in pinned} for row in literal)
+    assert as_multiset(rows) == as_multiset(restricted)
     pivots = linalg.row_reduce(literal)
     assert all(pivots.get(c) == {c: 1} for c in pinned)
-    assert real(rows, len(unknowns)) == real(literal, len(unknowns))
-    return rows, labels, zero
+    embedded = []
+    for vec in real(rows, ncols):
+        full = [0] * len(unknowns)
+        for k, coeff in enumerate(vec):
+            full[kept[k]] = coeff
+        embedded.append(tuple(full))
+    assert embedded == real(literal, len(unknowns))
+    return pinned_unknowns
 
 
-def _peeled_by_the_shifts(setting, labels):
-    """The labels the shifts force to zero: ce all but chi01, cpe chi_alpha of order >= 1."""
-    if setting is Setting.CE:
-        return {l for l in labels if l != ("chi01",)}
-    return {l for l in labels if l[0] == "chi_alpha" and l[1] >= 1}
+def _assert_pins_include_the_known_singletons(ctx, ansatz, pinned):
+    """ce: every label but chi01.  cpe: chi_alpha of order 1 and up, and chi1
+    at every M whose product with some u^1_(a) is outside the ansatz."""
+    labels, monomials = reducedcomplex._ansatz_axes(ctx, ansatz)
+    if ctx.setting is Setting.CE:
+        expected = {(l, mono) for l in labels if l != ("chi01",) for mono in monomials}
+    else:
+        expected = {(l, mono) for l in labels if l[0] == "chi_alpha" and l[1] >= 1 for mono in monomials}
+        for a in range(2, ctx.m + 1):
+            for mono in monomials:
+                [(product, _)] = (u(1, unit(a, ctx.m)) * Expr({mono: 1})).items()
+                if product not in monomials:
+                    expected.add((("chi1",), mono))
+    assert expected <= pinned
+    # nothing in chi01 is pinned: its every write differentiates
+    assert not {unknown for unknown in pinned if unknown[0] == ("chi01",)}
 
 
-@pytest.mark.parametrize(
-    "setting, m, ansatz",
-    [(Setting.CE, 3, AnsatzSpec(1, 1, 1)), (Setting.CPE, 3, AnsatzSpec(1, 1, 1)),
-     (Setting.CPE, 2, AnsatzSpec(2, 2, 1))],
-)
+_ROW_CASES = [
+    (Setting.CE, 3, AnsatzSpec(1, 1, 1)), (Setting.CPE, 3, AnsatzSpec(1, 1, 1)),
+    (Setting.CPE, 2, AnsatzSpec(2, 2, 1)), (Setting.CPE, 3, AnsatzSpec(0, 2, 1)),
+    (Setting.CPE, 2, AnsatzSpec(1, 1, 1, include_t=True)),
+]
+
+
+@pytest.mark.parametrize("setting, m, ansatz", _ROW_CASES)
 def test_kernel_rows_are_the_literal_matrix(setting, m, ansatz, monkeypatch):
     # the oracle is read off reduced_derivative of every one-entry tuple
     ctx = ReductionContext(setting, m)
     shape = ChiTupleCE if setting is Setting.CE else ChiTupleCPE
-    rows, labels, zero = _assert_rows_are_the_pinned_literal_matrix(
+    pinned = _assert_rows_are_the_pinned_literal_matrix(
         ctx, ansatz, kernel_search, _derivative_entries,
         lambda label, f: reduced_derivative(ctx, shape(m, {label: f})).items(), monkeypatch,
     )
-    assert zero == _peeled_by_the_shifts(setting, labels)
-    if setting is Setting.CPE:
-        # the chi1 columns, assembled from per-term pairs, are in the rows
-        width = len(_unknowns(ctx, ansatz)) // len(labels)
-        first = labels.index(("chi1",)) * width
-        assert any(first <= c < first + width for row in rows for c in row)
+    _assert_pins_include_the_known_singletons(ctx, ansatz, pinned)
+    if setting is Setting.CPE and ansatz.max_order:
+        # the pins reach inside labels: chi1 keeps some unknowns and loses others
+        # (at order 0 no u^1_(a) is in the ansatz, so chi1 is pinned whole)
+        chi1 = {mono for label, mono in pinned if label == ("chi1",)}
+        assert 0 < len(chi1) < len(reducedcomplex._ansatz_axes(ctx, ansatz)[1])
 
 
-@pytest.mark.parametrize("m, ansatz", [(3, AnsatzSpec(1, 1, 1)), (2, AnsatzSpec(2, 2, 1))])
+@pytest.mark.parametrize("m, ansatz", [(m, a) for s, m, a in _ROW_CASES if s is Setting.CPE])
 def test_system_rows_are_the_literal_matrix(m, ansatz, monkeypatch):
     # the oracle is read off the whole-tuple system of every one-entry tuple
     ctx = ReductionContext(Setting.CPE, m)
-    _, labels, zero = _assert_rows_are_the_pinned_literal_matrix(
+    pinned = _assert_rows_are_the_pinned_literal_matrix(
         ctx, ansatz, reduced_system_kernel, _system_entries,
         lambda label, f: _system_literal(ctx, ChiTupleCPE(m, {label: f})), monkeypatch,
     )
-    assert zero == _peeled_by_the_shifts(Setting.CPE, labels)
+    _assert_pins_include_the_known_singletons(ctx, ansatz, pinned)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("rule", [_derivative_entries, _system_entries])
+def test_writes_classify_the_multiplications(m, rule):
+    # the shifts and higher_velocity_vanish multiply by 1, the chi1 writes
+    # into the velocity block by -2 u^1_(a); every other chi1 write, and
+    # every label's D_1 f, differentiates
+    ctx = ReductionContext(Setting.CPE, m)
+    labels = reducedcomplex._ansatz_axes(ctx, AnsatzSpec(2, 0, 0))[0]
+    writes = _writes(ctx, labels, rule)
+    one = Expr.const(1)
+    for a in range(2, m + 1):
+        u1a = -2 * u(1, unit(a, m))
+        if rule is _derivative_entries:
+            for i1 in (0, 1):
+                assert writes[("chi_alpha", i1 + 1, a)][("chi_alpha", i1, a)] == one
+            assert writes[("chi_alpha", 1, a)][("chi1",)] == u1a
+            assert writes[("chi_alpha", 0, a)][("chi1",)] is None
+        else:
+            for i1 in (1, 2):
+                assert writes[f"higher_velocity_vanish[{i1},{a}]"] == {("chi_alpha", i1, a): one}
+            assert writes[f"velocity_slaved[{a}]"] == {("chi_alpha", 0, a): one, ("chi1",): u1a}
+            assert writes[f"compatibility[{a}]"] == {("chi1",): None}
+            assert writes[f"gradient[{a}]"] == {("chi01",): None, ("chi1",): None}
+    if rule is _derivative_entries:
+        assert writes[("chi1",)] == {("chi0",): one, ("chi1",): None}
+        assert writes[("chi01",)] == {("chi01",): None, ("chi1",): None}
+        assert writes[("chi0",)] == {("chi0",): None, ("chi1",): None}
+        assert all(writes[label][label] is None for label in labels)
+    else:
+        assert writes["pressure_slaved"] == {("chi0",): one, ("chi1",): None}
+        assert writes["gradient_first"] == {("chi01",): None, ("chi1",): None}
+        assert writes["harmonic"] == {("chi1",): None}
+    ce = ReductionContext(Setting.CE, m)
+    ce_writes = _writes(ce, reducedcomplex._ansatz_axes(ce, AnsatzSpec(1, 0, 0))[0], _derivative_entries)
+    assert ce_writes[("chi_p", 2)] == {("chi_p", 1): one}
+
+
+def test_writes_probe_every_derivative_order():
+    # each write below is zero on 1, so c = 0; only the x_mu probes see the
+    # first-order part of the first (it vanishes on every x_mu x_nu), and
+    # only the x_mu x_nu probes see the second
+    ctx = ReductionContext(Setting.CPE, 3)
+
+    def rule(ctx, label, f, df):
+        yield "first", df((1,)) - x(1) * df((1, 1)) - x(2) * df((1, 2)) - x(3) * df((1, 3))
+        yield "second", df((2, 3))
+        yield "zero", df((1,)) - df((1,))
+
+    assert _writes(ctx, (("chi1",),), rule) == {"first": {("chi1",): None}, "second": {("chi1",): None}}
+
+
+_BENCH_CPE = [  # the kernel-cpe ansatzes of bench/spec.json, with the pins they reach
+    (3, AnsatzSpec(1, 2, 2), 893), (2, AnsatzSpec(3, 2, 2), 1452), (4, AnsatzSpec(1, 1, 1), 199),
+]
+
+
+@pytest.mark.parametrize("m, ansatz, pins", _BENCH_CPE)
+def test_kernel_search_evaluates_no_pinned_unknown(m, ansatz, pins, monkeypatch):
+    ctx = ReductionContext(Setting.CPE, m)
+    expected = kernel_search(ctx, ansatz)
+    seen = []
+    def rule(ctx, label, f, df):
+        seen.append((label, *f.unsorted_items()))
+        return _derivative_entries(ctx, label, f, df)
+    monkeypatch.setattr(reducedcomplex, "_derivative_entries", rule)
+    pinned = _pinned_unknowns(ctx, ansatz, rule)  # the probes run here, outside the count
+    assert len(pinned) >= pins
+    seen.clear()
+    assert kernel_search(ctx, ansatz) == expected
+    evaluated = [(label, mono) for label, (mono, _) in seen]
+    assert sorted(evaluated, key=repr) == sorted(set(_unknowns(ctx, ansatz)) - pinned, key=repr)
 
 
 def _chi1_docstring_rule(ctx, f):

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .constraints import (
     ReductionContext,
@@ -184,10 +183,9 @@ def _cmd_kernel(args) -> int:
     return EXIT_OK
 
 
-def _viscosity_value(args):
-    if args.viscosity == "symbolic":
-        return None
-    return Fraction(args.viscosity)
+def _viscosity_value(args) -> str | None:
+    """The --viscosity text for ns_build, or None for the symbolic nu."""
+    return None if args.viscosity == "symbolic" else args.viscosity
 
 
 def _pressure_part(args) -> Expr | None:

@@ -133,9 +133,9 @@ def symmetry_residuals(ctx: ReductionContext, f: Characteristic) -> ResidualRepo
     return ResidualReport(entries)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class EvolutionField:
-    """A time-evolution derivation generated by a characteristic.
+    """A time-evolution derivation generated by a characteristic; equality is identity.
 
     Admissibility (the two determining equations of the joint setting) is
     reported, not assumed; the pressure component may be left unresolved.

@@ -4,7 +4,8 @@ The total derivative along a spatial direction shifts every occurring jet
 variable's multi-index by one in that direction and differentiates any
 explicit coordinate dependence.  It runs through derive, the one Leibniz
 loop, which Expr.diff, the restricted derivatives and the evolutionary
-field share.
+field share.  The image of each (variable, direction) is built once and
+kept in a process table, as the context's restricted-derivative table is.
 """
 
 from __future__ import annotations
@@ -13,8 +14,20 @@ from .jetalgebra import Expr, JetVariable, derive, expr_sum, pvar, uvar
 from .multiindex import MultiIndex
 
 
+# (v, mu) -> the total derivative of v along mu; variables are interned, so
+# the table grows only with them
+_FREE_IMAGES: dict[tuple[JetVariable, int], Expr] = {}
+
+
 def _free_image(v: JetVariable, mu: int) -> Expr:
-    """Total derivative of a single variable along direction mu."""
+    """Total derivative of a single variable along direction mu, built once per (v, mu)."""
+    img = _FREE_IMAGES.get((v, mu))
+    if img is None:
+        img = _FREE_IMAGES[v, mu] = _first_free_image(v, mu)
+    return img
+
+
+def _first_free_image(v: JetVariable, mu: int) -> Expr:
     if v.kind == "x":
         return Expr.const(1) if v.mu == mu else Expr.zero()
     if v.kind == "u":

@@ -14,9 +14,10 @@ under the name the parser uses.
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import product
 
 from .constraints import ReductionContext, reduce
@@ -46,7 +47,9 @@ class LabelTuple:
     and the ranges of its integers; and dense, when it prints zero entries
     too.  A tuple is built from its entries, Shape(m, {label: f}).  A
     label the shape has no room for at m is refused, zero entries are
-    dropped and the rest kept in print order.
+    dropped and the rest kept in print order.  reduce, unary - and scalar *
+    keep the tuple's checked labels in their order and only drop zero
+    entries; + merges two tuples through the constructor.
     """
 
     shape: str
@@ -115,8 +118,19 @@ class LabelTuple:
     def is_zero(self) -> bool:
         return not self._entries
 
+    def _map(self, op):
+        """This tuple with op applied to every entry and the zero results dropped.
+
+        The labels were checked and ordered when this tuple was built, so
+        they are not checked again.
+        """
+        out = object.__new__(type(self))
+        out.m = self.m
+        out._entries = {k: g for k, f in self._entries.items() if not (g := op(f)).is_zero()}
+        return out
+
     def reduce(self, ctx: ReductionContext):
-        return type(self)(self.m, {k: reduce(ctx, v) for k, v in self._entries.items()})
+        return self._map(partial(reduce, ctx))
 
     def __add__(self, other):
         if not isinstance(other, LabelTuple):
@@ -130,14 +144,14 @@ class LabelTuple:
         return type(self)(self.m, {label: self[label] + other[label] for label in labels})
 
     def __neg__(self):
-        return type(self)(self.m, {k: -v for k, v in self._entries.items()})
+        return self._map(operator.neg)
 
     def __sub__(self, other):
         return self + -other
 
     def __mul__(self, scalar):
         c = Fraction(scalar)
-        return type(self)(self.m, {k: c * v for k, v in self._entries.items()})
+        return self._map(lambda f: c * f)
 
     __rmul__ = __mul__
 

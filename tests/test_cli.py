@@ -271,6 +271,20 @@ def test_a_second_call_rebuilds_no_context(monkeypatch, capsys):
     assert capsys.readouterr() == first
 
 
+@pytest.mark.parametrize(
+    "args, stdin",
+    [(["ns", "check"], ""), (["ns", "show"], ""), (["time-symmetry", "-"], "f1: u1_[0,1,0]")],
+    ids=["ns-check", "ns-show", "time-symmetry"],
+)
+def test_a_zero_denominator_viscosity_is_usage_error(args, stdin):
+    # Fraction("1/0") raised ZeroDivisionError, which ended in a traceback
+    # and exit 1, the code of a nonzero residual
+    proc = run_cli(*args, "--viscosity", "1/0", stdin=stdin)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: viscosity 1/0 has a zero denominator\n"
+
+
 def test_ns_check_structured_records():
     proc = run_cli("ns", "check", "--format", "structured")
     assert proc.returncode == 0

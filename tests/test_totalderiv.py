@@ -1,7 +1,8 @@
 import random
 
-from jetns.jetalgebra import Expr, expr_sum, p, u, x
+from jetns.jetalgebra import Expr, expr_sum, p, u, uvar, x
 from jetns.multiindex import MultiIndex, sub_indices, unit, zero
+from jetns import totalderiv
 from jetns.totalderiv import (
     laplacian,
     laplacian_primed,
@@ -100,3 +101,14 @@ def test_multi_composes_additively():
     for _ in range(5):
         f = random_expr(rng, pool, n_terms=2)
         assert total_derivative_multi(i, total_derivative_multi(j, f)) == total_derivative_multi(i.add(j), f)
+
+
+def test_free_images_are_built_once_per_variable_and_direction():
+    variables = variable_pool(3, allow_nu=True, allow_t=True)
+    for v in variables:
+        for mu in (1, 2, 3):
+            first = totalderiv._free_image(v, mu)
+            assert totalderiv._free_image(v, mu) is first
+            assert first == totalderiv._first_free_image(v, mu)
+            assert total_derivative(mu, Expr.var(v)) == first
+    assert totalderiv._free_image(uvar(2, zero(3)), 3) == u(2, unit(3, 3))

@@ -2,12 +2,15 @@
 
 import operator
 import re
+from fractions import Fraction
 
 import pytest
 
+from conftest import random_expr, variable_pool
+from jetns.constraints import ReductionContext, Setting, continuity_generator, reduce
 from jetns.exprio import ExprSyntaxError, parse_tuple, print_tuple
 from jetns.jetalgebra import x
-from jetns.tuples import SHAPES, ChiTupleCE, ChiTupleCPE
+from jetns.tuples import SHAPES, ChiTupleCE, ChiTupleCPE, LabelTuple
 
 
 @pytest.mark.parametrize(
@@ -71,3 +74,39 @@ def test_a_dimension_below_one_is_refused(shape, m):
     with pytest.raises(ValueError, match=f"dimension {m} is below 1") as err:
         parse_tuple("chi01: 1; f: 1", shape, m)
     assert not isinstance(err.value, ExprSyntaxError)
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_derived_tuples_keep_the_checked_labels(shape, rng, monkeypatch):
+    # reduce, unary - and scalar * build from labels their tuple already
+    # checked and ordered: they check no label and equal the checked
+    # construction, entry order included
+    cls, m = SHAPES[shape], 3
+    ctx = ReductionContext(Setting.CPE, m)
+    pool = variable_pool(m)
+    labels = cls.labels(m, max_order=2)
+    tuples = []
+    for _ in range(5):
+        entries = {label: random_expr(rng, pool) for label in labels}
+        entries[rng.choice(labels)] = continuity_generator(m)  # reduces to zero
+        tuples.append(cls(m, entries))
+    ops = {
+        "reduce": (lambda t: t.reduce(ctx), lambda f: reduce(ctx, f)),
+        "neg": (operator.neg, operator.neg),
+        "scale": (lambda t: Fraction(-3, 2) * t, lambda f: Fraction(-3, 2) * f),
+        "zero": (lambda t: t * 0, lambda f: Fraction(0) * f),
+    }
+    expected = {
+        name: [cls(m, {label: entry(f) for label, f in t.items()}) for t in tuples]
+        for name, (_, entry) in ops.items()
+    }
+    calls = []
+    monkeypatch.setattr(
+        LabelTuple, "check_label", classmethod(lambda c, label, m: calls.append(label))
+    )
+    for name, (op, _) in ops.items():
+        derived = [op(t) for t in tuples]
+        assert all(type(d) is cls and d.m == m for d in derived)
+        assert [d.items() for d in derived] == [e.items() for e in expected[name]], name
+    assert calls == []
+    assert any(len(d.items()) < len(t.items()) for d, t in zip(expected["reduce"], tuples))

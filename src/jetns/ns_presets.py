@@ -16,8 +16,9 @@ fixed here; it is determined by a Poisson equation whose residual the
 verification report exposes.
 
 The system is one value per dimension and viscosity: ns_build returns one
-NsInstance per (m, viscosity value) for the process, so "1/100" and
-Fraction(1, 100) give the same instance and the symbolic nu another.
+NsInstance per (m, viscosity value), so "1/100" and Fraction(1, 100)
+give the same instance and the symbolic nu another.  The table keeps the
+most recently used few, so a sweep over viscosities does not grow it.
 Building makes only the context and the free evolution velocity.  What
 follows from the instance alone -- the reduced evolution field, the free
 divergence D_mu E^mu, the three pressure-independent identity residuals
@@ -29,9 +30,10 @@ computes its own values.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .constraints import (
     ReductionContext,
@@ -61,8 +63,6 @@ class NsInstance:
     viscosity: Expr
     context: ReductionContext
     evolution_velocity: tuple[Expr, ...]
-
-    _interned = {}  # (m, viscosity Fraction or None) -> the one built instance
 
     @cached_property
     def field(self) -> EvolutionField:
@@ -96,22 +96,28 @@ def ns_build(m: int = 3, viscosity=None) -> NsInstance:
     """The flow system at dimension m, one instance per (m, viscosity value).
 
     Viscosity stays symbolic unless a positive rational is given, as a
-    number or a string like "1/100".  A refused m or viscosity stores nothing.
+    number or a string like "1/100"; a string in exponent notation is
+    refused before it is read, since Fraction builds 10**exponent.  A
+    refused m or viscosity stores nothing.
     """
+    if isinstance(viscosity, str) and re.search(r"[0-9.][eE]", viscosity):
+        raise ValueError(f"viscosity {viscosity} uses exponent notation; give a rational like 1/100")
     try:
         value = None if viscosity is None else Fraction(viscosity)
     except ZeroDivisionError:
         raise ValueError(f"viscosity {viscosity} has a zero denominator") from None
-    inst = NsInstance._interned.get((m, value))
-    if inst is not None:
-        return inst
+    return _build(m, value)
+
+
+@lru_cache(maxsize=16)
+def _build(m: int, value: Fraction | None) -> NsInstance:
+    """The instance at (m, value); lru_cache stores no refused build."""
     context = ReductionContext(Setting.CPE, m)
     if value is not None and value <= 0:
         raise ValueError(f"viscosity must be positive, got {value}")
     visc = nu if value is None else Expr.const(value)
     velocity = tuple(_evolution_component(m, mu, visc) for mu in range(1, m + 1))
-    inst = NsInstance._interned[m, value] = NsInstance(m, visc, context, velocity)
-    return inst
+    return NsInstance(m, visc, context, velocity)
 
 
 def _evolution_component(m: int, mu: int, visc: Expr) -> Expr:

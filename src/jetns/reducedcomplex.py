@@ -9,7 +9,7 @@ restricted derivative.  Kernels of that operator are computed exactly at
 bounded ansatz size by assembling one linear constraint per output
 monomial and solving over the rationals.
 
-The correction is one rule keyed by the entry's label.  An entry f adds
+The correction is one table keyed by the entry's label.  An entry f adds
 to the target entries, with a, b in 2..m, D the restricted derivatives,
 u^b_(a) the velocity jet u^b with one derivative along a and div' the
 sum of u^b_(b) and Laplacian' the sum of D_a D_a:
@@ -24,44 +24,44 @@ sum of u^b_(b) and Laplacian' the sum of D_a D_a:
                         (chi_alpha, 1, a)     -2 u^1_(a) f
                         chi0                  -Laplacian' f
 
-The continuity and joint labels are disjoint, so the rule never asks
+The continuity and joint labels are disjoint, so the table never asks
 for the setting, and each entry does only the work of its own rows.
 
 An entry's transported derivative is D_1 f at its own label plus its
-correction entries.  The first-order system of the joint setting is one
-more per-entry rule, _system_entries, from an entry to residual names.
-correction, reduced_derivative and reduced_system_residuals sum their
-rule over a tuple's entries in the one loop of _sum_entries.  Kernel
-assembly reads each unknown's column from the same rule, applied to one
-monomial at one label, with no tuple built: it runs monomial-major, so
-the columns of all labels read one table of D_path f per monomial, and
-it indexes its rows by output slot, then by output monomial.  The chi1
-rows of both rules are terms g D_path f or D_b(g D_path f), which one
-builder expands through Leibniz into coefficient rows once per (setting,
-m) and rule, so no product of a coordinate and f is differentiated.
+correction; the first-order system of the joint setting sends it to
+residual names.  _terms holds the three rules, "correction" (this
+table), "derivative" and "system", as data: per (rule, label), terms
+g D_path f or D_b(g D_path f).  _rows expands them through Leibniz into
+rows (target, c, path) once per (context, rule, label), so no product of
+a coordinate and f is differentiated.  Every consumer reads those rows:
+correction, reduced_derivative and reduced_system_residuals sum them
+over a tuple's entries in the one loop of _sum_entries, and kernel
+assembly applies them to one monomial at one label, with no tuple built.
+Assembly runs monomial-major, so the columns of all labels read one
+table of D_path f per monomial, and it indexes its rows by output slot,
+then by output monomial.
 
 Before assembly, singleton presolve over (label, monomial) pairs pins
-the unknowns every solution sets to zero, reading the writes off the
-rule itself.  Each write W of a label to a slot is linear of order at
-most 2 in the restricted derivatives, or reduce, the identity on
-canonical input, so W multiplies by c = W(1) exactly when W(p) = c p on
-the probes x_mu and x_mu x_nu.  The label shifts and
-higher_velocity_vanish have c = 1; chi1's writes to (chi_alpha, 1, a)
-and velocity_slaved[a] have c = -2 u^1_(a).  On a slot whose live
-writers all multiply by one term, (L, M) enters only the row (slot, c M);
-a row with one unpinned unknown pins it, and a label pinned whole leaves
-the writers, so the shifts cascade from the top order down.  In ce every
-label but chi01 goes; in cpe the chi_alpha labels of order 1 and up, and
-most unknowns of (chi_alpha, 0, a) and chi1.  A pinned unknown is zero in
-every solution, a pivot and never free, so dropping its column keeps the
-free columns, pivots and vectors of full assembly, and so the basis.
+the unknowns every solution sets to zero, reading each label's rows.  A
+label's write to a slot multiplies by c when its one row into the slot
+has path () or None (reduce, the identity on ansatz monomials) and c is
+one term.  The label shifts and higher_velocity_vanish have c = 1;
+chi1's writes to (chi_alpha, 1, a) and velocity_slaved[a] have c = -2
+u^1_(a).  On a slot whose live writers all multiply by one term, (L, M)
+enters only the row (slot, c M); a row with one unpinned unknown pins
+it, and a label pinned whole leaves the writers, so the shifts cascade
+from the top order down.  In ce every label but chi01 goes; in cpe the
+chi_alpha labels of order 1 and up, and most unknowns of (chi_alpha, 0,
+a) and chi1.  A pinned unknown is zero in every solution, a pivot and
+never free, so dropping its column keeps the free columns, pivots and
+vectors of full assembly, and so the basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache, partial
+from functools import lru_cache, partial
 from itertools import combinations_with_replacement, product
 
 from . import linalg
@@ -83,7 +83,6 @@ from .jetalgebra import (
     pvar,
     u,
     uvar,
-    x,
     xvar,
 )
 from .multiindex import indices_up_to, unit
@@ -123,15 +122,32 @@ class AnsatzTooLargeError(ValueError):
 # -- the transported derivative -------------------------------------------
 
 
-def _chi1_terms(ctx: ReductionContext, rule: str) -> list:
-    """The chi1 row of rule, "correction" or "system", as terms (target, g, b, path).
+def _terms(ctx: ReductionContext, rule: str, label: tuple) -> list:
+    """The row of the entry at label under rule as terms (target, g, b, path).
 
-    A term adds g D_path f to its target, or D_b(g D_path f) when b is set;
-    a path is a tuple of directions, () for f itself.
+    rule is "correction", "derivative" (D_1 f at the label plus the
+    correction) or "system".  A term adds g D_path f to its target, or
+    D_b(g D_path f) when b is set; a path is a tuple of directions, () for
+    f itself, or None for reduce(f).
     """
-    m = ctx.m
+    m, kind, one = ctx.m, label[0], Expr.const(1)
     alphas, directions = range(2, m + 1), range(1, m + 1)
-    one, grad = Expr.const(1), partial(velocity_gradient_entry, ctx)
+    if rule == "derivative":
+        return [(label, one, None, (1,)), *_terms(ctx, "correction", label)]
+    if kind == "chi01" and rule == "correction":
+        return [(("chi_alpha", 0, a), one, None, (a,)) for a in alphas]
+    if kind == "chi01":
+        return [("gradient_first", one, None, (1,))] + [(f"gradient[{a}]", one, None, (a,)) for a in alphas]
+    if kind != "chi1" and rule == "correction":  # the label shifts
+        target = ("chi1",) if kind == "chi0" else (kind, label[1] + 1, *label[2:])
+        return [(target, one, None, ())]
+    if kind == "chi0":  # reduced, as not differentiated; every other output is canonical
+        return [("pressure_slaved", one, None, None)]
+    if kind == "chi_alpha":
+        i1, a = label[1:]
+        name = f"velocity_slaved[{a}]" if i1 == 0 else f"higher_velocity_vanish[{i1},{a}]"
+        return [(name, one, None, None)]
+    grad = partial(velocity_gradient_entry, ctx)  # chi1 from here on
     div = expr_sum(u(b, unit(b, m)) for b in alphas)
     if rule == "correction":
         terms = [(("chi01",), 2 * u(a, unit(1, m)), a, ()) for a in alphas]
@@ -153,21 +169,22 @@ def _chi1_terms(ctx: ReductionContext, rule: str) -> list:
     return terms
 
 
-@cache
-def _chi1_rows(ctx: ReductionContext, rule: str) -> tuple:
-    """The chi1 row of rule as (target, coefficient, path), built once per (context, rule).
+@lru_cache(maxsize=1024)
+def _rows(ctx: ReductionContext, rule: str, label: tuple) -> tuple:
+    """The row of the entry at label under rule as (target, c, path), built once per key.
 
     Each term is expanded through Leibniz.  Paths are sorted, since
     restricted derivatives commute; the coefficients of a (target, path)
     are summed, and 1 and -1 stay ints, so applying them takes no product.
     """
     sums: dict[tuple, list[Expr]] = {}  # (target, sorted path) -> its coefficients
-    for target, g, b, path in _chi1_terms(ctx, rule):
+    for target, g, b, path in _terms(ctx, rule, label):
         parts = [(g, path)]
         if b is not None:  # D_b(g D_path f) = D_b(g) D_path f + g D_(b, path) f
             parts = [(restricted_derivative(ctx, b, g), path), (g, (b, *path))]
         for c, c_path in parts:
-            sums.setdefault((target, tuple(sorted(c_path))), []).append(c)
+            key = c_path if c_path is None else tuple(sorted(c_path))
+            sums.setdefault((target, key), []).append(c)
     rows = []
     for (target, path), gs in sums.items():
         c = expr_sum(gs)
@@ -175,28 +192,11 @@ def _chi1_rows(ctx: ReductionContext, rule: str) -> tuple:
     return tuple(rows)
 
 
-def _chi1_entries(ctx: ReductionContext, rule: str, df):
-    """The (target, expression) pairs of a chi1 entry under rule, df(path) being D_path f."""
-    for target, c, path in _chi1_rows(ctx, rule):
-        d = df(path)
+def _entries(ctx: ReductionContext, rule: str, label: tuple, f: Expr, df):
+    """The (target, expression) pairs of the entry f at label under rule, df(path) being D_path f."""
+    for target, c, path in _rows(ctx, rule, label):
+        d = reduce(ctx, f) if path is None else df(path)
         yield target, c * d if type(c) is Expr else d if c == 1 else -d
-
-
-def _correction_entries(ctx: ReductionContext, label: tuple, f: Expr, df):
-    """The (target label, expression) pairs the entry f at label adds to the correction.
-
-    df(path) is D_path f; the chi1 row is applied through _chi1_rows.
-    """
-    kind = label[0]
-    if kind == "chi01":
-        for a in range(2, ctx.m + 1):
-            yield ("chi_alpha", 0, a), df((a,))
-    elif kind in ("chi_alpha", "chi_p"):
-        yield (kind, label[1] + 1) + label[2:], f
-    elif kind == "chi0":
-        yield ("chi1",), f
-    else:  # chi1
-        yield from _chi1_entries(ctx, "correction", df)
 
 
 def _derivative_table(ctx: ReductionContext, f: Expr):
@@ -221,17 +221,8 @@ def _shape(ctx: ReductionContext, what: str) -> type[ChiTuple]:
     return shape
 
 
-def _derivative_entries(ctx: ReductionContext, label: tuple, f: Expr, df):
-    """The (target label, expression) pairs of the entry f at label in D_1 plus the correction.
-
-    df(path) is D_path f, as _derivative_table gives it.
-    """
-    yield label, df((1,))
-    yield from _correction_entries(ctx, label, f, df)
-
-
-def _sum_entries(ctx: ReductionContext, chi: ChiTuple, rule, what: str, entries: dict) -> dict:
-    """entries plus every entry's rule(ctx, label, f, df) pairs, summed by target."""
+def _sum_entries(ctx: ReductionContext, chi: ChiTuple, rule: str, what: str, entries: dict) -> dict:
+    """entries plus every entry's rows under rule, summed by target."""
     shape = _shape(ctx, what)
     if type(chi) is not shape or chi.m != ctx.m:
         raise ValueError(
@@ -239,44 +230,22 @@ def _sum_entries(ctx: ReductionContext, chi: ChiTuple, rule, what: str, entries:
             f"not a {type(chi).__name__} at m={chi.m}"
         )
     for label, f in chi.items():
-        for target, expr in rule(ctx, label, f, _derivative_table(ctx, f)):
+        for target, expr in _entries(ctx, rule, label, f, _derivative_table(ctx, f)):
             entries[target] = entries.get(target, Expr.zero()) + expr
     return entries
 
 
 def correction(ctx: ReductionContext, chi: ChiTuple) -> ChiTuple:
-    """The linear correction of the transported derivative: every entry's rule, summed."""
-    return type(chi)(chi.m, _sum_entries(ctx, chi, _correction_entries, "correction", {}))
+    """The linear correction of the transported derivative: every entry's rows, summed."""
+    return type(chi)(chi.m, _sum_entries(ctx, chi, "correction", "correction", {}))
 
 
 def reduced_derivative(ctx: ReductionContext, chi: ChiTuple) -> ChiTuple:
     """Componentwise restricted first derivative plus the correction."""
-    return type(chi)(chi.m, _sum_entries(ctx, chi, _derivative_entries, "reduced derivative", {}))
+    return type(chi)(chi.m, _sum_entries(ctx, chi, "derivative", "reduced derivative", {}))
 
 
 # -- the equivalent first-order system (joint setting) ---------------------
-
-
-def _system_entries(ctx: ReductionContext, label: tuple, f: Expr, df):
-    """The (residual name, expression) pairs of the entry f at label in the system.
-
-    df(path) is D_path f.  chi_alpha and chi0 enter undifferentiated, so they
-    are reduced here; every other output is built from restricted
-    derivatives and products of canonical coordinates, and is canonical.
-    """
-    kind = label[0]
-    if kind == "chi01":
-        yield "gradient_first", df((1,))
-        for a in range(2, ctx.m + 1):
-            yield f"gradient[{a}]", df((a,))
-    elif kind == "chi_alpha":
-        i1, a = label[1:]
-        name = f"velocity_slaved[{a}]" if i1 == 0 else f"higher_velocity_vanish[{i1},{a}]"
-        yield name, reduce(ctx, f)
-    elif kind == "chi0":
-        yield "pressure_slaved", reduce(ctx, f)
-    else:  # chi1
-        yield from _chi1_entries(ctx, "system", df)
 
 
 def reduced_system_residuals(
@@ -297,7 +266,7 @@ def reduced_system_residuals(
     names += ["pressure_slaved", "harmonic"] + [f"compatibility[{a}]" for a in alpha_range]
     names += ["gradient_first"] + [f"gradient[{a}]" for a in alpha_range]
     entries = dict.fromkeys(names, Expr.zero())
-    return list(_sum_entries(ctx, chi, _system_entries, "reduced system", entries).items())
+    return list(_sum_entries(ctx, chi, "system", "reduced system", entries).items())
 
 
 # -- the variational derivative of the auxiliary complex -------------------
@@ -365,31 +334,21 @@ def _unknowns(ctx: ReductionContext, ansatz: AnsatzSpec) -> list[tuple[tuple, Mo
     return list(product(*_ansatz_axes(ctx, ansatz)))
 
 
-def _writes(ctx: ReductionContext, labels: tuple, rule) -> dict:
-    """slot -> {label: c}: c = W(1) when the label's write W to the slot is multiplication by
-    one term (W(p) = c p on every probe p), else None; writes zero on every probe are left out."""
-    xs = [x(mu) for mu in range(1, ctx.m + 1)]
-    quadratic = (a * b for a, b in combinations_with_replacement(xs, 2))
-    probes = [(p, _derivative_table(ctx, p)) for p in [Expr.const(1), *xs, *quadratic]]
-    zero, writes = Expr.zero(), {}
+def _writes(ctx: ReductionContext, labels: tuple, rule: str) -> dict:
+    """slot -> {label: c}: c when the label's only row into the slot multiplies f or reduce(f)
+    by the one term c, else None."""
+    writes: dict = {}
     for label in labels:
-        outs: list[dict] = [{} for _ in probes]  # per probe p, slot -> W(p)
-        for (p, df), out in zip(probes, outs):
-            for slot, expr in rule(ctx, label, p, df):
-                out[slot] = out[slot] + expr if slot in out else expr
-        for slot in dict.fromkeys(slot for out in outs for slot in out):
-            c = outs[0].get(slot, zero)
-            if len(c.unsorted_items()) > 1 or any(
-                out.get(slot, zero) != c * p for (p, _), out in zip(probes, outs)
-            ):
-                writes.setdefault(slot, {})[label] = None
-            elif not c.is_zero():
-                writes.setdefault(slot, {})[label] = c
+        for slot, c, path in _rows(ctx, rule, label):
+            c = Expr.const(c) if type(c) is int else c
+            by_label = writes.setdefault(slot, {})
+            one_term = path in ((), None) and len(c.unsorted_items()) == 1
+            by_label[label] = c if one_term and label not in by_label else None
     return writes
 
 
 @lru_cache(maxsize=64)
-def _forced_zero_unknowns(ctx: ReductionContext, ansatz: AnsatzSpec, rule) -> tuple:
+def _forced_zero_unknowns(ctx: ReductionContext, ansatz: AnsatzSpec, rule: str) -> tuple:
     """Per ansatz label, the monomial positions whose unknowns every solution zeroes: the
     singleton cascade of the module docstring over _writes, run until nothing changes."""
     labels, monomials = _ansatz_axes(ctx, ansatz)
@@ -420,18 +379,18 @@ def _forced_zero_unknowns(ctx: ReductionContext, ansatz: AnsatzSpec, rule) -> tu
 
 
 def _solve_homogeneous(
-    ctx: ReductionContext, ansatz: AnsatzSpec, rule, max_unknowns: int
+    ctx: ReductionContext, ansatz: AnsatzSpec, rule: str, max_unknowns: int
 ) -> list:
     """Nullspace basis of a chi-linear constraint map within the ansatz.
 
-    rule(ctx, label, f, df) yields the (slot, expression) pairs the map
-    sends the one-entry tuple f at label to, df(path) being D_path f;
-    every one must vanish identically.  Each (slot, monomial) of the
-    outputs is one linear constraint on the unknown coefficients, and each
-    unknown fills its column of the rows.  Assembly runs monomial by
-    monomial, so each monomial's derivatives are computed once for all
-    labels.  The unknowns _forced_zero_unknowns pins get no column: the
-    others are numbered label-major, and each vector is mapped back.
+    The rows of rule send the one-entry tuple f at label to (slot,
+    expression) pairs, and every one must vanish identically.  Each (slot,
+    monomial) of the outputs is one linear constraint on the unknown
+    coefficients, and each unknown fills its column of the rows.  Assembly
+    runs monomial by monomial, so each monomial's derivatives are computed
+    once for all labels.  The unknowns _forced_zero_unknowns pins get no
+    column: the others are numbered label-major, and each vector is mapped
+    back.
     """
     shape = _shape(ctx, "kernel search")
     labels, monomials = _ansatz_axes(ctx, ansatz)
@@ -453,7 +412,7 @@ def _solve_homogeneous(
         f = _raw({mono: 1})
         df = _derivative_table(ctx, f)
         for label, col in mono_columns:
-            for slot, expr in rule(ctx, label, f, df):
+            for slot, expr in _entries(ctx, rule, label, f, df):
                 by_mono = index.setdefault(slot, {})
                 for out_mono, coeff in expr.unsorted_items():
                     row = by_mono.get(out_mono)
@@ -485,7 +444,7 @@ def kernel_search(
     The basis is deterministically ordered and scaled to coprime
     integers.
     """
-    return _solve_homogeneous(ctx, ansatz, _derivative_entries, max_unknowns)
+    return _solve_homogeneous(ctx, ansatz, "derivative", max_unknowns)
 
 
 def reduced_system_kernel(
@@ -499,7 +458,7 @@ def reduced_system_kernel(
     """
     if ctx.setting is not Setting.CPE:
         raise ValueError("the reduced system lives in the cpe setting")
-    return _solve_homogeneous(ctx, ansatz, _system_entries, max_unknowns)
+    return _solve_homogeneous(ctx, ansatz, "system", max_unknowns)
 
 
 def kernel_vectors(ctx: ReductionContext, ansatz: AnsatzSpec, chi) -> tuple[Fraction, ...]:

@@ -285,6 +285,19 @@ def test_a_zero_denominator_viscosity_is_usage_error(args, stdin):
     assert proc.stderr == "error: viscosity 1/0 has a zero denominator\n"
 
 
+def test_an_exponent_viscosity_is_usage_error(capsys):
+    # Fraction("1e-300000") builds 10**300000 before any check, and the
+    # report then failed on Python's digit limit; exponent notation is
+    # refused before the text is read
+    start = time.perf_counter()
+    code = cli.main(["ns", "check", "--dim", "2", "--viscosity", "1e-300000"])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: viscosity 1e-300000 uses exponent notation; give a rational like 1/100\n"
+    assert elapsed < 1
+
+
 def test_ns_check_structured_records():
     proc = run_cli("ns", "check", "--format", "structured")
     assert proc.returncode == 0

@@ -20,7 +20,7 @@ from jetns.constraints import (
 )
 from jetns.jetalgebra import NU_VAR, T_VAR, Expr, p, pvar, u, uvar, x, xvar
 from jetns.multiindex import MultiIndex, indices_up_to, zero
-from jetns.reducedcomplex import AnsatzSpec, _derivative_entries, _unknowns
+from jetns.reducedcomplex import AnsatzSpec, _entries, _unknowns
 from jetns.totalderiv import laplacian_primed, total_derivative, total_derivative_multi
 
 from conftest import path_derivatives, random_expr, variable_pool
@@ -364,7 +364,7 @@ def _kernel_columns(ctx: ReductionContext):
     for label, mono in _unknowns(ctx, _COLUMN_ANSATZ):
         f = Expr({mono: 1})
         df = path_derivatives(ctx, f)
-        for target, expr in _derivative_entries(ctx, label, f, df):
+        for target, expr in _entries(ctx, "derivative", label, f, df):
             yield label, mono, target, expr
 
 

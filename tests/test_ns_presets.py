@@ -1,3 +1,5 @@
+import gc
+import weakref
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from pathlib import Path
@@ -16,7 +18,6 @@ from jetns.evolutionary import (
 from jetns.jetalgebra import Expr, NU_VAR, p, u, uvar, x
 from jetns.multiindex import unit, zero
 from jetns.ns_presets import (
-    NsInstance,
     divergence_identity_residual,
     evolution_current,
     evolution_field,
@@ -201,15 +202,37 @@ def test_build_interns_one_instance_per_viscosity_value():
         (3, "-1/2", "viscosity must be positive"),
         (3, "1/0", "viscosity 1/0 has a zero denominator"),
         (3, "abc", "Invalid literal for Fraction"),
+        (2, "1e-300000", "viscosity 1e-300000 uses exponent notation"),
         (1, "1/3", "dimension must be >= 2"),
         (1, None, "dimension must be >= 2"),
     ],
 )
 def test_a_refused_build_stores_nothing(m, viscosity, message):
-    before = dict(NsInstance._interned)
+    ns_presets._build.cache_clear()
     with pytest.raises(ValueError, match=message):
         ns_build(m, viscosity)
-    assert NsInstance._interned == before
+    assert ns_presets._build.cache_info().currsize == 0
+
+
+def test_an_exponent_is_refused_before_any_conversion(monkeypatch):
+    monkeypatch.setattr(ns_presets, "Fraction", lambda v: pytest.fail(f"converted {v}"))
+    for text in ("1e-300000", "1E5", "2.5e3", ".5e-1"):
+        with pytest.raises(ValueError, match="uses exponent notation"):
+            ns_build(2, text)
+
+
+def test_the_instance_table_stays_bounded():
+    # a sweep over viscosities keeps the table's size of instances, and an
+    # evicted instance is freed
+    ns_presets._build.cache_clear()
+    size = ns_presets._build.cache_info().maxsize
+    first = weakref.ref(ns_build(2, Fraction(1, 1)))
+    for k in range(2, size + 10):
+        ns_build(2, Fraction(1, k))
+    assert ns_presets._build.cache_info().currsize == size
+    gc.collect()
+    assert first() is None
+    assert ns_build(2, f"1/{size + 9}") is ns_build(2, Fraction(1, size + 9))
 
 
 def test_build_computes_no_residual(monkeypatch):

@@ -29,10 +29,8 @@ from jetns.reducedcomplex import (
     reduced_system_kernel,
     reduced_system_residuals,
     reduced_variational_derivative,
-    _correction_entries,
-    _derivative_entries,
+    _entries,
     _forced_zero_unknowns,
-    _system_entries,
     _unknowns,
     _writes,
 )
@@ -454,7 +452,7 @@ def test_kernel_dimension_two():
      (Setting.CPE, 2, AnsatzSpec(2, 2, 1))],
 )
 def test_kernel_columns_are_the_transported_derivative(setting, m, ansatz):
-    # kernel assembly reads each unknown's column from _derivative_entries;
+    # kernel assembly reads each unknown's column from the "derivative" rows;
     # summed, it must be D_1 of the entry plus the correction, and it must
     # be what reduced_derivative gives for the one-entry tuple
     ctx = ReductionContext(setting, m)
@@ -463,7 +461,7 @@ def test_kernel_columns_are_the_transported_derivative(setting, m, ansatz):
         f = Expr({mono: 1})
         df = path_derivatives(ctx, f)
         column: dict = {}
-        for target, expr in _derivative_entries(ctx, label, f, df):
+        for target, expr in _entries(ctx, "derivative", label, f, df):
             column[target] = column.get(target, Expr.zero()) + expr
         column = {k: v for k, v in column.items() if not v.is_zero()}
         chi = shape(m, {label: f})
@@ -475,14 +473,14 @@ def test_kernel_columns_are_the_transported_derivative(setting, m, ansatz):
 
 @pytest.mark.parametrize("m, ansatz", [(3, AnsatzSpec(1, 1, 1)), (2, AnsatzSpec(2, 2, 1))])
 def test_system_columns_are_the_literal_system(m, ansatz):
-    # reduced_system_kernel reads each unknown's column from _system_entries;
+    # reduced_system_kernel reads each unknown's column from the "system" rows;
     # summed, it must be the whole-tuple system of the one-entry tuple
     ctx = ReductionContext(Setting.CPE, m)
     for label, mono in _unknowns(ctx, ansatz):
         f = Expr({mono: 1})
         df = path_derivatives(ctx, f)
         column: dict = {}
-        for name, expr in _system_entries(ctx, label, f, df):
+        for name, expr in _entries(ctx, "system", label, f, df):
             column[name] = column.get(name, Expr.zero()) + expr
         literal = dict(_system_literal(ctx, ChiTupleCPE(m, {label: f})))
         assert column.keys() <= literal.keys()
@@ -577,7 +575,7 @@ def test_kernel_rows_are_the_literal_matrix(setting, m, ansatz, monkeypatch):
     ctx = ReductionContext(setting, m)
     shape = ChiTupleCE if setting is Setting.CE else ChiTupleCPE
     pinned = _assert_rows_are_the_pinned_literal_matrix(
-        ctx, ansatz, kernel_search, _derivative_entries,
+        ctx, ansatz, kernel_search, "derivative",
         lambda label, f: reduced_derivative(ctx, shape(m, {label: f})).items(), monkeypatch,
     )
     _assert_pins_include_the_known_singletons(ctx, ansatz, pinned)
@@ -593,14 +591,14 @@ def test_system_rows_are_the_literal_matrix(m, ansatz, monkeypatch):
     # the oracle is read off the whole-tuple system of every one-entry tuple
     ctx = ReductionContext(Setting.CPE, m)
     pinned = _assert_rows_are_the_pinned_literal_matrix(
-        ctx, ansatz, reduced_system_kernel, _system_entries,
+        ctx, ansatz, reduced_system_kernel, "system",
         lambda label, f: _system_literal(ctx, ChiTupleCPE(m, {label: f})), monkeypatch,
     )
     _assert_pins_include_the_known_singletons(ctx, ansatz, pinned)
 
 
 @pytest.mark.parametrize("m", [2, 3])
-@pytest.mark.parametrize("rule", [_derivative_entries, _system_entries])
+@pytest.mark.parametrize("rule", ["derivative", "system"])
 def test_writes_classify_the_multiplications(m, rule):
     # the shifts and higher_velocity_vanish multiply by 1, the chi1 writes
     # into the velocity block by -2 u^1_(a); every other chi1 write, and
@@ -611,7 +609,7 @@ def test_writes_classify_the_multiplications(m, rule):
     one = Expr.const(1)
     for a in range(2, m + 1):
         u1a = -2 * u(1, unit(a, m))
-        if rule is _derivative_entries:
+        if rule == "derivative":
             for i1 in (0, 1):
                 assert writes[("chi_alpha", i1 + 1, a)][("chi_alpha", i1, a)] == one
             assert writes[("chi_alpha", 1, a)][("chi1",)] == u1a
@@ -622,7 +620,7 @@ def test_writes_classify_the_multiplications(m, rule):
             assert writes[f"velocity_slaved[{a}]"] == {("chi_alpha", 0, a): one, ("chi1",): u1a}
             assert writes[f"compatibility[{a}]"] == {("chi1",): None}
             assert writes[f"gradient[{a}]"] == {("chi01",): None, ("chi1",): None}
-    if rule is _derivative_entries:
+    if rule == "derivative":
         assert writes[("chi1",)] == {("chi0",): one, ("chi1",): None}
         assert writes[("chi01",)] == {("chi01",): None, ("chi1",): None}
         assert writes[("chi0",)] == {("chi0",): None, ("chi1",): None}
@@ -632,44 +630,109 @@ def test_writes_classify_the_multiplications(m, rule):
         assert writes["gradient_first"] == {("chi01",): None, ("chi1",): None}
         assert writes["harmonic"] == {("chi1",): None}
     ce = ReductionContext(Setting.CE, m)
-    ce_writes = _writes(ce, reducedcomplex._ansatz_axes(ce, AnsatzSpec(1, 0, 0))[0], _derivative_entries)
+    ce_writes = _writes(ce, reducedcomplex._ansatz_axes(ce, AnsatzSpec(1, 0, 0))[0], "derivative")
     assert ce_writes[("chi_p", 2)] == {("chi_p", 1): one}
 
 
-def test_writes_probe_every_derivative_order():
-    # each write below is zero on 1, so c = 0; only the x_mu probes see the
-    # first-order part of the first (it vanishes on every x_mu x_nu), and
-    # only the x_mu x_nu probes see the second
-    ctx = ReductionContext(Setting.CPE, 3)
+def test_a_derivative_term_in_a_shift_row_shrinks_the_pins(monkeypatch):
+    # the presolve reads each label's rows: a shift row that also
+    # differentiates no longer multiplies, so the source label is no longer
+    # pinned, and what stays pinned is still a pivot of the literal matrix
+    ctx = ReductionContext(Setting.CE, 3)
+    ansatz = AnsatzSpec(1, 1, 1)
+    before = _pinned_unknowns(ctx, ansatz, "derivative")
+    source, target = ("chi_alpha", 0, 2), ("chi_alpha", 1, 2)
+    real = reducedcomplex._terms
 
-    def rule(ctx, label, f, df):
-        yield "first", df((1,)) - x(1) * df((1, 1)) - x(2) * df((1, 2)) - x(3) * df((1, 3))
-        yield "second", df((2, 3))
-        yield "zero", df((1,)) - df((1,))
+    def terms(ctx, rule, label):
+        extra = [(target, Expr.const(1), None, (2,))] if (rule, label) == ("correction", source) else []
+        return real(ctx, rule, label) + extra
 
-    assert _writes(ctx, (("chi1",),), rule) == {"first": {("chi1",): None}, "second": {("chi1",): None}}
+    monkeypatch.setattr(reducedcomplex, "_terms", terms)
+    reducedcomplex._rows.cache_clear()
+    _forced_zero_unknowns.cache_clear()
+    try:
+        assert reduced_derivative(ctx, ChiTupleCE(3, {source: x(2)}))[target] == x(2) + 1
+        after = _assert_rows_are_the_pinned_literal_matrix(
+            ctx, ansatz, kernel_search, "derivative",
+            lambda label, f: reduced_derivative(ctx, ChiTupleCE(3, {label: f})).items(), monkeypatch,
+        )
+    finally:
+        monkeypatch.undo()
+        reducedcomplex._rows.cache_clear()
+        _forced_zero_unknowns.cache_clear()
+    monomials = reducedcomplex._ansatz_axes(ctx, ansatz)[1]
+    assert after < before
+    assert before - after == {(source, mono) for mono in monomials}
 
 
-_BENCH_CPE = [  # the kernel-cpe ansatzes of bench/spec.json, with the pins they reach
-    (3, AnsatzSpec(1, 2, 2), 893), (2, AnsatzSpec(3, 2, 2), 1452), (4, AnsatzSpec(1, 1, 1), 199),
+_BENCH = [  # the kernel ansatzes of bench/spec.json, x-degree = degree, with the pins they reach
+    (Setting.CE, 2, AnsatzSpec(3, 2, 2), 3024), (Setting.CE, 4, AnsatzSpec(1, 2, 2), 3480),
+    (Setting.CPE, 3, AnsatzSpec(1, 2, 2), 893), (Setting.CPE, 2, AnsatzSpec(3, 2, 2), 1452),
+    (Setting.CPE, 4, AnsatzSpec(1, 1, 1), 199),
 ]
 
 
-@pytest.mark.parametrize("m, ansatz, pins", _BENCH_CPE)
+@pytest.mark.parametrize("setting, m, ansatz, pins", _BENCH)
+def test_bench_ansatzes_pin_exactly(setting, m, ansatz, pins):
+    # the system rule reaches the kernel's counts on every cpe ansatz
+    ctx = ReductionContext(setting, m)
+    for rule in ("derivative", "system") if setting is Setting.CPE else ("derivative",):
+        assert len(_pinned_unknowns(ctx, ansatz, rule)) == pins
+
+
+@pytest.mark.parametrize("m, ansatz, pins", [(m, a, n) for s, m, a, n in _BENCH if s is Setting.CPE])
 def test_kernel_search_evaluates_no_pinned_unknown(m, ansatz, pins, monkeypatch):
+    # assembly builds one derivative table per monomial with an unpinned
+    # unknown (every monomial: chi01 only differentiates, so it is never
+    # pinned), applies the rows to the unpinned unknowns alone and hands
+    # nullspace the unpinned count
     ctx = ReductionContext(Setting.CPE, m)
     expected = kernel_search(ctx, ansatz)
-    seen = []
-    def rule(ctx, label, f, df):
-        seen.append((label, *f.unsorted_items()))
-        return _derivative_entries(ctx, label, f, df)
-    monkeypatch.setattr(reducedcomplex, "_derivative_entries", rule)
-    pinned = _pinned_unknowns(ctx, ansatz, rule)  # the probes run here, outside the count
-    assert len(pinned) >= pins
-    seen.clear()
+    pinned = _pinned_unknowns(ctx, ansatz, "derivative")
+    assert len(pinned) == pins
+    unpinned = set(_unknowns(ctx, ansatz)) - pinned
+    tables, evaluated, handed = [], [], []
+    real_table, real_entries, real_nullspace = (
+        reducedcomplex._derivative_table, reducedcomplex._entries, linalg.nullspace
+    )
+    monkeypatch.setattr(
+        reducedcomplex, "_derivative_table", lambda c, f: tables.append(f) or real_table(c, f)
+    )
+    monkeypatch.setattr(
+        reducedcomplex, "_entries",
+        lambda c, rule, label, f, df: evaluated.append((label, f)) or real_entries(c, rule, label, f, df),
+    )
+    monkeypatch.setattr(linalg, "nullspace", lambda rows, n: handed.append(n) or real_nullspace(rows, n))
     assert kernel_search(ctx, ansatz) == expected
-    evaluated = [(label, mono) for label, (mono, _) in seen]
-    assert sorted(evaluated, key=repr) == sorted(set(_unknowns(ctx, ansatz)) - pinned, key=repr)
+    monos = [mono for f in tables for mono, _ in f.unsorted_items()]
+    assert sorted(monos, key=_monomial_key) == sorted({mono for _, mono in unpinned}, key=_monomial_key)
+    assert sorted(evaluated, key=repr) == sorted(((l, Expr({mono: 1})) for l, mono in unpinned), key=repr)
+    assert handed == [len(unpinned)]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_every_row_writes_a_slot_of_its_rule(m):
+    # correction and derivative rows write labels the shape accepts, system
+    # rows names reduced_system_residuals prints for the one-entry tuple;
+    # every path is None or a sorted path of at most two directions
+    directions = set(range(1, m + 1))
+    for shape, setting in ((ChiTupleCE, Setting.CE), (ChiTupleCPE, Setting.CPE)):
+        ctx = ReductionContext(setting, m)
+        for label in shape.labels(m, 2):
+            rows = {rule: reducedcomplex._rows(ctx, rule, label) for rule in ("correction", "derivative")}
+            if shape is ChiTupleCPE:
+                rows["system"] = reducedcomplex._rows(ctx, "system", label)
+                chi = ChiTupleCPE(m, {label: Expr.const(1)})
+                names = {name for name, _ in reduced_system_residuals(ctx, chi)}
+                assert rows["system"] and {target for target, _, _ in rows["system"]} <= names
+            for rule in ("correction", "derivative"):
+                assert rows[rule]
+                for target, _, _ in rows[rule]:
+                    shape.check_label(target, m)
+            for target, c, path in (row for rule_rows in rows.values() for row in rule_rows):
+                assert not (c == 0 or type(c) is Expr and c.is_zero())
+                assert path is None or len(path) <= 2 and list(path) == sorted(path) and set(path) <= directions
 
 
 def _chi1_docstring_rule(ctx, f):
@@ -690,7 +753,7 @@ def _chi1_docstring_rule(ctx, f):
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_chi1_correction_is_the_docstring_rule(m):
-    # the chi1 row is applied through the Leibniz rows of _chi1_rows; the
+    # the chi1 row is applied through its Leibniz rows; the
     # oracle differentiates each product as written
     ctx = ReductionContext(Setting.CPE, m)
     rng = random.Random(46 + m)
@@ -700,7 +763,7 @@ def test_chi1_correction_is_the_docstring_rule(m):
         expected = _chi1_docstring_rule(ctx, f)
         entries: dict = {}
         df = path_derivatives(ctx, f)
-        for target, expr in _correction_entries(ctx, ("chi1",), f, df):
+        for target, expr in _entries(ctx, "correction", ("chi1",), f, df):
             entries[target] = entries.get(target, Expr.zero()) + expr
         assert {k: v for k, v in entries.items() if not v.is_zero()} == expected
         assert dict(correction(ctx, ChiTupleCPE(m, {("chi1",): f})).items()) == expected
@@ -733,7 +796,7 @@ def test_kernel_requires_constrained_setting(free_ctx):
 
 @pytest.mark.parametrize("setting", [Setting.CE, Setting.FREE])
 def test_system_kernel_requires_the_joint_setting(setting):
-    # _system_entries asks for no setting, so this guard is the only one
+    # the system rows ask for no setting, so this guard is the only one
     # on the system solve
     with pytest.raises(ValueError, match="^the reduced system lives in the cpe setting$"):
         reduced_system_kernel(ReductionContext(setting, 3), AnsatzSpec(0, 0, 0))

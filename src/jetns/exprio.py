@@ -34,7 +34,6 @@ from fractions import Fraction
 from .jetalgebra import (
     Expr,
     JetVariable,
-    Monomial,
     NU_VAR,
     T_VAR,
     pvar,
@@ -304,12 +303,12 @@ def tuple_shape(value: LabelTuple) -> str:
 
 def expr_to_records(f: Expr) -> list[dict]:
     records = []
-    for mono, coeff in f.items():
+    for pairs, coeff in f.factored_items():
         records.append(
             {
                 "num": coeff.numerator,
                 "den": coeff.denominator,
-                "factors": [[v.label(), e] for v, e in mono],
+                "factors": [[v.label(), e] for v, e in pairs],
             }
         )
     return records
@@ -326,7 +325,7 @@ def records_to_expr(records: list[dict], m: int) -> Expr:
 
     Expr(terms) orders the factors and rejects a repeat or an exponent below 1.
     """
-    terms: dict[Monomial, Fraction] = {}
+    terms: dict[tuple, Fraction] = {}
     for record in records:
         coeff = Fraction(int(record["num"]), int(record["den"]))
         factors = tuple(

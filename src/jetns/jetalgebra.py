@@ -9,46 +9,68 @@ coefficients, and equal expressions have identical internal maps and
 denominators, so zero testing is decidable and printing is deterministic.
 
 A jet variable, like its multi-index, is one object per value; equality
-is identity; interned for the process.  Monomials are tuples of variables,
-so hashing and comparing a monomial runs no Python code.  Identity hashes
-change from run to run, so nothing printed may follow the order of a set
-of variables: variables() sorts by the variable sort key.
+is identity; interned for the process.  Interning gives each new variable
+the next integer rank, and a monomial is the sorted tuple of its
+variables' ranks, each repeated by its exponent (packed exponents:
+Monagan & Pearce, CASC 2007), so a product of monomials is
+tuple(sorted(a + b)), run in C, and hashing and comparing a monomial run
+no Python code.  Ranks follow creation order, which differs from one
+program to the next, so no output reads them: factors() gives a
+monomial's (variable, exponent) pairs in variable sort-key order, and
+printing, records, column order and variables() all go through it or
+through the sort key.  Identity hashes change from run to run too, so
+nothing printed may follow the order of a set of variables.
 
 An expression stores int numerators over one denominator (FLINT's
 fmpq_poly; Geddes, Czapor & Labahn, Algorithms for Computer Algebra,
 ch. 2): _terms maps monomials to ints and _den >= 1 is coprime to them
 taken together, so zero has _den == 1.  A product multiplies ints and
 divides out one gcd; a sum scales to the lcm of the denominators, which
-are mostly 1.  items(), unsorted_items() (the one reader other modules
-use), coefficient and constant_value give an int when a value is
-integral, else a Fraction, so printed text and num/den records do not
-depend on the stored form.
+are mostly 1.  items(), factored_items() and unsorted_items() (the
+readers other modules use), coefficient and constant_value give an int
+when a value is integral, else a Fraction, so printed text and num/den
+records do not depend on the stored form.
 
 A product refuses to start when the product of its factors' term counts,
-a bound on the size of its result, exceeds MAX_PRODUCT_TERMS; it raises
-ExpressionTooLargeError instead of running without end.
+a bound on the size of its result, exceeds MAX_PRODUCT_TERMS; a power
+refuses when its result would pass MAX_DEGREE, or its coefficients
+need more than MAX_COEFFICIENT_BITS bits; and Expr(terms) refuses a
+monomial of degree above MAX_DEGREE.  Each raises ExpressionTooLargeError
+before the work starts instead of running without end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import chain
+from math import gcd, lcm, log2
+from threading import Lock
 from typing import Iterable, Mapping
 
 from .multiindex import MultiIndex
 
 _KIND_RANK = {"nu": 0, "t": 1, "x": 2, "u": 3, "p": 4}
 
+_VARIABLES: list[JetVariable] = []  # rank -> the interned variable
+_INTERNING = Lock()  # a miss is looked up again, ranked and stored in one step
+
 # Term pairs a single product may multiply out, len(f) * len(g).
 MAX_PRODUCT_TERMS = 10**5
+# Largest monomial degree a power may build or Expr(terms) may take; a
+# monomial holds one tuple entry per degree.
+MAX_DEGREE = 10_000
+# Bits a power may give its coefficients: n times the bits of the base's
+# largest numerator or its denominator.  A one-term base never trips the
+# term bound, so this is what stops (2^100000*x1)^10000.
+MAX_COEFFICIENT_BITS = 10**6
 
 
 class ExpressionTooLargeError(ValueError):
-    def __init__(self, pairs: int):
-        super().__init__(
-            f"product of {pairs} term pairs exceeds the limit of {MAX_PRODUCT_TERMS}"
-        )
+    """A result would pass a size bound; pairs is the product's term pair count."""
+
+    def __init__(self, message: str, pairs: int | None = None):
+        super().__init__(message)
         self.pairs = pairs
 
 
@@ -59,7 +81,7 @@ class JetVariable:
     Variables key every monomial, so there is one object per value;
     equality is identity; interned for the process.  A miss in the table
     validates and builds the variable, with its sort key and label, and
-    stores it; a hit returns the stored variable.
+    stores it with the next rank; a hit returns the stored variable.
     """
 
     kind: str
@@ -67,6 +89,7 @@ class JetVariable:
     index: MultiIndex | None = None
     _key: tuple = field(init=False, repr=False)
     _label: str = field(init=False, repr=False)
+    _rank: int = field(init=False, repr=False)
 
     _interned = {}  # (kind, mu, index) -> the one variable with those fields
 
@@ -76,7 +99,16 @@ class JetVariable:
         except KeyError:
             self = object.__new__(cls)
             self.__post_init__(kind, mu, index)
-            return cls._interned.setdefault((kind, self.mu, index), self)
+            key = (kind, self.mu, index)
+            with _INTERNING:
+                stored = cls._interned.get(key)
+                if stored is None:
+                    # ranked before it is stored: a lookup outside the lock
+                    # never finds a variable without a rank
+                    object.__setattr__(self, "_rank", len(_VARIABLES))
+                    _VARIABLES.append(self)
+                    stored = cls._interned[key] = self
+            return stored
 
     def __post_init__(self, kind, mu, index) -> None:
         mu = int(mu)
@@ -135,8 +167,10 @@ def _as_index(index) -> MultiIndex:
     return index if isinstance(index, MultiIndex) else MultiIndex(tuple(index))
 
 
-# A monomial is a sorted tuple of (variable, exponent) pairs, exponent >= 1.
-Monomial = tuple[tuple[JetVariable, int], ...]
+# A monomial is the sorted tuple of its variables' ranks, each repeated by
+# its exponent: x1^2*u2_[0,1,0] is (r_x1, r_x1, r_u).  Ranks follow creation
+# order, so read it through factors(), never in storage order.
+Monomial = tuple[int, ...]
 
 _ONE_MONOMIAL: Monomial = ()
 
@@ -146,9 +180,44 @@ def _rational(num: int, den: int) -> int | Fraction:
     return num // den if num % den == 0 else Fraction(num, den)
 
 
-def _monomial_key(mono: Monomial):
-    degree = sum(e for _, e in mono)
-    return (degree, tuple((v._key, e) for v, e in mono))
+def factors(mono: Monomial) -> tuple[tuple[JetVariable, int], ...]:
+    """The (variable, exponent) pairs of a monomial, in variable sort-key order.
+
+    Printing calls this once per term.  Of the monomials printed by the
+    cli-mix benchmark workload (seeds 1-3), 76% have three distinct
+    variables and 17% degree 2 or less; for those a few key comparisons
+    cost about a third of a dict, a list and a keyed sort.
+    """
+    if len(mono) == 1:
+        return ((_VARIABLES[mono[0]], 1),)
+    if len(mono) == 2:
+        va, vb = _VARIABLES[mono[0]], _VARIABLES[mono[1]]
+        if va is vb:
+            return ((va, 2),)
+        return ((va, 1), (vb, 1)) if va._key < vb._key else ((vb, 1), (va, 1))
+    if len(mono) == 3 and mono[0] != mono[1] != mono[2]:  # three distinct variables
+        va, vb, vc = _VARIABLES[mono[0]], _VARIABLES[mono[1]], _VARIABLES[mono[2]]
+        if vb._key < va._key:
+            va, vb = vb, va
+        if vc._key < vb._key:
+            vb, vc = vc, vb
+            if vb._key < va._key:
+                va, vb = vb, va
+        return ((va, 1), (vb, 1), (vc, 1))
+    pairs = [(_VARIABLES[r], mono.count(r)) for r in dict.fromkeys(mono)]
+    pairs.sort(key=lambda ve: ve[0]._key)
+    return tuple(pairs)
+
+
+def _monomial_key(mono: Monomial, pairs=None):
+    """(degree, ((variable key, exponent), ...)), the canonical monomial order;
+    pairs, when given, are factors(mono)."""
+    return (len(mono), tuple([(v._key, e) for v, e in pairs or factors(mono)]))
+
+
+def _pack(variables: Iterable[JetVariable]) -> Monomial:
+    """The monomial of a product of variables, each listed once per power."""
+    return tuple(sorted(v._rank for v in variables))
 
 
 class Expr:
@@ -159,15 +228,25 @@ class Expr:
 
     __slots__ = ("_terms", "_den")
 
-    def __init__(self, terms: Mapping[Monomial, int | Fraction] | None = None):
-        """The sum of the terms: a monomial's pairs may come in any order, each
-        variable once with an exponent of at least 1, else ValueError."""
+    def __init__(self, terms: Mapping[tuple, int | Fraction] | None = None):
+        """The sum of the terms, each keyed by its (variable, exponent) pairs.
+
+        A monomial's pairs may come in any order, each variable once with an
+        integer exponent of at least 1, else ValueError; a monomial of degree
+        above MAX_DEGREE raises ExpressionTooLargeError.
+        """
         data: dict[Monomial, int | Fraction] = {}
-        for mono, coeff in (terms or {}).items():
-            if len(dict(mono)) != len(mono) or any(e < 1 for _, e in mono):
-                factors = [[v.label(), e] for v, e in mono]
-                raise ValueError(f"a repeated factor or an exponent below 1 in {factors}")
-            mono = tuple(sorted(mono, key=lambda ve: ve[0]._key))
+        for pairs, coeff in (terms or {}).items():
+            bad = any(not isinstance(e, int) or e < 1 for _, e in pairs)
+            if bad or len(dict(pairs)) != len(pairs):
+                listed = [[v.label(), e] for v, e in pairs]
+                raise ValueError(f"a repeated factor or an exponent below 1 in {listed}")
+            degree = sum(e for _, e in pairs)
+            if degree > MAX_DEGREE:
+                raise ExpressionTooLargeError(
+                    f"a monomial of degree {degree} exceeds the degree bound {MAX_DEGREE}"
+                )
+            mono = _pack(v for v, e in pairs for _ in range(e))
             data[mono] = data.get(mono, 0) + (coeff if type(coeff) is int else Fraction(coeff))
         den = lcm(*(c.denominator for c in data.values()))
         nums = {mono: c.numerator * (den // c.denominator) for mono, c in data.items()}
@@ -187,7 +266,7 @@ class Expr:
 
     @staticmethod
     def var(v: JetVariable) -> Expr:
-        return _raw({((v, 1),): 1})
+        return _raw({(v._rank,): 1})
 
     # -- inspection ---------------------------------------------------
 
@@ -205,10 +284,17 @@ class Expr:
         """Monomial/coefficient pairs in canonical order."""
         return sorted(self.unsorted_items(), key=lambda kv: _monomial_key(kv[0]))
 
+    def factored_items(self) -> list[tuple[tuple[tuple[JetVariable, int], ...], int | Fraction]]:
+        """(factors(monomial), coefficient) pairs in canonical order: items() with
+        each monomial's factors computed once, for printing."""
+        terms = [(mono, factors(mono), c) for mono, c in self.unsorted_items()]
+        terms.sort(key=lambda t: _monomial_key(t[0], t[1]))
+        return [(pairs, c) for _, pairs, c in terms]
+
     def variables(self) -> list[JetVariable]:
         """Distinct variables occurring, in canonical order."""
-        seen = {v for mono in self._terms for v, _ in mono}
-        return sorted(seen, key=JetVariable.sort_key)
+        seen = set(chain.from_iterable(self._terms))
+        return sorted((_VARIABLES[r] for r in seen), key=JetVariable.sort_key)
 
     def coefficient(self, mono: Monomial) -> int | Fraction:
         return _rational(self._terms.get(mono, 0), self._den)
@@ -252,7 +338,9 @@ class Expr:
             return NotImplemented
         pairs = len(self._terms) * len(other._terms)
         if pairs > MAX_PRODUCT_TERMS:
-            raise ExpressionTooLargeError(pairs)
+            raise ExpressionTooLargeError(
+                f"product of {pairs} term pairs exceeds the limit of {MAX_PRODUCT_TERMS}", pairs
+            )
         data: dict[Monomial, int] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
@@ -267,6 +355,21 @@ class Expr:
             raise ValueError(f"exponent must be a non-negative integer, got {n!r}")
         if n == 0:
             return Expr.const(1)
+        if n == 1:
+            return self  # builds nothing, so no bound applies; most powers subs takes are first
+        degree = n * max(map(len, self._terms), default=0)
+        if degree > MAX_DEGREE:
+            raise ExpressionTooLargeError(
+                f"a power of degree {degree} exceeds the degree bound {MAX_DEGREE}"
+            )
+        top = max(max(map(abs, self._terms.values()), default=1), self._den)
+        if top > 1:
+            # bits >= 1 here, so a huge n is refused before the float product
+            bits = log2(top)
+            if n > MAX_COEFFICIENT_BITS or n * bits > MAX_COEFFICIENT_BITS:
+                raise ExpressionTooLargeError(
+                    f"a power's coefficients need more than the bound of {MAX_COEFFICIENT_BITS} bits"
+                )
         result = None
         base = self
         while True:
@@ -303,28 +406,45 @@ class Expr:
         image returns the Expr that replaces v, or None to keep v.  All
         variables are replaced at once, monomial by monomial, and an image
         is never revisited: f.subs({a: b, b: a}.get) swaps a and b.
-        image is asked once per variable, in order of first occurrence; when
-        it replaces none, the result is f itself.
+        image is asked once per variable of f, in order of first occurrence
+        over the stored monomials and in rank order within each, and ranks
+        follow creation, not the sort key; so image must not depend on the
+        order it is asked in.  When image raises ValueError, every variable
+        of f is asked again in sort-key order, so an image that raises each
+        time it is asked about a variable raises for the least such
+        variable, whatever the creation order.  When it replaces none, the
+        result is f itself.
         """
-        image_of = dict.fromkeys(v for mono in self._terms for v, _ in mono)
-        for v in image_of:
-            image_of[v] = image(v)
-        if all(img is None for img in image_of.values()):
+        replaced: dict[int, Expr] = {}  # rank -> its image, for the ranks image replaces
+        try:
+            for r in dict.fromkeys(chain.from_iterable(self._terms)):
+                img = image(_VARIABLES[r])
+                if img is not None:
+                    replaced[r] = img
+        except ValueError:
+            _ask_in_key_order(self, image)
+            raise
+        if not replaced:
             return self  # an Expr is never mutated, so sharing it is safe
         data: dict[Monomial, int] = {}
         den = 1  # data/den is the running sum
-        powers: dict[tuple[JetVariable, int], Expr] = {}
+        powers: dict[tuple[int, int], Expr] = {}  # (rank, exponent) -> image ** exponent
         for mono, coeff in self._terms.items():
             kept = []
             product = None
-            for v, e in mono:
-                img = image_of[v]
+            prev = None
+            for r in mono:
+                img = replaced.get(r)
                 if img is None:
-                    kept.append((v, e))
+                    kept.append(r)
                     continue
-                power = powers.get((v, e))
+                if r == prev:
+                    continue
+                prev = r
+                e = mono.count(r)
+                power = powers.get((r, e))
                 if power is None:
-                    power = powers[(v, e)] = img ** e
+                    power = powers[r, e] = img ** e
                 product = power if product is None else product * power
             kept = tuple(kept)
             d = product._den if product is not None else 1
@@ -345,7 +465,7 @@ class Expr:
         total = Fraction(0)
         for mono, coeff in self._terms.items():
             value = coeff
-            for v, e in mono:
+            for v, e in factors(mono):
                 value *= Fraction(assignment[v]) ** e
             total += value
         return total / self._den
@@ -356,8 +476,8 @@ class Expr:
         if not self._terms:
             return "0"
         parts: list[str] = []
-        for mono, coeff in self.items():
-            body = _monomial_str(mono, coeff)
+        for pairs, coeff in self.factored_items():
+            body = _monomial_str(pairs, coeff)
             if not parts:
                 parts.append(body if coeff > 0 else "-" + body)
             else:
@@ -366,6 +486,18 @@ class Expr:
 
     def __repr__(self) -> str:
         return f"Expr({self})"
+
+    def __reduce__(self):
+        # ranks differ between processes, so a pickle holds the factor pairs
+        return (_unpickle, ({factors(mono): c for mono, c in self._terms.items()}, self._den))
+
+
+def _unpickle(terms: dict, den: int) -> Expr:
+    """The stored form of a pickled Expr, repacked with this process's ranks.
+
+    It skips the checks of Expr(terms): the pickled form was canonical, and a
+    product may hold a monomial above MAX_DEGREE."""
+    return _raw({_pack(v for v, e in pairs for _ in range(e)): c for pairs, c in terms.items()}, den)
 
 
 def _raw(data: dict[Monomial, int], den: int = 1) -> Expr:
@@ -406,46 +538,35 @@ def _coerce(value) -> Expr:
 
 
 def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
-    """The product of two monomials, in one linear merge of their pairs.
-
-    Relies on the Monomial invariant: each side is sorted by variable key
-    and holds each variable once.  Distinct variables have distinct keys,
-    so equal keys mean one variable, whose exponents add.
-    """
-    out = []
-    i = j = 0
-    n1, n2 = len(m1), len(m2)
-    while i < n1 and j < n2:
-        a, b = m1[i], m2[j]
-        ka, kb = a[0]._key, b[0]._key
-        if ka < kb:
-            out.append(a)
-            i += 1
-        elif kb < ka:
-            out.append(b)
-            j += 1
-        else:
-            out.append((a[0], a[1] + b[1]))
-            i += 1
-            j += 1
-    return tuple(out) + m1[i:] + m2[j:]
+    """The product of two monomials: their ranks together, sorted in C."""
+    return tuple(sorted(m1 + m2))
 
 
 def derive(f: Expr, arg, image) -> Expr:
     """Apply to f the derivation that sends each variable v to image(v, arg).
 
     This is the one Leibniz loop, over every monomial: it serves diff, the
-    total and restricted derivatives and the evolutionary field.
+    total and restricted derivatives and the evolutionary field.  image is
+    asked in rank order within each monomial; when it raises ValueError,
+    it is asked again in sort-key order, as in Expr.subs.
     """
     data: dict[Monomial, int] = {}
     den = 1  # data/den is the running sum
     for mono, coeff in f._terms.items():
-        for pos, (v, e) in enumerate(mono):
-            img = image(v, arg)
+        prev = None
+        for pos, r in enumerate(mono):
+            if r == prev:  # a repeated rank is one variable, derived once
+                continue
+            prev = r
+            try:
+                img = image(_VARIABLES[r], arg)
+            except ValueError:
+                _ask_in_key_order(f, lambda v: image(v, arg))
+                raise
             if not img._terms:
                 continue
-            rest = mono[:pos] + ((v, e - 1),) * (e > 1) + mono[pos + 1:]
-            scale = coeff * e
+            rest = mono[:pos] + mono[pos + 1:]  # one copy of r dropped
+            scale = coeff * mono.count(r)
             if img._den != den:
                 den = _common_denominator(data, den, img._den)
                 scale *= den // img._den
@@ -455,16 +576,22 @@ def derive(f: Expr, arg, image) -> Expr:
     return _canonical(data, den * f._den)
 
 
-def _monomial_str(mono: Monomial, coeff: int | Fraction) -> str:
-    factors = []
-    for v, e in mono:
-        factors.append(v._label if e == 1 else f"{v._label}^{e}")
+def _ask_in_key_order(f: Expr, ask) -> None:
+    """Ask about every variable of f in sort-key order: called when asking in
+    rank order raised, so the error raised names no variable by its rank."""
+    for v in f.variables():
+        ask(v)
+
+
+def _monomial_str(pairs, coeff: int | Fraction) -> str:
+    """A term's text from its factors() pairs."""
+    parts = [v._label if e == 1 else f"{v._label}^{e}" for v, e in pairs]
     mag = abs(coeff)
-    if not factors:
+    if not parts:
         return str(mag)
     if mag != 1:
-        factors.insert(0, str(mag))
-    return "*".join(factors)
+        parts.insert(0, str(mag))
+    return "*".join(parts)
 
 
 # -- convenience expression builders -----------------------------------

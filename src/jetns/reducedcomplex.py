@@ -78,6 +78,7 @@ from .jetalgebra import (
     T_VAR,
     _merge_monomials,
     _monomial_key,
+    _pack,
     _raw,
     expr_sum,
     pvar,
@@ -307,7 +308,7 @@ def ansatz_monomials(ctx: ReductionContext, ansatz: AnsatzSpec) -> list[Monomial
     pool.sort(key=lambda v: v.sort_key())
 
     monomials = [
-        tuple((v, combo.count(v)) for v in dict.fromkeys(combo))
+        _pack(combo)
         for degree in range(ansatz.max_degree + 1)
         for combo in combinations_with_replacement(pool, degree)
         if sum(v.kind == "x" for v in combo) <= ansatz.max_x_degree

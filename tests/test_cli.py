@@ -2,6 +2,7 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -9,12 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from jetns import cli, constraints
+from jetns import cli, constraints, jetalgebra
+from jetns.multiindex import MultiIndex
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_cli(*args, stdin="", timeout=None):
+def run_cli(*args, stdin="", timeout=None, preexec_fn=None):
     # the child interpreter finds the package from the source tree, so the
     # suite runs without installing it or setting PYTHONPATH
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
@@ -25,6 +27,7 @@ def run_cli(*args, stdin="", timeout=None):
         text=True,
         env={**os.environ, "PYTHONPATH": path},
         timeout=timeout,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -341,6 +344,67 @@ def test_output_does_not_depend_on_hash_seed(monkeypatch):
         assert outputs[0] == outputs[1]
 
 
+# Runs each call of CREATION_ORDER_CALLS through cli.main, after interning the
+# variables given as JSON in argv[1] in that order; prints one JSON object with
+# each call's stdout and every interned variable, in rank order.
+_CREATION_ORDER_CHILD = """
+import contextlib, io, json, sys
+from jetns import cli
+from jetns.jetalgebra import JetVariable, _VARIABLES
+from jetns.multiindex import MultiIndex
+
+for kind, mu, entries in json.loads(sys.argv[1]):
+    JetVariable(kind, mu, None if entries is None else MultiIndex(tuple(entries)))
+outputs = []
+for args, stdin in json.loads(sys.argv[2]):
+    sys.stdin = io.StringIO(stdin)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(args)
+    outputs.append([code, out.getvalue()])
+variables = [[v.kind, v.mu, v.index and list(v.index.entries)] for v in _VARIABLES]
+print(json.dumps({"outputs": outputs, "variables": variables}))
+"""
+
+CREATION_ORDER_CALLS = [
+    (["kernel", "--setting", "cpe", "--dim", "2", "--max-order", "1",
+      "--max-degree", "2", "--max-x-degree", "1"], ""),
+    (["ns", "check", "--dim", "3"], ""),
+    (["reduce", "--constraints", "cpe", "-"],
+     "p_[2,0,0]*x2 - 3/2*u1_[1,0,0]^2*p_[0,1,0] + x1*u2_[0,1,1]*u3_[1,0,0] + nu*p_[3,1,0]^2 - t"),
+    (["reduce", "--constraints", "cpe", "--format", "structured", "-"],
+     "u1_[2,0,0]*x3^2 - p_[1,1,0]*u1_[0,0,1] + 1/3*x2*x1*p_[2,0,0]"),
+]
+
+
+def test_output_does_not_depend_on_creation_order():
+    # a monomial stores the ranks of its variables, and ranks follow the
+    # order variables are first created; no printed order may follow them
+    def child(first):
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _CREATION_ORDER_CHILD, json.dumps(first),
+             json.dumps(CREATION_ORDER_CALLS)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    normal = child([])
+    touched = [v for v in normal["variables"] if v[0] not in ("nu", "t")]  # interned on import
+    sort_key = lambda v: jetalgebra.JetVariable(
+        v[0], v[1], None if v[2] is None else MultiIndex(tuple(v[2]))
+    ).sort_key()
+    reverse = sorted(touched, key=sort_key, reverse=True)
+    reordered = child(reverse)
+    assert reordered["variables"][2:len(reverse) + 2] == reverse
+    assert touched != reverse and len(touched) > 50
+    assert all(code == 0 for code, _ in normal["outputs"])
+    assert [out.encode() for _, out in reordered["outputs"]] == [
+        out.encode() for _, out in normal["outputs"]
+    ]
+
+
 def test_structured_reduce():
     proc = run_cli("reduce", "--constraints", "ce", "--format", "structured", stdin="u1_[1,0,0]")
     record = json.loads(proc.stdout)
@@ -348,6 +412,42 @@ def test_structured_reduce():
         {"den": 1, "factors": [["u2_[0,1,0]", 1]], "num": -1},
         {"den": 1, "factors": [["u3_[0,0,1]", 1]], "num": -1},
     ]
+
+
+@pytest.mark.parametrize(
+    "text, bound",
+    [("x1^99999999999999999999999",
+      "a power of degree 99999999999999999999999 exceeds the degree bound 10000"),
+     ("(2^100000)^100000", "a power's coefficients need more than the bound of 1000000 bits"),
+     ("(2^100000*x1)^10000", "a power's coefficients need more than the bound of 1000000 bits")],
+    ids=["degree", "constant", "one-term"],
+)
+def test_an_oversized_power_exits_two_quickly(text, bound):
+    # the first printed its exponent and exited 0 while a monomial held
+    # (variable, exponent) pairs, and would build a tuple of that length
+    # now; the second squared a 100,001-bit integer without end, and the
+    # third, one term of small degree, would do the same to its
+    # coefficient.  All are refused before any product.  The child's address space is capped, so
+    # a guard that let either through fails fast instead of filling memory
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    start = time.monotonic()
+    proc = run_cli("reduce", "-", stdin=text, timeout=20, preexec_fn=cap_memory)
+    elapsed = time.monotonic() - start
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {bound}\n")
+    assert elapsed < 1.0
+
+
+def test_the_degree_bound_refuses_parsed_input(monkeypatch, capsys):
+    monkeypatch.setattr(jetalgebra, "MAX_DEGREE", 6)
+    monkeypatch.setattr(sys, "stdin", io.StringIO("x1*x2^5"))
+    assert cli.main(["reduce", "-"]) == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO("(x1*x2)^4"))
+    assert cli.main(["reduce", "-"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "x1*x2^5\n"
+    assert err == "error: a power of degree 8 exceeds the degree bound 6\n"
 
 
 def test_oversized_product_exits_two_quickly():

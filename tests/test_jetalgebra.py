@@ -1,8 +1,13 @@
 import ast
 import copy
 import dataclasses
+import itertools
+import os
 import pickle
 import random
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -21,6 +26,7 @@ from jetns.jetalgebra import (
     MAX_PRODUCT_TERMS,
     NU_VAR,
     T_VAR,
+    factors,
     pvar,
     u,
     uvar,
@@ -267,6 +273,72 @@ def test_product_guard_bounds_the_pair_count(monkeypatch):
         a ** 2
 
 
+# -- the degree and constant-power bounds -------------------------------------
+
+
+def test_power_refuses_above_the_degree_bound_before_any_product(monkeypatch):
+    monkeypatch.setattr(jetalgebra, "MAX_DEGREE", 6)
+    assert str(x(1) ** 6) == "x1^6" and str((x(1) * x(2) ** 2) ** 2) == "x1^2*x2^4"
+    cases = [(x(1), 7, 7), (x(1) * x(2), 4, 8), (x(1) + x(2) ** 3 + 1, 3, 9)]
+    merges = []
+    merge = jetalgebra._merge_monomials
+    monkeypatch.setattr(jetalgebra, "_merge_monomials", lambda a, b: merges.append(1) or merge(a, b))
+    for base, n, degree in cases:
+        with pytest.raises(ExpressionTooLargeError, match=f"degree {degree} exceeds the degree bound 6$"):
+            base ** n
+    assert merges == []
+
+
+def test_constructor_refuses_a_monomial_above_the_degree_bound(monkeypatch):
+    monkeypatch.setattr(jetalgebra, "MAX_DEGREE", 6)
+    assert Expr({((xvar(1), 2), (xvar(2), 4)): 1}) == x(1) ** 2 * x(2) ** 4
+    with pytest.raises(ExpressionTooLargeError, match="degree 7 exceeds the degree bound 6$"):
+        Expr({((xvar(1), 3), (xvar(2), 4)): 1})
+    with pytest.raises(ExpressionTooLargeError, match="degree bound 6$"):
+        records_to_expr([{"num": 1, "den": 1, "factors": [["x1", 7]]}], 3)
+
+
+def test_the_degree_bound_admits_its_own_degree():
+    assert jetalgebra.MAX_DEGREE == 10_000
+    assert x(1) ** 10_000 == Expr({((xvar(1), 10_000),): 1})
+    with pytest.raises(ExpressionTooLargeError, match="degree 10001 exceeds the degree bound 10000$"):
+        x(1) ** 10_001
+
+
+def test_power_refuses_above_the_bit_bound_before_any_product(monkeypatch):
+    monkeypatch.setattr(jetalgebra, "MAX_COEFFICIENT_BITS", 64)
+    assert Expr.const(2) ** 64 == 2**64
+    assert Expr.const(Fraction(-1, 3)) ** 40 == Fraction(-1, 3) ** 40
+    assert (2**16 * x(1)) ** 4 == 2**64 * x(1) ** 4
+    quarter = Fraction(1, 4) * x(1) + x(2) - 1
+    assert quarter ** 32 == quarter ** 16 * quarter ** 16
+    # a base of 0 or +-1 never grows, whatever the exponent, and a base whose
+    # coefficients are all +-1 over 1 is left to the degree and term bounds
+    assert Expr.const(-1) ** (10**30 + 1) == -1
+    assert Expr.const(1) ** 10**30 == 1 and Expr.zero() ** 10**30 == 0
+    assert (x(1) - x(2)) ** 100 == (x(1) - x(2)) ** 50 * (x(1) - x(2)) ** 50
+    products = []
+    mul = Expr.__mul__
+    monkeypatch.setattr(Expr, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    cases = [
+        (Expr.const(2), 65), (Expr.const(Fraction(1, 3)), 41),
+        (Expr.const(Fraction(3, 2)), 10**30), (Expr.const(-7), 10**400),
+        # a one-term base never trips the term bound, so the bit bound must stop it
+        (2**16 * x(1), 5), (Fraction(1, 2**33) * x(1), 2), (x(1) - 3 * x(2) + 1, 41),
+    ]
+    for base, n in cases:
+        with pytest.raises(ExpressionTooLargeError, match="more than the bound of 64 bits$"):
+            base ** n
+    assert products == []
+
+
+def test_the_bit_bound_admits_large_exact_constants():
+    assert jetalgebra.MAX_COEFFICIENT_BITS == 10**6
+    assert Expr.const(2) ** 20_000 == 2**20_000
+    with pytest.raises(ExpressionTooLargeError, match="bound of 1000000 bits$"):
+        Expr.const(2) ** (10**6 + 1)
+
+
 # -- the coefficient representation -----------------------------------------
 
 half, third = Fraction(1, 2), Fraction(1, 3)
@@ -445,11 +517,13 @@ def _as_expr(ref):
 
 
 def _assert_matches(f, ref):
-    """f has the reference's terms, read through items(), and equals its Expr."""
+    """f has the reference's terms, read through items(), rebuilds from its factors and
+    equals its Expr."""
     pairs = f.items()
     for _, c in pairs:
         assert type(c) is (int if c.denominator == 1 else Fraction), c
-    assert {frozenset(mono): c for mono, c in pairs} == ref
+    assert {frozenset(factors(mono)): c for mono, c in pairs} == ref
+    assert Expr({factors(mono): c for mono, c in pairs}) == f
     expected = _as_expr(ref)
     assert f == expected and hash(f) == hash(expected)
 
@@ -527,6 +601,109 @@ def test_copies_are_the_interned_variable():
     assert copy.deepcopy(f) == f
 
 
+def test_a_product_above_the_degree_bound_still_copies():
+    # products are not checked against MAX_DEGREE, so a copy must not be either
+    f = x(1) ** 10_000 * x(1) - Fraction(2, 3) * x(2)
+    assert factors(max(f._terms, key=len)) == ((xvar(1), 10_001),)
+    assert copy.deepcopy(f) == f
+    assert pickle.loads(pickle.dumps(f)) == f
+
+
+def test_a_failing_image_names_the_least_variable_whatever_the_creation_order():
+    # ranks follow creation; the error must follow the sort key
+    late, early = pvar((8, 8, 3)), pvar((8, 8, 2))  # created against key order
+    assert late._rank < early._rank and early._key < late._key
+    f = Expr.var(late) * x(1) + Expr.var(early) ** 2
+    asked = []
+
+    def refuse(v, *arg):
+        asked.append(v)
+        if v.kind == "p":
+            raise ValueError(v.label())
+        return None if not arg else Expr.zero()
+
+    with pytest.raises(ValueError, match=r"^p_\[8,8,2\]$"):
+        f.subs(refuse)
+    assert asked[-1] is early
+    with pytest.raises(ValueError, match=r"^p_\[8,8,2\]$"):
+        jetalgebra.derive(f, 0, refuse)
+    ctx = ReductionContext(Setting.CE, 2)  # a jet of dimension 3 is refused
+    with pytest.raises(ValueError, match=r"^dimension mismatch: p_\[8,8,2\] "):
+        reduce(ctx, f)
+    with pytest.raises(ValueError, match=r"^dimension mismatch: p_\[8,8,2\] "):
+        restricted_derivative(ctx, 1, f)
+
+
+def test_a_pickled_expression_survives_another_creation_order():
+    # a monomial stores ranks, which follow creation order and so differ
+    # between processes; a pickle holds the factor pairs instead
+    a, b = uvar(3, (7, 0, 5)), pvar((9, 9, 1))  # created here first, a before b
+    assert a._rank < b._rank
+    f = Expr.var(a) * Expr.var(b) ** 2 - Fraction(1, 3) * x(2) * nu + 5
+    child = (
+        "import pickle, sys\n"
+        "from jetns.jetalgebra import pvar, uvar\n"
+        "b, a = pvar((9, 9, 1)), uvar(3, (7, 0, 5))\n"
+        "assert b._rank < a._rank\n"
+        "print(pickle.loads(sys.stdin.buffer.read()))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", child], input=pickle.dumps(f), capture_output=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode() == f"{f}\n" == "5 - 1/3*nu*x2 + u3_[7,0,5]*p_[9,9,1]^2\n"
+
+
+def test_concurrent_interning_gives_each_variable_its_own_rank():
+    # a rank is read from the rank table and appended to it; threads that
+    # intern at once must neither share a rank nor skip one
+    indices = [(a, b, 90 + c) for a in range(4) for b in range(5) for c in range(10)]
+
+    def intern(seed):
+        # each variable is used at once, as a product would use it; a lookup
+        # that found a variable before its rank was set would raise here
+        order = indices[:]
+        random.Random(seed).shuffle(order)
+        return [Expr.var(pvar(i)) and pvar(i) for i in order]
+
+    first = len(jetalgebra._VARIABLES)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(intern, range(8), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    made = {v: None for result in results for v in result}
+    assert len(made) == len(indices)
+    assert sorted(v._rank for v in made) == list(range(first, first + len(indices)))
+    assert all(jetalgebra._VARIABLES[v._rank] is v for v in made)
+
+
+def test_an_interned_variable_is_ranked_before_a_lookup_can_find_it(monkeypatch):
+    # the lookup outside the lock must never return a variable whose rank is
+    # not yet set; the rank is read from len() of the rank table, so check
+    # there that every variable a lookup can reach is ranked
+    table = jetalgebra._VARIABLES
+    unranked = []
+
+    class Watched:
+        def __len__(self):
+            unranked.extend(v for v in JetVariable._interned.values() if not hasattr(v, "_rank"))
+            return len(table)
+
+        def append(self, v):
+            table.append(v)
+
+    monkeypatch.setattr(jetalgebra, "_VARIABLES", Watched())
+    made = [pvar((7, 7, 7, c)) for c in range(3)]
+    assert len({v._rank for v in made}) == 3 and unranked == []
+    assert all(table[v._rank] is v for v in made)
+
+
 @pytest.mark.parametrize(
     "kind, mu, index",
     [
@@ -556,6 +733,34 @@ def test_variable_sort_keys_are_unchanged():
     assert T_VAR.sort_key() == (1, 0, ((), ()))
 
 
+def test_monomial_key_is_the_degree_then_the_factor_keys():
+    # the canonical print and column order: ranks never enter it, and a
+    # sorted tuple of repeated ranks or keys would put x1^2 before x1*x2
+    [(mono, _)] = (u(2, (0, 1, 0)) * x(1) ** 2 * nu).items()
+    pairs = ((NU_VAR, 1), (xvar(1), 2), (uvar(2, (0, 1, 0)), 1))
+    assert factors(mono) == pairs
+    assert jetalgebra._monomial_key(mono) == (4, tuple((v.sort_key(), e) for v, e in pairs))
+    assert str(x(1) ** 2 + x(1) * x(2)) == "x1*x2 + x1^2"
+    assert str(x(2) * x(1) ** 2 + x(1) * x(2) ** 2 + u(1, (0, 0, 0)) ** 3) == (
+        "x1*x2^2 + x1^2*x2 + u1_[0,0,0]^3"
+    )
+
+
+def test_factors_are_in_key_order_whatever_the_creation_order():
+    # ranks follow creation order: each group of three new variables is
+    # created in another permutation of its key order, and every exponent
+    # pattern up to 2 is read back
+    for group, order in enumerate(itertools.permutations(range(3))):
+        created = [pvar((77, group, k)) for k in order]
+        by_key = sorted(created, key=JetVariable.sort_key)
+        assert [by_key.index(v) for v in created] == list(order)
+        assert [v._rank for v in created] == sorted(v._rank for v in created)
+        for exponents in itertools.product(range(3), repeat=3):
+            pairs = tuple((v, e) for v, e in zip(by_key, exponents) if e)
+            [(mono, _)] = Expr({pairs: 1}).items()
+            assert factors(mono) == pairs
+
+
 # -- the monomial merge -------------------------------------------------------
 
 
@@ -572,25 +777,29 @@ def test_merge_monomials_matches_dict_and_sort():
     pool = variable_pool(m=3, allow_nu=True, allow_t=True)
 
     def monomial(variables):
+        """The sorted (variable, exponent) pairs and the packed monomial Expr builds from them."""
         pairs = [(v, rng.randint(1, 3)) for v in variables]
-        return tuple(sorted(pairs, key=lambda ve: ve[0].sort_key()))
+        pairs = tuple(sorted(pairs, key=lambda ve: ve[0].sort_key()))
+        [(packed, _)] = Expr({pairs: 1}).items()
+        assert factors(packed) == pairs
+        return pairs, packed
 
     cases = {"shared": 0, "disjoint": 0, "empty side": 0}
     for _ in range(600):
         shared = rng.sample(pool, rng.randint(0, 2))
         others = rng.sample([v for v in pool if v not in shared], rng.randint(0, 6))
         split = rng.randint(0, len(others))
-        m1 = monomial(shared + others[:split])
-        m2 = monomial(shared + others[split:])
-        merged = jetalgebra._merge_monomials(m1, m2)
-        assert merged == _dict_merge(m1, m2)
-        assert jetalgebra._merge_monomials(m2, m1) == merged
+        m1, p1 = monomial(shared + others[:split])
+        m2, p2 = monomial(shared + others[split:])
+        merged = jetalgebra._merge_monomials(p1, p2)
+        assert factors(merged) == _dict_merge(m1, m2)
+        assert jetalgebra._merge_monomials(p2, p1) == merged
         if not (m1 and m2):
             cases["empty side"] += 1
         elif shared:
             cases["shared"] += 1
             # the shared variables' exponents add
-            exponents = dict(merged)
+            exponents = dict(factors(merged))
             for v, e in m1:
                 assert exponents[v] == e + dict(m2).get(v, 0)
         else:

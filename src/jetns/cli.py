@@ -25,6 +25,7 @@ from .evolutionary import (
     time_symmetry_residual,
 )
 from .exprio import (
+    MAX_LITERAL_DIGITS,
     ExprSyntaxError,
     expr_to_records,
     parse_expr,
@@ -288,6 +289,11 @@ PARSER = build_parser()
 
 
 def main(argv=None) -> int:
+    # CPython converts at most 4300 digits between int and str by default (0:
+    # no limit, or no such limit before 3.11); the CLI reads and prints every
+    # coefficient up to the literal bound
+    if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < MAX_LITERAL_DIGITS:
+        sys.set_int_max_str_digits(MAX_LITERAL_DIGITS)
     try:
         args = PARSER.parse_args(argv)
     except SystemExit as exc:

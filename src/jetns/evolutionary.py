@@ -20,8 +20,8 @@ from .constraints import (
     restricted_laplacian,
     velocity_gradient_entry,
 )
-from .jetalgebra import Expr, T_VAR, expr_sum
-from .multiindex import MultiIndex, unit
+from .jetalgebra import Expr, JetVariable, T_VAR, expr_sum
+from .multiindex import unit
 from .totalderiv import derive
 from .tuples import Characteristic
 
@@ -29,17 +29,17 @@ from .tuples import Characteristic
 def _field_action(ctx: ReductionContext, f: Characteristic, g: Expr, cache: dict) -> Expr:
     """The derivation sending each u/p jet to the matching derivative of f, applied to g.
 
-    cache maps (slot, multi-index) to that derivative of f.component(slot)
-    and may be shared between calls with the same f.
+    cache maps each u/p jet to its image and may be shared between calls
+    with the same f.
     """
 
     def image(v, _mu) -> Expr:
         if v.kind not in ("u", "p"):
             return Expr.zero()
-        key = (v.mu if v.kind == "u" else 0, v.index)
-        if key not in cache:
-            cache[key] = restricted_derivative_multi(ctx, v.index, f.component(key[0]))
-        return cache[key]
+        d = cache.get(v)
+        if d is None:
+            d = cache[v] = restricted_derivative_multi(ctx, v.index, f.component(v.mu))
+        return d
 
     return derive(g, 0, image)
 
@@ -137,15 +137,13 @@ def symmetry_residuals(ctx: ReductionContext, f: Characteristic) -> ResidualRepo
 class EvolutionField:
     """A time-evolution derivation generated by a characteristic; equality is identity.
 
-    Admissibility (the two determining equations of the joint setting) is
-    reported, not assumed; the pressure component may be left unresolved.
+    Admissibility is not assumed: symmetry_residuals(field.context,
+    field.characteristic) reports the two determining equations of the
+    joint setting.  The pressure component may be left unresolved.
     """
 
     characteristic: Characteristic
     context: ReductionContext
-
-    def admissibility(self) -> ResidualReport:
-        return symmetry_residuals(self.context, self.characteristic)
 
 
 def evolution_derivative(field: EvolutionField, g: Expr) -> Expr:
@@ -161,7 +159,7 @@ def linearize_evolution(field: EvolutionField, f: Characteristic) -> Characteris
     multi-index derivative of f.
     """
     ctx = field.context
-    cache: dict[tuple[int, MultiIndex], Expr] = {}
+    cache: dict[JetVariable, Expr] = {}
     e = field.characteristic
     action = {label: _field_action(ctx, f, comp, cache) for label, comp in e.items()}
     return Characteristic(e.m, action)

@@ -30,8 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import log10
 
 from .jetalgebra import (
+    MAX_COEFFICIENT_BITS,
     Expr,
     JetVariable,
     NU_VAR,
@@ -57,6 +59,10 @@ class ExprSyntaxError(ValueError):
         self.span = span
 
 
+# The digits of 2^MAX_COEFFICIENT_BITS, the largest coefficient a power may
+# build: the tokenizer refuses a longer numeric literal before int() reads it.
+MAX_LITERAL_DIGITS = int(MAX_COEFFICIENT_BITS * log10(2)) + 1
+
 # A token is a plain (kind, text, start, end) tuple; kind is 'num', 'word',
 # 'end' or a literal symbol.  A SourceSpan is built only for an error.
 _Token = tuple[str, str, int, int]
@@ -79,6 +85,12 @@ def _tokenize(text: str) -> list[_Token]:
             end = pos
             while end < n and text[end] in "0123456789":
                 end += 1
+            if end - pos > MAX_LITERAL_DIGITS:
+                raise ExprSyntaxError(
+                    f"a numeric literal of {end - pos} digits exceeds the bound of "
+                    f"{MAX_LITERAL_DIGITS} digits",
+                    SourceSpan(pos, end),
+                )
             tokens.append(("num", text[pos:end], pos, end))
             pos = end
             continue
@@ -294,16 +306,12 @@ def print_tuple(value: LabelTuple) -> str:
     return "; ".join(f"{value.name(label)}: {value[label]}" for label in parts)
 
 
-def tuple_shape(value: LabelTuple) -> str:
-    return value.shape
-
-
 # -- structured serialization ------------------------------------------------
 
 
 def expr_to_records(f: Expr) -> list[dict]:
     records = []
-    for pairs, coeff in f.factored_items():
+    for pairs, coeff in f.items():
         records.append(
             {
                 "num": coeff.numerator,

@@ -15,19 +15,19 @@ variables' ranks, each repeated by its exponent (packed exponents:
 Monagan & Pearce, CASC 2007), so a product of monomials is
 tuple(sorted(a + b)), run in C, and hashing and comparing a monomial run
 no Python code.  Ranks follow creation order, which differs from one
-program to the next, so no output reads them: factors() gives a
-monomial's (variable, exponent) pairs in variable sort-key order, and
-printing, records, column order and variables() all go through it or
-through the sort key.  Identity hashes change from run to run too, so
-nothing printed may follow the order of a set of variables.
+program to the next, so they stay private: Expr(terms), items() and
+coefficient() speak (variable, exponent) pairs, which _factors() reads
+off a monomial in sort-key order; printing, records, column order and
+variables() go through it or the sort key.  Identity hashes change from
+run to run too, so nothing printed may follow the order of a set of
+variables.
 
 An expression stores int numerators over one denominator (FLINT's
 fmpq_poly; Geddes, Czapor & Labahn, Algorithms for Computer Algebra,
 ch. 2): _terms maps monomials to ints and _den >= 1 is coprime to them
 taken together, so zero has _den == 1.  A product multiplies ints and
 divides out one gcd; a sum scales to the lcm of the denominators, which
-are mostly 1.  items(), factored_items() and unsorted_items() (the
-readers other modules use), coefficient and constant_value give an int
+are mostly 1.  items(), coefficient() and constant_value give an int
 when a value is integral, else a Fraction, so printed text and num/den
 records do not depend on the stored form.
 
@@ -169,7 +169,7 @@ def _as_index(index) -> MultiIndex:
 
 # A monomial is the sorted tuple of its variables' ranks, each repeated by
 # its exponent: x1^2*u2_[0,1,0] is (r_x1, r_x1, r_u).  Ranks follow creation
-# order, so read it through factors(), never in storage order.
+# order, so read it through _factors(), never in storage order.
 Monomial = tuple[int, ...]
 
 _ONE_MONOMIAL: Monomial = ()
@@ -180,7 +180,7 @@ def _rational(num: int, den: int) -> int | Fraction:
     return num // den if num % den == 0 else Fraction(num, den)
 
 
-def factors(mono: Monomial) -> tuple[tuple[JetVariable, int], ...]:
+def _factors(mono: Monomial) -> tuple[tuple[JetVariable, int], ...]:
     """The (variable, exponent) pairs of a monomial, in variable sort-key order.
 
     Printing calls this once per term.  Of the monomials printed by the
@@ -211,13 +211,13 @@ def factors(mono: Monomial) -> tuple[tuple[JetVariable, int], ...]:
 
 def _monomial_key(mono: Monomial, pairs=None):
     """(degree, ((variable key, exponent), ...)), the canonical monomial order;
-    pairs, when given, are factors(mono)."""
-    return (len(mono), tuple([(v._key, e) for v, e in pairs or factors(mono)]))
+    pairs, when given, are _factors(mono)."""
+    return (len(mono), tuple([(v._key, e) for v, e in pairs or _factors(mono)]))
 
 
-def _pack(variables: Iterable[JetVariable]) -> Monomial:
-    """The monomial of a product of variables, each listed once per power."""
-    return tuple(sorted(v._rank for v in variables))
+def _pack(pairs: Iterable[tuple[JetVariable, int]]) -> Monomial:
+    """The monomial of (variable, exponent) pairs, unchecked: ranks repeated by exponent."""
+    return tuple(sorted(v._rank for v, e in pairs for _ in range(e)))
 
 
 class Expr:
@@ -246,7 +246,7 @@ class Expr:
                 raise ExpressionTooLargeError(
                     f"a monomial of degree {degree} exceeds the degree bound {MAX_DEGREE}"
                 )
-            mono = _pack(v for v, e in pairs for _ in range(e))
+            mono = _pack(pairs)
             data[mono] = data.get(mono, 0) + (coeff if type(coeff) is int else Fraction(coeff))
         den = lcm(*(c.denominator for c in data.values()))
         nums = {mono: c.numerator * (den // c.denominator) for mono, c in data.items()}
@@ -273,21 +273,17 @@ class Expr:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def unsorted_items(self) -> Iterable[tuple[Monomial, int | Fraction]]:
-        """Monomial/coefficient pairs in storage order: items() without the sort."""
+    def _unsorted_items(self) -> Iterable[tuple[Monomial, int | Fraction]]:
+        """Packed monomial/coefficient pairs in storage order, for kernel assembly."""
         den = self._den
         if den == 1:
             return self._terms.items()
         return [(mono, _rational(c, den)) for mono, c in self._terms.items()]
 
-    def items(self) -> list[tuple[Monomial, int | Fraction]]:
-        """Monomial/coefficient pairs in canonical order."""
-        return sorted(self.unsorted_items(), key=lambda kv: _monomial_key(kv[0]))
-
-    def factored_items(self) -> list[tuple[tuple[tuple[JetVariable, int], ...], int | Fraction]]:
-        """(factors(monomial), coefficient) pairs in canonical order: items() with
-        each monomial's factors computed once, for printing."""
-        terms = [(mono, factors(mono), c) for mono, c in self.unsorted_items()]
+    def items(self) -> list[tuple[tuple[tuple[JetVariable, int], ...], int | Fraction]]:
+        """(pairs, coefficient) in canonical order, pairs being a monomial's factors in
+        sort-key order, as Expr(terms) takes them: Expr(dict(f.items())) == f."""
+        terms = [(mono, _factors(mono), c) for mono, c in self._unsorted_items()]
         terms.sort(key=lambda t: _monomial_key(t[0], t[1]))
         return [(pairs, c) for _, pairs, c in terms]
 
@@ -296,8 +292,9 @@ class Expr:
         seen = set(chain.from_iterable(self._terms))
         return sorted((_VARIABLES[r] for r in seen), key=JetVariable.sort_key)
 
-    def coefficient(self, mono: Monomial) -> int | Fraction:
-        return _rational(self._terms.get(mono, 0), self._den)
+    def coefficient(self, pairs) -> int | Fraction:
+        """The coefficient of the monomial whose pairs Expr(terms) would take; 0 if absent."""
+        return _rational(self._terms.get(_pack(pairs), 0), self._den)
 
     def constant_value(self) -> int | Fraction | None:
         """The rational value when the expression is constant, else None."""
@@ -465,7 +462,7 @@ class Expr:
         total = Fraction(0)
         for mono, coeff in self._terms.items():
             value = coeff
-            for v, e in factors(mono):
+            for v, e in _factors(mono):
                 value *= Fraction(assignment[v]) ** e
             total += value
         return total / self._den
@@ -476,7 +473,7 @@ class Expr:
         if not self._terms:
             return "0"
         parts: list[str] = []
-        for pairs, coeff in self.factored_items():
+        for pairs, coeff in self.items():
             body = _monomial_str(pairs, coeff)
             if not parts:
                 parts.append(body if coeff > 0 else "-" + body)
@@ -489,7 +486,7 @@ class Expr:
 
     def __reduce__(self):
         # ranks differ between processes, so a pickle holds the factor pairs
-        return (_unpickle, ({factors(mono): c for mono, c in self._terms.items()}, self._den))
+        return (_unpickle, ({_factors(mono): c for mono, c in self._terms.items()}, self._den))
 
 
 def _unpickle(terms: dict, den: int) -> Expr:
@@ -497,7 +494,7 @@ def _unpickle(terms: dict, den: int) -> Expr:
 
     It skips the checks of Expr(terms): the pickled form was canonical, and a
     product may hold a monomial above MAX_DEGREE."""
-    return _raw({_pack(v for v, e in pairs for _ in range(e)): c for pairs, c in terms.items()}, den)
+    return _raw({_pack(pairs): c for pairs, c in terms.items()}, den)
 
 
 def _raw(data: dict[Monomial, int], den: int = 1) -> Expr:
@@ -584,7 +581,7 @@ def _ask_in_key_order(f: Expr, ask) -> None:
 
 
 def _monomial_str(pairs, coeff: int | Fraction) -> str:
-    """A term's text from its factors() pairs."""
+    """A term's text from its (variable, exponent) pairs."""
     parts = [v._label if e == 1 else f"{v._label}^{e}" for v, e in pairs]
     mag = abs(coeff)
     if not parts:

@@ -295,7 +295,7 @@ def reduced_variational_derivative(ctx: ReductionContext, L: Expr):
 # -- bounded-order kernel search --------------------------------------------
 
 
-def ansatz_monomials(ctx: ReductionContext, ansatz: AnsatzSpec) -> list[Monomial]:
+def _ansatz_monomials(ctx: ReductionContext, ansatz: AnsatzSpec) -> list[Monomial]:
     """All canonical-coordinate monomials within the ansatz bounds."""
     m = ctx.m
     pool = [xvar(mu) for mu in range(1, m + 1)]
@@ -308,7 +308,7 @@ def ansatz_monomials(ctx: ReductionContext, ansatz: AnsatzSpec) -> list[Monomial
     pool.sort(key=lambda v: v.sort_key())
 
     monomials = [
-        _pack(combo)
+        _pack((v, 1) for v in combo)
         for degree in range(ansatz.max_degree + 1)
         for combo in combinations_with_replacement(pool, degree)
         if sum(v.kind == "x" for v in combo) <= ansatz.max_x_degree
@@ -327,7 +327,7 @@ def _ansatz_axes(
     change what the next one reads.
     """
     shape = _shape(ctx, "kernel search")
-    return tuple(shape.labels(ctx.m, ansatz.max_order)), tuple(ansatz_monomials(ctx, ansatz))
+    return tuple(shape.labels(ctx.m, ansatz.max_order)), tuple(_ansatz_monomials(ctx, ansatz))
 
 
 def _unknowns(ctx: ReductionContext, ansatz: AnsatzSpec) -> list[tuple[tuple, Monomial]]:
@@ -343,7 +343,7 @@ def _writes(ctx: ReductionContext, labels: tuple, rule: str) -> dict:
         for slot, c, path in _rows(ctx, rule, label):
             c = Expr.const(c) if type(c) is int else c
             by_label = writes.setdefault(slot, {})
-            one_term = path in ((), None) and len(c.unsorted_items()) == 1
+            one_term = path in ((), None) and len(c._unsorted_items()) == 1
             by_label[label] = c if one_term and label not in by_label else None
     return writes
 
@@ -369,7 +369,7 @@ def _forced_zero_unknowns(ctx: ReductionContext, ansatz: AnsatzSpec, rule: str) 
                 continue
             rows: dict = {}  # output monomial -> its unpinned (label, position) unknowns
             for label, c in live:
-                [(c_mono, _)] = c.unsorted_items()
+                [(c_mono, _)] = c._unsorted_items()
                 for pos, mono in enumerate(monomials):
                     if pos not in pinned[label]:
                         rows.setdefault(_merge_monomials(c_mono, mono), []).append((label, pos))
@@ -415,7 +415,7 @@ def _solve_homogeneous(
         for label, col in mono_columns:
             for slot, expr in _entries(ctx, rule, label, f, df):
                 by_mono = index.setdefault(slot, {})
-                for out_mono, coeff in expr.unsorted_items():
+                for out_mono, coeff in expr._unsorted_items():
                     row = by_mono.get(out_mono)
                     if row is None:
                         row = by_mono[out_mono] = {col: coeff}
@@ -470,7 +470,7 @@ def kernel_vectors(ctx: ReductionContext, ansatz: AnsatzSpec, chi) -> tuple[Frac
     position = {unknown: k for k, unknown in enumerate(_unknowns(ctx, ansatz))}
     vec = [Fraction(0)] * len(position)
     for slot, expr in chi.items():
-        for mono, coeff in expr.items():
+        for mono, coeff in expr._unsorted_items():
             key = (slot, mono)
             if key not in position:
                 raise ValueError(f"component {slot} uses a monomial outside the ansatz")

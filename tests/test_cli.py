@@ -439,6 +439,67 @@ def test_an_oversized_power_exits_two_quickly(text, bound):
     assert elapsed < 1.0
 
 
+def _decimal(n: int) -> str:
+    """str(n), whatever this interpreter's limit on int-string conversion."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(n)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("2^20000", 2**20000), ("7" * 5000, 7 * (10**5000 - 1) // 9)],
+    ids=["power", "literal"],
+)
+def test_a_long_integer_reads_and_prints_in_full(text, value):
+    # CPython converts at most 4300 digits between int and str by default;
+    # both exited 2 with its conversion-limit text, the first when printed
+    # and the second when read
+    start = time.monotonic()
+    proc = run_cli("reduce", "-", stdin=text, timeout=20)
+    elapsed = time.monotonic() - start
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, _decimal(value) + "\n", "")
+    assert elapsed < 1.0
+
+
+def test_a_literal_past_the_digit_bound_exits_two_quickly():
+    # one digit more than 2^1,000,000 has, the largest coefficient a power
+    # may build; refused by the tokenizer before int() reads it
+    text = "1" + "0" * 301_030
+    start = time.monotonic()
+    proc = run_cli("reduce", "-", stdin=text, timeout=20)
+    elapsed = time.monotonic() - start
+    bound = "a numeric literal of 301031 digits exceeds the bound of 301030 digits at 0..301031"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"parse error: {bound}\n")
+    assert elapsed < 1.0
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-string limit")
+def test_only_the_cli_lifts_the_int_string_limit():
+    child = (
+        "import io, sys\n"
+        "before = sys.get_int_max_str_digits()\n"
+        "import jetns, jetns.cli\n"
+        "imported = sys.get_int_max_str_digits()\n"
+        "sys.stdin = io.StringIO('1')\n"
+        "code = jetns.cli.main(['reduce', '-'])\n"
+        "print(code, before, imported, sys.get_int_max_str_digits())\n"
+    )
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+    proc = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True,
+        env={**env, "PYTHONPATH": path}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1\n0 4300 4300 301030\n"
+
+
 def test_the_degree_bound_refuses_parsed_input(monkeypatch, capsys):
     monkeypatch.setattr(jetalgebra, "MAX_DEGREE", 6)
     monkeypatch.setattr(sys, "stdin", io.StringIO("x1*x2^5"))

@@ -18,7 +18,7 @@ from jetns.constraints import (
     restricted_derivative,
     restricted_derivative_multi,
 )
-from jetns.jetalgebra import NU_VAR, T_VAR, Expr, factors, p, pvar, u, uvar, x, xvar
+from jetns.jetalgebra import NU_VAR, T_VAR, Expr, _factors, p, pvar, u, uvar, x, xvar
 from jetns.multiindex import MultiIndex, indices_up_to, zero
 from jetns.reducedcomplex import AnsatzSpec, _entries, _unknowns
 from jetns.totalderiv import laplacian_primed, total_derivative, total_derivative_multi
@@ -233,7 +233,7 @@ def test_derivative_table_never_stores_an_error():
         (p((0, 0, 0, 0)), "dimension mismatch"),
     ]
     for f, message in rejected:
-        (v, _), = factors(f.items()[0][0])
+        (v, _), = f.items()[0][0]
         for _ in range(3):
             with pytest.raises(ValueError, match=message):
                 restricted_derivative(ctx, 1, x(1) * f)
@@ -315,7 +315,7 @@ def _scaling_weight(v) -> int:
 
 def _weights(f: Expr) -> set[int]:
     """The weights of the monomials of f: one value when f is homogeneous."""
-    return {sum(e * _scaling_weight(v) for v, e in factors(mono)) for mono, _ in f.items()}
+    return {sum(e * _scaling_weight(v) for v, e in pairs) for pairs, _ in f.items()}
 
 
 @pytest.mark.parametrize("setting", [Setting.FREE, Setting.CE, Setting.CPE])
@@ -360,12 +360,13 @@ _COLUMN_ANSATZ = AnsatzSpec(max_order=1, max_degree=2, max_x_degree=2, include_t
 
 
 def _kernel_columns(ctx: ReductionContext):
-    """(label, monomial, target, expression) for every output of every unknown's column."""
+    """(label, monomial pairs, target, expression) for every output of every unknown's column."""
     for label, mono in _unknowns(ctx, _COLUMN_ANSATZ):
-        f = Expr({factors(mono): 1})
+        pairs = _factors(mono)
+        f = Expr({pairs: 1})
         df = path_derivatives(ctx, f)
         for target, expr in _entries(ctx, "derivative", label, f, df):
-            yield label, mono, target, expr
+            yield label, pairs, target, expr
 
 
 @pytest.mark.parametrize("setting", [Setting.CE, Setting.CPE])
@@ -374,7 +375,7 @@ def test_kernel_columns_lower_the_weight_by_one(setting, m):
     ctx = ReductionContext(setting, m)
     outputs = 0
     for label, mono, target, expr in _kernel_columns(ctx):
-        source = _label_weight(label) + sum(e * _scaling_weight(v) for v, e in factors(mono))
+        source = _label_weight(label) + sum(e * _scaling_weight(v) for v, e in mono)
         weights = {w + _label_weight(target) for w in _weights(expr)}
         assert weights <= {source - 1}, (label, mono, target, expr)
         outputs += not expr.is_zero()
@@ -410,9 +411,9 @@ def _label_parity(label) -> int:
     return {"chi01": 1, "chi0": 0, "chi1": 1}[kind]
 
 
-def _monomial_parity(mono) -> int:
+def _monomial_parity(pairs) -> int:
     bits = 0
-    for v, e in factors(mono):
+    for v, e in pairs:
         bits ^= _parity(v) * (e % 2)
     return bits
 

@@ -254,7 +254,7 @@ def test_time_symmetry_detects_explicit_time(cpe_ctx):
 def test_admissibility_report(cpe_ctx):
     inst = ns_build(3)
     field = evolution_field(inst)
-    report = field.admissibility()
+    report = symmetry_residuals(field.context, field.characteristic)
     assert report.residual("divergence").is_zero()
     assert not report.residual("pressure_poisson").is_zero()
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from jetns import exprio
 from jetns.evolutionary import Characteristic
 from jetns.exprio import (
     ExprSyntaxError,
@@ -16,9 +17,8 @@ from jetns.exprio import (
     print_expr,
     print_tuple,
     records_to_expr,
-    tuple_shape,
 )
-from jetns.jetalgebra import Expr, nu, p, u, x
+from jetns.jetalgebra import MAX_COEFFICIENT_BITS, Expr, nu, p, u, x
 from jetns.multiindex import MultiIndex
 from jetns.reducedcomplex import ChiTupleCPE
 from jetns.tuples import SHAPES
@@ -206,6 +206,20 @@ def test_non_ascii_digits_are_unexpected_characters(text, char, start):
     assert str(err.value) == f"unexpected character {char!r} at {start}..{start + 1}"
 
 
+def test_the_literal_bound_is_the_digits_of_the_coefficient_bound(monkeypatch):
+    # 2^MAX_COEFFICIENT_BITS has 301,030 digits; a numeric literal, an
+    # exponent or an index entry one digit longer is refused with its span
+    assert exprio.MAX_LITERAL_DIGITS == 301_030
+    assert 10 ** 301_029 <= 2 ** MAX_COEFFICIENT_BITS < 10 ** 301_030
+    monkeypatch.setattr(exprio, "MAX_LITERAL_DIGITS", 3)
+    assert parse_expr("999*x1^100 + u1_[123,0,0]", 3) == 999 * x(1) ** 100 + u(1, (123, 0, 0))
+    for text, start in [("1000", 0), ("x1^1000", 3), ("u1_[0,1000,0]", 6), ("2/1000", 2)]:
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expr(text, 3)
+        bound = "a numeric literal of 4 digits exceeds the bound of 3 digits"
+        assert str(err.value) == f"{bound} at {start}..{start + 4}"
+
+
 def test_tuple_chi_component_range():
     with pytest.raises(ExprSyntaxError, match="out of range"):
         parse_tuple("chi[9,0]: 1", "chi_cpe", 3)
@@ -232,7 +246,7 @@ def test_corpus_round_trip_and_golden():
             out = print_tuple(value)
             reparsed = parse_tuple(out, shape, 3)
             assert print_tuple(reparsed) == out
-            assert tuple_shape(value) == shape
+            assert value.shape == shape
         assert out == expected
 
 

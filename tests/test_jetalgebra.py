@@ -2,6 +2,7 @@ import ast
 import copy
 import dataclasses
 import itertools
+import json
 import os
 import pickle
 import random
@@ -26,7 +27,7 @@ from jetns.jetalgebra import (
     MAX_PRODUCT_TERMS,
     NU_VAR,
     T_VAR,
-    factors,
+    _factors,
     pvar,
     u,
     uvar,
@@ -522,8 +523,8 @@ def _assert_matches(f, ref):
     pairs = f.items()
     for _, c in pairs:
         assert type(c) is (int if c.denominator == 1 else Fraction), c
-    assert {frozenset(factors(mono)): c for mono, c in pairs} == ref
-    assert Expr({factors(mono): c for mono, c in pairs}) == f
+    assert {frozenset(mono): c for mono, c in pairs} == ref
+    assert Expr(dict(pairs)) == f
     expected = _as_expr(ref)
     assert f == expected and hash(f) == hash(expected)
 
@@ -548,7 +549,7 @@ def test_arithmetic_matches_a_fraction_dict_oracle():
 
 
 def test_only_jetalgebra_reads_the_stored_form():
-    # other modules read coefficients through items() or unsorted_items(),
+    # other modules read coefficients through items() or _unsorted_items(),
     # so the stored form stays a decision of jetalgebra alone
     package = Path(jetalgebra.__file__).parent
     scanned, readers = [], []
@@ -604,7 +605,7 @@ def test_copies_are_the_interned_variable():
 def test_a_product_above_the_degree_bound_still_copies():
     # products are not checked against MAX_DEGREE, so a copy must not be either
     f = x(1) ** 10_000 * x(1) - Fraction(2, 3) * x(2)
-    assert factors(max(f._terms, key=len)) == ((xvar(1), 10_001),)
+    assert f.items()[-1] == (((xvar(1), 10_001),), 1)  # the highest degree sorts last
     assert copy.deepcopy(f) == f
     assert pickle.loads(pickle.dumps(f)) == f
 
@@ -736,9 +737,10 @@ def test_variable_sort_keys_are_unchanged():
 def test_monomial_key_is_the_degree_then_the_factor_keys():
     # the canonical print and column order: ranks never enter it, and a
     # sorted tuple of repeated ranks or keys would put x1^2 before x1*x2
-    [(mono, _)] = (u(2, (0, 1, 0)) * x(1) ** 2 * nu).items()
+    f = u(2, (0, 1, 0)) * x(1) ** 2 * nu
     pairs = ((NU_VAR, 1), (xvar(1), 2), (uvar(2, (0, 1, 0)), 1))
-    assert factors(mono) == pairs
+    assert f.items() == [(pairs, 1)]
+    [(mono, _)] = f._unsorted_items()
     assert jetalgebra._monomial_key(mono) == (4, tuple((v.sort_key(), e) for v, e in pairs))
     assert str(x(1) ** 2 + x(1) * x(2)) == "x1*x2 + x1^2"
     assert str(x(2) * x(1) ** 2 + x(1) * x(2) ** 2 + u(1, (0, 0, 0)) ** 3) == (
@@ -757,8 +759,66 @@ def test_factors_are_in_key_order_whatever_the_creation_order():
         assert [v._rank for v in created] == sorted(v._rank for v in created)
         for exponents in itertools.product(range(3), repeat=3):
             pairs = tuple((v, e) for v, e in zip(by_key, exponents) if e)
-            [(mono, _)] = Expr({pairs: 1}).items()
-            assert factors(mono) == pairs
+            assert Expr({pairs: 1}).items() == [(pairs, 1)]
+
+
+def test_items_are_factor_pairs_in_canonical_order():
+    f = x(1) ** 2 * u(2, (0, 1, 0)) + Fraction(3, 2)
+    assert f.items() == [((), Fraction(3, 2)), (((xvar(1), 2), (uvar(2, (0, 1, 0)), 1)), 1)]
+
+
+def test_items_rebuild_the_expression_and_key_its_coefficients():
+    rng = random.Random(2028)
+    pool = variable_pool(allow_nu=True, allow_t=True)
+    for _ in range(300):
+        f = random_expr(rng, pool, n_terms=rng.randint(0, 5), max_factors=4, max_exponent=3)
+        assert Expr(dict(f.items())) == f
+        for pairs, c in f.items():
+            assert f.coefficient(pairs) == c
+            assert f.coefficient(tuple(reversed(pairs))) == c  # any order, as Expr(terms) takes
+        assert f.coefficient(((xvar(1), 9),)) == 0
+
+
+# Prints repr(parse_expr(text, 3).items()) for each text of argv[2], after
+# interning the variables given as JSON in argv[1] in that order.
+_ITEMS_CHILD = """
+import json, sys
+from jetns.exprio import parse_expr
+from jetns.jetalgebra import JetVariable
+from jetns.multiindex import MultiIndex
+
+for kind, mu, entries in json.loads(sys.argv[1]):
+    JetVariable(kind, mu, None if entries is None else MultiIndex(tuple(entries)))
+for text in json.loads(sys.argv[2]):
+    print(repr(parse_expr(text, 3).items()))
+"""
+
+
+def test_items_do_not_depend_on_creation_order():
+    # items() sorts by the variables' sort keys, so its text is the same when
+    # every variable is interned first in reverse sort order
+    rng = random.Random(77)
+    pool = variable_pool(allow_nu=True, allow_t=True)
+    exprs = [random_expr(rng, pool, n_terms=6, max_factors=4, max_exponent=3) for _ in range(20)]
+    touched = sorted(
+        {v for f in exprs for v in f.variables() if v.kind not in ("nu", "t")},  # interned on import
+        key=JetVariable.sort_key, reverse=True,
+    )
+    assert len(touched) > 20
+
+    def child(first):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _ITEMS_CHILD, json.dumps(first), json.dumps([str(f) for f in exprs])],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.encode()
+
+    spelled = [[v.kind, v.mu, v.index and list(v.index.entries)] for v in touched]
+    expected = "".join(f"{f.items()!r}\n" for f in exprs).encode()
+    assert child([]) == child(spelled) == expected
 
 
 # -- the monomial merge -------------------------------------------------------
@@ -780,8 +840,8 @@ def test_merge_monomials_matches_dict_and_sort():
         """The sorted (variable, exponent) pairs and the packed monomial Expr builds from them."""
         pairs = [(v, rng.randint(1, 3)) for v in variables]
         pairs = tuple(sorted(pairs, key=lambda ve: ve[0].sort_key()))
-        [(packed, _)] = Expr({pairs: 1}).items()
-        assert factors(packed) == pairs
+        [(packed, _)] = Expr({pairs: 1})._unsorted_items()
+        assert _factors(packed) == pairs
         return pairs, packed
 
     cases = {"shared": 0, "disjoint": 0, "empty side": 0}
@@ -792,14 +852,14 @@ def test_merge_monomials_matches_dict_and_sort():
         m1, p1 = monomial(shared + others[:split])
         m2, p2 = monomial(shared + others[split:])
         merged = jetalgebra._merge_monomials(p1, p2)
-        assert factors(merged) == _dict_merge(m1, m2)
+        assert _factors(merged) == _dict_merge(m1, m2)
         assert jetalgebra._merge_monomials(p2, p1) == merged
         if not (m1 and m2):
             cases["empty side"] += 1
         elif shared:
             cases["shared"] += 1
             # the shared variables' exponents add
-            exponents = dict(factors(merged))
+            exponents = dict(_factors(merged))
             for v, e in m1:
                 assert exponents[v] == e + dict(m2).get(v, 0)
         else:

@@ -16,12 +16,11 @@ from jetns.constraints import (
     restricted_laplacian,
     velocity_gradient_entry,
 )
-from jetns.jetalgebra import T_VAR, Expr, _monomial_key, expr_sum, factors, p, u, x, pvar, uvar, xvar
+from jetns.jetalgebra import T_VAR, Expr, _factors, _monomial_key, expr_sum, p, u, x, pvar, uvar, xvar
 from jetns.multiindex import indices_up_to, unit
 from jetns.reducedcomplex import (
     AnsatzSpec,
     AnsatzTooLargeError,
-    ansatz_monomials,
     correction,
     kernel_search,
     kernel_vectors,
@@ -29,6 +28,7 @@ from jetns.reducedcomplex import (
     reduced_system_kernel,
     reduced_system_residuals,
     reduced_variational_derivative,
+    _ansatz_monomials,
     _entries,
     _forced_zero_unknowns,
     _unknowns,
@@ -458,7 +458,7 @@ def test_kernel_columns_are_the_transported_derivative(setting, m, ansatz):
     ctx = ReductionContext(setting, m)
     shape = ChiTupleCE if setting is Setting.CE else ChiTupleCPE
     for label, mono in _unknowns(ctx, ansatz):
-        f = Expr({factors(mono): 1})
+        f = Expr({_factors(mono): 1})
         df = path_derivatives(ctx, f)
         column: dict = {}
         for target, expr in _entries(ctx, "derivative", label, f, df):
@@ -477,7 +477,7 @@ def test_system_columns_are_the_literal_system(m, ansatz):
     # summed, it must be the whole-tuple system of the one-entry tuple
     ctx = ReductionContext(Setting.CPE, m)
     for label, mono in _unknowns(ctx, ansatz):
-        f = Expr({factors(mono): 1})
+        f = Expr({_factors(mono): 1})
         df = path_derivatives(ctx, f)
         column: dict = {}
         for name, expr in _entries(ctx, "system", label, f, df):
@@ -516,7 +516,7 @@ def _assert_rows_are_the_pinned_literal_matrix(ctx, ansatz, solve, rule, literal
     unknowns = _unknowns(ctx, ansatz)
     literal: dict = {}
     for col, (label, mono) in enumerate(unknowns):
-        for slot, expr in literal_column(label, Expr({factors(mono): 1})):
+        for slot, expr in literal_column(label, Expr({_factors(mono): 1})):
             for out_mono, coeff in expr.items():
                 literal.setdefault((slot, out_mono), {})[col] = coeff
     literal = list(literal.values())
@@ -554,7 +554,7 @@ def _assert_pins_include_the_known_singletons(ctx, ansatz, pinned):
         expected = {(l, mono) for l in labels if l[0] == "chi_alpha" and l[1] >= 1 for mono in monomials}
         for a in range(2, ctx.m + 1):
             for mono in monomials:
-                [(product, _)] = (u(1, unit(a, ctx.m)) * Expr({factors(mono): 1})).items()
+                [(product, _)] = (u(1, unit(a, ctx.m)) * Expr({_factors(mono): 1}))._unsorted_items()
                 if product not in monomials:
                     expected.add((("chi1",), mono))
     assert expected <= pinned
@@ -705,9 +705,9 @@ def test_kernel_search_evaluates_no_pinned_unknown(m, ansatz, pins, monkeypatch)
     )
     monkeypatch.setattr(linalg, "nullspace", lambda rows, n: handed.append(n) or real_nullspace(rows, n))
     assert kernel_search(ctx, ansatz) == expected
-    monos = [mono for f in tables for mono, _ in f.unsorted_items()]
+    monos = [mono for f in tables for mono, _ in f._unsorted_items()]
     assert sorted(monos, key=_monomial_key) == sorted({mono for _, mono in unpinned}, key=_monomial_key)
-    assert sorted(evaluated, key=repr) == sorted(((l, Expr({factors(mono): 1})) for l, mono in unpinned), key=repr)
+    assert sorted(evaluated, key=repr) == sorted(((l, Expr({_factors(mono): 1})) for l, mono in unpinned), key=repr)
     assert handed == [len(unpinned)]
 
 
@@ -781,7 +781,7 @@ def test_ansatz_axes_are_cached_tuples_and_the_cap_comes_first(cpe_ctx, monkeypa
     ansatz = AnsatzSpec(1, 1, 1)
     labels, monomials = reducedcomplex._ansatz_axes(cpe_ctx, ansatz)
     assert type(labels) is tuple and type(monomials) is tuple
-    assert list(monomials) == ansatz_monomials(cpe_ctx, ansatz)
+    assert list(monomials) == _ansatz_monomials(cpe_ctx, ansatz)
     assert reducedcomplex._ansatz_axes(cpe_ctx, AnsatzSpec(1, 1, 1))[1] is monomials
     # an ansatz over the cap is refused before any column is assembled
     monkeypatch.setattr(reducedcomplex, "_derivative_table", lambda *a: pytest.fail("assembled"))
@@ -816,8 +816,8 @@ def test_system_solve_differentiates_only_table_entries(monkeypatch):
     )
     reduced_system_kernel(ctx, ansatz)
     allowed = set()
-    for mono in ansatz_monomials(ctx, ansatz):
-        f = Expr({factors(mono): 1})
+    for mono in _ansatz_monomials(ctx, ansatz):
+        f = Expr({_factors(mono): 1})
         allowed |= {f} | {restricted_derivative(ctx, mu, f) for mu in (1, 2, 3)}
     assert seen and [g for g in seen if g not in allowed] == []
 
@@ -1036,7 +1036,7 @@ def test_ansatz_monomials_match_brute_force(setting, m, max_order, include_t):
             expected = set().union(
                 *(monos for (d, xd), monos in by_degrees.items() if d <= degree and xd <= x_degree)
             )
-            found = ansatz_monomials(ctx, AnsatzSpec(max_order, degree, x_degree, include_t))
-            found_pairs = {factors(mono) for mono in found}
+            found = _ansatz_monomials(ctx, AnsatzSpec(max_order, degree, x_degree, include_t))
+            found_pairs = {_factors(mono) for mono in found}
             assert len(found) == len(expected) and found_pairs == expected, (degree, x_degree)
     assert found == sorted(found, key=_monomial_key)

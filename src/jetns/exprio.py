@@ -21,6 +21,18 @@ each shape's kinds table in the tuples module.  Only the names print_tuple
 writes are accepted, so f01 and chi[2,00] are unknown, and a second
 component for one label is a duplicate.  Missing components default to zero.
 
+The parser reads in one pass.  A jet label spelled as print_expr writes
+it, like u1_[1,0,0], is one token, checked with the messages and spans of
+the token path, which every other spelling (spaces, a sign, no ']', a
+literal past the bound) takes.  A term of numbers and variables, with
+their powers, is one coefficient and one list of variable ranks, added
+into the expression's one map of packed monomials; the Expr is built once
+at the end.  Such a term is refused past MAX_DEGREE, and a product of its
+numbers past MAX_COEFFICIENT_BITS.  Expr arithmetic runs only from a
+term's first parenthesized factor on, and for a power past a bound, which
+Expr.__pow__ refuses with its own text.  Numeric literals are read below
+the interpreter's int-string limit, which is left as it is.
+
 The structured serialization mirrors the canonical monomial map: a list
 of records with integer numerator and denominator and a factor list of
 (variable label, exponent) pairs, in canonical order.
@@ -28,18 +40,21 @@ of records with integer numerator and denominator and a factor list of
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import log10
+from math import log10, log2
 
+from . import jetalgebra
 from .jetalgebra import (
     MAX_COEFFICIENT_BITS,
     Expr,
+    ExpressionTooLargeError,
     JetVariable,
     NU_VAR,
     T_VAR,
-    pvar,
-    uvar,
+    _check_degree,
+    _from_coefficients,
     xvar,
 )
 from .multiindex import MultiIndex
@@ -60,22 +75,42 @@ class ExprSyntaxError(ValueError):
 
 
 # The digits of 2^MAX_COEFFICIENT_BITS, the largest coefficient a power may
-# build: the tokenizer refuses a longer numeric literal before int() reads it.
+# build: the tokenizer refuses a longer numeric literal before it reads it.
 MAX_LITERAL_DIGITS = int(MAX_COEFFICIENT_BITS * log10(2)) + 1
 
+# CPython converts at most sys.get_int_max_str_digits() digits between str
+# and int, never fewer than 640; a longer literal is read in halves.
+_SHORT_DIGITS = 640
+
+# A jet label as the printer spells it, u<mu>_[i,...] or p_[i,...]: one
+# token.  Any other spelling, such as one with spaces, takes the token path.
+_LABEL = re.compile(r"(?:u([0-9]+)|p)_\[([0-9]+(?:,[0-9]+)*)\]")
+
 # A token is a plain (kind, text, start, end) tuple; kind is 'num', 'word',
-# 'end' or a literal symbol.  A SourceSpan is built only for an error.
-_Token = tuple[str, str, int, int]
+# 'label', 'end' or a literal symbol.  A 'num' token adds its int value, and
+# a 'label' token, whose text and span are its first letter, adds its
+# re.Match.  A SourceSpan is built only for an error.
+_Token = tuple
 
 
 def _span(tok: _Token) -> SourceSpan:
     return SourceSpan(tok[2], tok[3])
 
 
+def _int(digits: str) -> int:
+    """The value of a string of ASCII digits, read below CPython's int-string limit."""
+    if len(digits) <= _SHORT_DIGITS:
+        return int(digits)
+    low = len(digits) // 2
+    return _int(digits[:-low]) * 10**low + _int(digits[-low:])
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     pos = 0
     n = len(text)
+    # a label this short holds no literal past the bound, and int() reads each one
+    label_chars = min(MAX_LITERAL_DIGITS, _SHORT_DIGITS)
     while pos < n:
         ch = text[pos]
         if ch.isspace():
@@ -91,10 +126,17 @@ def _tokenize(text: str) -> list[_Token]:
                     f"{MAX_LITERAL_DIGITS} digits",
                     SourceSpan(pos, end),
                 )
-            tokens.append(("num", text[pos:end], pos, end))
+            digits = text[pos:end]
+            tokens.append(("num", digits, pos, end, _int(digits)))
             pos = end
             continue
         if ch.isalpha():
+            if ch == "u" or ch == "p":
+                match = _LABEL.match(text, pos)
+                if match is not None and match.end() - pos <= label_chars:
+                    tokens.append(("label", ch, pos, pos + 1, match))
+                    pos = match.end()
+                    continue
             end = pos
             while end < n and text[end].isalpha():
                 end += 1
@@ -108,6 +150,16 @@ def _tokenize(text: str) -> list[_Token]:
         raise ExprSyntaxError(f"unexpected character {ch!r}", SourceSpan(pos, pos + 1))
     tokens.append(("end", "", n, n))
     return tokens
+
+
+def _check_coefficient(c: int | Fraction) -> None:
+    """Refuse a product of numbers needing more than MAX_COEFFICIENT_BITS bits."""
+    bound = jetalgebra.MAX_COEFFICIENT_BITS
+    top = max(abs(c.numerator), c.denominator)
+    if top.bit_length() > bound and log2(top) > bound:
+        raise ExpressionTooLargeError(
+            f"a term's coefficient needs more than the bound of {bound} bits"
+        )
 
 
 class _Parser:
@@ -136,80 +188,145 @@ class _Parser:
         return self.advance()
 
     def parse_expr(self) -> Expr:
-        negate = False
+        """The sum of the terms, added into one map of packed monomials and built once."""
+        data: dict[tuple[int, ...], int | Fraction] = {}
+        sign = 1
         if self.kind() == "-":
             self.advance()
-            negate = True
-        result = self.parse_term()
-        if negate:
-            result = -result
-        while self.kind() in ("+", "-"):
-            op = self.advance()[0]
-            term = self.parse_term()
-            result = result + term if op == "+" else result - term
-        return result
-
-    def parse_term(self) -> Expr:
-        result = self.parse_factor()
-        while self.kind() == "*":
+            sign = -1
+        while True:
+            self.parse_term(data, sign)
+            kind = self.kind()
+            if kind != "+" and kind != "-":
+                return _from_coefficients(data)
             self.advance()
-            result = result * self.parse_factor()
-        return result
+            sign = 1 if kind == "+" else -1
 
-    def parse_factor(self) -> Expr:
+    def parse_term(self, data: dict, coeff: int | Fraction) -> None:
+        """Add coeff times the next term into data.
+
+        Numbers and variables, with their powers, multiply into one
+        coefficient and one list of variable ranks.  From its first
+        parenthesized factor on, the term is a product of Exprs, left to
+        right, each bounded by Expr.__mul__.
+        """
+        ranks: list[int] = []
+        product = None  # the term as an Expr, once a factor is one
+        while True:
+            factor = self.parse_factor()
+            if product is not None or type(factor) is Expr:
+                if product is None:
+                    product = _from_coefficients({tuple(sorted(ranks)): coeff})
+                if type(factor) is list:
+                    factor = _from_coefficients({tuple(factor): 1})
+                product = product * factor
+            elif type(factor) is list:
+                ranks += factor
+                _check_degree(len(ranks))
+            elif coeff == 1 or coeff == -1:
+                coeff *= factor
+            else:
+                coeff *= factor
+                _check_coefficient(coeff)
+            if self.tokens[self.pos][0] != "*":
+                break
+            self.pos += 1
+        if product is None:
+            mono = tuple(sorted(ranks))
+            data[mono] = data.get(mono, 0) + coeff
+        else:
+            for mono, c in product._unsorted_items():
+                data[mono] = data.get(mono, 0) + c
+
+    def parse_factor(self) -> int | Fraction | list[int] | Expr:
+        """A number, a variable's rank repeated by its exponent, or an Expr.
+
+        A power past the degree or coefficient-bit bound is left to
+        Expr.__pow__, which refuses it with its own text.
+        """
         base = self.parse_base()
-        if self.kind() == "^":
-            self.advance()
-            return base ** int(self.expect("num")[1])
-        return base
+        if self.tokens[self.pos][0] != "^":
+            return [base._rank] if type(base) is JetVariable else base
+        self.pos += 1
+        n = self.expect("num")[4]
+        if type(base) is JetVariable:
+            if n <= jetalgebra.MAX_DEGREE:
+                return [base._rank] * n
+            return Expr.var(base) ** n
+        if type(base) is Expr:
+            return base ** n
+        top = max(abs(base.numerator), base.denominator)
+        bound = jetalgebra.MAX_COEFFICIENT_BITS
+        if top > 1 and (n > bound or n * log2(top) > bound):
+            return Expr.const(base) ** n
+        return base ** n
 
-    def parse_base(self) -> Expr:
-        tok = self.peek()
-        if tok[0] == "num":
-            self.advance()
-            value = Fraction(int(tok[1]))
-            if self.kind() == "/":
-                self.advance()
-                den = self.expect("num")
-                if int(den[1]) == 0:
-                    raise ExprSyntaxError("zero denominator", _span(den))
-                value = value / int(den[1])
-            return Expr.const(value)
-        if tok[0] == "(":
-            self.advance()
+    def parse_base(self) -> int | Fraction | JetVariable | Expr:
+        tok = self.tokens[self.pos]
+        kind = tok[0]
+        if kind == "label" or kind == "word":
+            return self.parse_symbol()
+        if kind == "num":
+            self.pos += 1
+            if self.tokens[self.pos][0] != "/":
+                return tok[4]
+            self.pos += 1
+            den = self.expect("num")
+            if den[4] == 0:
+                raise ExprSyntaxError("zero denominator", _span(den))
+            return Fraction(tok[4], den[4])
+        if kind == "(":
+            self.pos += 1
             inner = self.parse_expr()
             self.expect(")")
             return inner
-        if tok[0] == "word":
-            return self.parse_symbol()
         raise ExprSyntaxError(
             f"expected a factor, found {tok[1] or 'end of input'!r}", _span(tok)
         )
 
-    def parse_symbol(self) -> Expr:
+    def parse_symbol(self) -> JetVariable:
         tok = self.advance()
+        if tok[0] == "label":
+            return self._label(tok[4])
         word = tok[1]
         if word == "nu":
-            return Expr.var(NU_VAR)
+            return NU_VAR
         if word == "t":
-            return Expr.var(T_VAR)
+            return T_VAR
         if word == "x":
             num = self.expect("num")
-            return Expr.var(xvar(self._component(num)))
+            return xvar(self._component(num))
         if word == "u":
             num = self.expect("num")
             mu = self._component(num)
             self.expect("_")
-            index = self.parse_index()
-            return Expr.var(uvar(mu, index))
+            return JetVariable("u", mu, self.parse_index())
         if word == "p":
             self.expect("_")
-            index = self.parse_index()
-            return Expr.var(pvar(index))
+            return JetVariable("p", 0, self.parse_index())
         raise ExprSyntaxError(f"unknown symbol {word!r}", _span(tok))
 
+    def _label(self, match: re.Match) -> JetVariable:
+        """The variable of a label token, checked as the token path checks it."""
+        mu_digits, entry_digits = match.groups()
+        if mu_digits is not None:
+            mu = int(mu_digits)
+            if not 1 <= mu <= self.m:
+                raise ExprSyntaxError(
+                    f"component {mu} out of range 1..{self.m}", SourceSpan(*match.span(1))
+                )
+        entries = tuple(map(int, entry_digits.split(",")))
+        if len(entries) != self.m:
+            raise ExprSyntaxError(
+                f"index has {len(entries)} entries, dimension is {self.m}",
+                SourceSpan(match.start(2) - 1, match.end()),
+            )
+        if mu_digits is None:
+            return JetVariable("p", 0, MultiIndex(entries))
+        return JetVariable("u", mu, MultiIndex(entries))
+
     def _component(self, tok: _Token) -> int:
-        mu = int(tok[1])
+        mu = tok[4]
         if not 1 <= mu <= self.m:
             raise ExprSyntaxError(
                 f"component {mu} out of range 1..{self.m}", _span(tok)
@@ -222,7 +339,7 @@ class _Parser:
         while True:
             if self.kind() == "-":
                 raise ExprSyntaxError("negative index entry", _span(self.peek()))
-            entries.append(int(self.expect("num")[1]))
+            entries.append(self.expect("num")[4])
             if self.kind() == ",":
                 self.advance()
                 continue
@@ -325,7 +442,7 @@ def expr_to_records(f: Expr) -> list[dict]:
 def variable_from_label(label: str, m: int) -> JetVariable:
     """The variable whose label() is label, read by the grammar's symbol rule."""
     parser = _Parser(label, m)
-    return parser.finish(parser.parse_symbol()).variables()[0]
+    return parser.finish(parser.parse_symbol())
 
 
 def records_to_expr(records: list[dict], m: int) -> Expr:

@@ -241,16 +241,10 @@ class Expr:
             if bad or len(dict(pairs)) != len(pairs):
                 listed = [[v.label(), e] for v, e in pairs]
                 raise ValueError(f"a repeated factor or an exponent below 1 in {listed}")
-            degree = sum(e for _, e in pairs)
-            if degree > MAX_DEGREE:
-                raise ExpressionTooLargeError(
-                    f"a monomial of degree {degree} exceeds the degree bound {MAX_DEGREE}"
-                )
+            _check_degree(sum(e for _, e in pairs))
             mono = _pack(pairs)
             data[mono] = data.get(mono, 0) + (coeff if type(coeff) is int else Fraction(coeff))
-        den = lcm(*(c.denominator for c in data.values()))
-        nums = {mono: c.numerator * (den // c.denominator) for mono, c in data.items()}
-        e = _canonical(nums, den)
+        e = _from_coefficients(data)
         self._terms, self._den = e._terms, e._den
 
     # -- constructors -------------------------------------------------
@@ -502,6 +496,20 @@ def _raw(data: dict[Monomial, int], den: int = 1) -> Expr:
     e._terms = data
     e._den = den
     return e
+
+
+def _from_coefficients(data: dict[Monomial, int | Fraction]) -> Expr:
+    """The expression whose coefficients, ints or Fractions, data keys by monomial."""
+    den = lcm(*(c.denominator for c in data.values()))
+    return _canonical({mono: c.numerator * (den // c.denominator) for mono, c in data.items()}, den)
+
+
+def _check_degree(degree: int) -> None:
+    """Refuse a monomial above MAX_DEGREE, as Expr(terms) and the parser take none."""
+    if degree > MAX_DEGREE:
+        raise ExpressionTooLargeError(
+            f"a monomial of degree {degree} exceeds the degree bound {MAX_DEGREE}"
+        )
 
 
 def _canonical(data: dict[Monomial, int], den: int) -> Expr:

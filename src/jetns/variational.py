@@ -18,7 +18,7 @@ from typing import Iterable
 
 from .constraints import ReductionContext, reduce
 from .jetalgebra import Expr, expr_sum
-from .multiindex import MultiIndex, sub_indices
+from .multiindex import MultiIndex
 from .totalderiv import total_derivative, total_derivative_multi
 from .tuples import Cotuple, CurrentTuple
 
@@ -133,15 +133,30 @@ def formal_adjoint(chi: Cotuple) -> OperatorCoefficients:
 
 def operator_adjoint(op: OperatorCoefficients) -> OperatorCoefficients:
     """The adjoint of a general coefficient family: transpose and integrate by parts."""
-    data: dict[tuple[int, int, MultiIndex], Expr] = {}
+    parts: dict[tuple[int, int, MultiIndex], list[Expr]] = {}
     for (target, source, i), expr in op.items():
-        sign = Fraction(-1) ** i.total
-        for k in sub_indices(i):
-            l = i.subtract(k)
-            coeff = sign * i.binomial(k) * total_derivative_multi(l, expr)
-            key = (source, target, k)
-            data[key] = data.get(key, Expr.zero()) + coeff
-    return OperatorCoefficients(data)
+        sign = -1 if i.total % 2 else 1
+        for l, derivative in _derivatives_below(i.entries, expr).items():
+            k = MultiIndex(tuple(a - b for a, b in zip(i.entries, l)))
+            scale = sign * i.binomial(k)
+            parts.setdefault((source, target, k), []).append(
+                derivative if scale == 1 else scale * derivative
+            )
+    return OperatorCoefficients({key: expr_sum(exprs) for key, exprs in parts.items()})
+
+
+def _derivatives_below(top: tuple[int, ...], expr: Expr) -> dict[tuple[int, ...], Expr]:
+    """D_l expr for every l <= top, keyed by l's entries and built direction by
+    direction, so each is one total derivative of another."""
+    found = {(): expr}
+    for mu, count in enumerate(top, start=1):
+        grown = {}
+        for head, f in found.items():
+            grown[head + (0,)] = f
+            for n in range(1, count + 1):
+                f = grown[head + (n,)] = total_derivative(mu, f)
+        found = grown
+    return found
 
 
 def helmholtz_residual(chi: Cotuple) -> OperatorCoefficients:

@@ -500,6 +500,24 @@ def test_only_the_cli_lifts_the_int_string_limit():
     assert proc.stdout == "1\n0 4300 4300 301030\n"
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x1^10000*x1^10000", "a monomial of degree 20000 exceeds the degree bound 10000"),
+        ("2^999999*2^999999", "a term's coefficient needs more than the bound of 1000000 bits"),
+    ],
+    ids=["degree", "bits"],
+)
+def test_an_oversized_product_of_atoms_exits_two_quickly(text, message):
+    # the first printed x1^20000, which does not parse back, and the second
+    # exited 2 with CPython's text for a 601,060-digit integer
+    start = time.monotonic()
+    proc = run_cli("reduce", "-", stdin=text, timeout=20)
+    elapsed = time.monotonic() - start
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+    assert elapsed < 1.0
+
+
 def test_the_degree_bound_refuses_parsed_input(monkeypatch, capsys):
     monkeypatch.setattr(jetalgebra, "MAX_DEGREE", 6)
     monkeypatch.setattr(sys, "stdin", io.StringIO("x1*x2^5"))

@@ -1,11 +1,13 @@
 import json
 import random
+import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from jetns import exprio
+from jetns import exprio, jetalgebra
 from jetns.evolutionary import Characteristic
 from jetns.exprio import (
     ExprSyntaxError,
@@ -18,7 +20,7 @@ from jetns.exprio import (
     print_tuple,
     records_to_expr,
 )
-from jetns.jetalgebra import MAX_COEFFICIENT_BITS, Expr, nu, p, u, x
+from jetns.jetalgebra import MAX_COEFFICIENT_BITS, Expr, nu, p, t, u, x
 from jetns.multiindex import MultiIndex
 from jetns.reducedcomplex import ChiTupleCPE
 from jetns.tuples import SHAPES
@@ -218,6 +220,119 @@ def test_the_literal_bound_is_the_digits_of_the_coefficient_bound(monkeypatch):
             parse_expr(text, 3)
         bound = "a numeric literal of 4 digits exceeds the bound of 3 digits"
         assert str(err.value) == f"{bound} at {start}..{start + 4}"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-string limit")
+def test_the_library_parser_reads_literals_past_the_int_string_limit():
+    # int() of more than 4300 digits raised a plain ValueError with no span
+    # in any program that had not run the CLI; the limit is left as it was
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert parse_expr("7" * 5000, 3) == 7 * (10**5000 - 1) // 9
+        assert parse_expr("1/" + "3" * 4301 + "*x1", 3) == Fraction(3, 10**4301 - 1) * x(1)
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_a_label_token_reports_the_token_path_errors():
+    # a label in printed spelling is one token; its errors keep the message
+    # and span the spelling with spaces, which takes the token path, reports
+    cases = [
+        ("p_[1,0]", "p_[1, 0]", "index has 2 entries, dimension is 3", 2),
+        ("u0_[0,0,0]", "u0_[0, 0,0]", "component 0 out of range 1..3", 1),
+        ("x1 u1_[0,0,0]", "x1 u1 _[0,0,0]", "trailing input 'u'", 3),
+        ("x1^u1_[0,0,0]", "x1^u1_ [0,0,0]", "expected 'num', found 'u'", 3),
+    ]
+    for compact, spaced, message, start in cases:
+        errors = []
+        for text in (compact, spaced):
+            with pytest.raises(ExprSyntaxError) as err:
+                parse_expr(text, 3)
+            errors.append(err.value)
+        assert [e.message for e in errors] == [message, message]
+        assert [e.span.start for e in errors] == [start, start]
+    with pytest.raises(ExprSyntaxError, match="expected '\\[', found 'u' at 0..1"):
+        parse_index("u1_[0,0,0]", 3)
+
+
+def _label_tokens(v) -> list[str]:
+    return re.findall(r"[0-9]+|[a-z]+|.", v.label())
+
+
+def _random_text(rng: random.Random, pool, depth: int = 0) -> tuple[list[str], Expr]:
+    """The tokens of a random expression, and the Expr ring operations build for it."""
+    tokens, total = [], Expr.zero()
+    for k in range(rng.randint(1, 3)):
+        negative = rng.random() < 0.4
+        if negative or k:
+            tokens.append("-" if negative else "+")
+        term_tokens, term = _random_term(rng, pool, depth)
+        tokens += term_tokens
+        total = total - term if negative else total + term
+    return tokens, total
+
+
+def _random_term(rng: random.Random, pool, depth: int) -> tuple[list[str], Expr]:
+    tokens, term = [], Expr.const(1)
+    for j in range(rng.randint(1, 3)):
+        if j:
+            tokens.append("*")
+        roll = rng.random()
+        if roll < 0.3:
+            num, den = rng.randint(0, 12), rng.choice([None, 1, 2, 3, 5])
+            base_tokens = [str(num)] + ([] if den is None else ["/", str(den)])
+            base = Expr.const(Fraction(num, den or 1))
+        elif roll < 0.85 or depth >= 2:
+            v = rng.choice(pool)
+            base_tokens, base = _label_tokens(v), Expr.var(v)
+        else:
+            inner, base = _random_text(rng, pool, depth + 1)
+            base_tokens = ["(", *inner, ")"]
+        if rng.random() < 0.5:
+            n = rng.randint(0, 3)
+            base_tokens += ["^", str(n)]
+            base = base ** n
+        tokens += base_tokens
+        term = term * base
+    return tokens, term
+
+
+def test_parsing_agrees_with_the_ring_operations_that_built_the_text():
+    # whitespace may stand between any two tokens, inside a label too, so
+    # labels take the one-token path or the token path at random
+    rng = random.Random(4242)
+    pool = variable_pool(allow_nu=True, allow_t=True)
+    spaces = ["", "", "", "", " ", "  ", "\t", "\n"]
+    paths = set()
+    for _ in range(400):
+        tokens, expected = _random_text(rng, pool)
+        text = rng.choice(spaces) + "".join(tok + rng.choice(spaces) for tok in tokens)
+        assert parse_expr(text, 3) == expected, text
+        paths.update(kind for kind, *_ in exprio._tokenize(text))
+    assert {"label", "word", "(", "/", "^"} <= paths
+
+
+def test_atom_terms_parse_without_expr_arithmetic(monkeypatch):
+    # a term of numbers and variables, with their powers, goes straight into
+    # the packed term map; no Expr is multiplied, raised or summed
+    calls = []
+    for name in ("__mul__", "__rmul__", "__pow__", "__add__", "__radd__", "__sub__", "__neg__"):
+        real = getattr(Expr, name)
+        monkeypatch.setattr(Expr, name, lambda *args, _r=real, _n=name: calls.append(_n) or _r(*args))
+    real_sum = jetalgebra.expr_sum
+    monkeypatch.setattr(jetalgebra, "expr_sum", lambda terms: calls.append("expr_sum") or real_sum(terms))
+    text = "-3/2*u1_[1,0,0]^2*x2 + nu*t^3 - 7*p_[0,2,0]*u3_[0, 0,1] + 5^3*x1^0*2/4 - x2*x2"
+    value = parse_expr(text, 3)
+    assert calls == []
+    parse_expr("2*(x1 + x2)", 3)  # a parenthesized factor still multiplies
+    assert "__mul__" in calls
+    monkeypatch.undo()
+    assert value == (
+        Fraction(-3, 2) * u(1, (1, 0, 0)) ** 2 * x(2) + nu * t ** 3
+        - 7 * p((0, 2, 0)) * u(3, (0, 0, 1)) + Fraction(125, 2) - x(2) ** 2
+    )
 
 
 def test_tuple_chi_component_range():

@@ -3,15 +3,17 @@ from fractions import Fraction
 
 import pytest
 
+from jetns import totalderiv
 from jetns.constraints import reduce
 from jetns.exprio import parse_tuple
 from jetns.jetalgebra import Expr, expr_sum, p, u, x
-from jetns.multiindex import MultiIndex, unit
+from jetns.multiindex import MultiIndex, sub_indices, unit
 from jetns.ns_presets import evolution_current, ns_build
 from jetns.totalderiv import laplacian, total_derivative, total_derivative_multi
 from jetns.variational import (
     Cotuple,
     CurrentTuple,
+    OperatorCoefficients,
     current_divergence,
     euler_operator,
     formal_adjoint,
@@ -113,6 +115,25 @@ def test_adjoint_matches_operator_adjoint_of_linearization():
     for _ in range(8):
         chi = random_characteristic(rng, pool, shape=Cotuple)
         assert formal_adjoint(chi) == operator_adjoint(frechet_linearization(chi))
+
+
+def test_operator_adjoint_derives_each_coefficient_once_per_sub_index(monkeypatch):
+    # D_l of a coefficient is one total derivative of a D_l' already built,
+    # not |l| derivatives from scratch; the sum is the textbook one
+    rng = random.Random(36)
+    pool = variable_pool(max_u_order=2, max_p_order=1)
+    coeffs = {(1, 2, MultiIndex((2, 1, 0))): random_expr(rng, pool), (0, 3, MultiIndex((1, 1, 1))): random_expr(rng, pool)}
+    op = OperatorCoefficients(coeffs)
+    expected = {}
+    for (target, source, j), expr in coeffs.items():
+        for k in sub_indices(j):
+            term = (-1) ** j.total * j.binomial(k) * total_derivative_multi(j.subtract(k), expr)
+            expected[source, target, k] = expected.get((source, target, k), Expr.zero()) + term
+    derivations = []
+    derive = totalderiv.derive
+    monkeypatch.setattr(totalderiv, "derive", lambda *args: derivations.append(1) or derive(*args))
+    assert operator_adjoint(op) == OperatorCoefficients(expected)
+    assert len(derivations) == (6 - 1) + (8 - 1)
 
 
 def test_adjoint_involution():

@@ -47,8 +47,8 @@ from .jetalgebra import Expr, JetVariable, expr_sum, p, u, uvar
 from .multiindex import MultiIndex, unit, zero
 from .totalderiv import (
     _free_image,
+    derivatives,
     derive,
-    iterated_derivative,
     laplacian,
     laplacian_primed,
     second_derivative_sum,
@@ -202,7 +202,7 @@ def restricted_derivative(ctx: ReductionContext, mu: int, f: Expr) -> Expr:
 
 
 def restricted_derivative_multi(ctx: ReductionContext, i: MultiIndex, f: Expr) -> Expr:
-    return iterated_derivative(partial(restricted_derivative, ctx), i, f)
+    return derivatives(partial(restricted_derivative, ctx), f)(i.path)
 
 
 def restricted_laplacian(ctx: ReductionContext, f: Expr) -> Expr:

@@ -2,44 +2,44 @@
 
 A characteristic is the generating tuple (m velocity components and one
 pressure component) of a vertical derivation: it acts on a jet variable
-by the matching multi-index derivative of the matching component.  On the
-constrained settings the derivatives are the restricted ones, and a
-characteristic generates a symmetry exactly when its determining
-residuals vanish.
+by the matching multi-index derivative of the matching component, read
+from one table of iterated derivatives per component, so jets whose paths
+share a tail share its derivatives.  On the constrained settings the
+derivatives are the restricted ones, and a characteristic generates a
+symmetry exactly when its determining residuals vanish.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .constraints import (
     ReductionContext,
     Setting,
     restricted_derivative,
-    restricted_derivative_multi,
     restricted_laplacian,
     velocity_gradient_entry,
 )
-from .jetalgebra import Expr, JetVariable, T_VAR, expr_sum
+from .jetalgebra import Expr, T_VAR, expr_sum, p
 from .multiindex import unit
-from .totalderiv import derive
+from .totalderiv import derivatives, derive
 from .tuples import Characteristic
 
 
-def _field_action(ctx: ReductionContext, f: Characteristic, g: Expr, cache: dict) -> Expr:
+def _field_action(ctx: ReductionContext, f: Characteristic, g: Expr, tables: dict) -> Expr:
     """The derivation sending each u/p jet to the matching derivative of f, applied to g.
 
-    cache maps each u/p jet to its image and may be shared between calls
-    with the same f.
+    tables (slot -> its table) may be shared between calls with the same f.
     """
 
     def image(v, _mu) -> Expr:
         if v.kind not in ("u", "p"):
             return Expr.zero()
-        d = cache.get(v)
+        d = tables.get(v.mu)
         if d is None:
-            d = cache[v] = restricted_derivative_multi(ctx, v.index, f.component(v.mu))
-        return d
+            d = tables[v.mu] = derivatives(partial(restricted_derivative, ctx), f.component(v.mu))
+        return d(v.index.path)
 
     return derive(g, 0, image)
 
@@ -159,9 +159,9 @@ def linearize_evolution(field: EvolutionField, f: Characteristic) -> Characteris
     multi-index derivative of f.
     """
     ctx = field.context
-    cache: dict[JetVariable, Expr] = {}
+    tables: dict = {}
     e = field.characteristic
-    action = {label: _field_action(ctx, f, comp, cache) for label, comp in e.items()}
+    action = {label: _field_action(ctx, f, comp, tables) for label, comp in e.items()}
     return Characteristic(e.m, action)
 
 
@@ -176,8 +176,6 @@ def time_symmetry_residual(field: EvolutionField, f: Characteristic) -> Characte
 
 def translation_characteristic(ctx: ReductionContext, la: int) -> Characteristic:
     """The shift along direction la: velocity parts u^mu_(la), pressure part p_(la)."""
-    from .jetalgebra import p
-
     velocity = {("u", mu): velocity_gradient_entry(ctx, mu, la) for mu in range(1, ctx.m + 1)}
     return Characteristic(ctx.m, {**velocity, ("p",): p(unit(la, ctx.m))})
 

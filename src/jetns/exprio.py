@@ -30,8 +30,9 @@ into the expression's one map of packed monomials; the Expr is built once
 at the end.  Such a term is refused past MAX_DEGREE, and a product of its
 numbers past MAX_COEFFICIENT_BITS.  Expr arithmetic runs only from a
 term's first parenthesized factor on, and for a power past a bound, which
-Expr.__pow__ refuses with its own text.  Numeric literals are read below
-the interpreter's int-string limit, which is left as it is.
+Expr.__pow__ refuses with its own text.  Numeric literals are read, and
+numbers printed, below the interpreter's int-string limit, which is left
+as it is (multiindex._int and _decimal).
 
 The structured serialization mirrors the canonical monomial map: a list
 of records with integer numerator and denominator and a factor list of
@@ -57,7 +58,7 @@ from .jetalgebra import (
     _from_coefficients,
     xvar,
 )
-from .multiindex import MultiIndex
+from .multiindex import _SHORT_DIGITS, MultiIndex, _decimal, _int
 from .tuples import SHAPES, LabelTuple
 
 
@@ -78,13 +79,9 @@ class ExprSyntaxError(ValueError):
 # build: the tokenizer refuses a longer numeric literal before it reads it.
 MAX_LITERAL_DIGITS = int(MAX_COEFFICIENT_BITS * log10(2)) + 1
 
-# CPython converts at most sys.get_int_max_str_digits() digits between str
-# and int, never fewer than 640; a longer literal is read in halves.
-_SHORT_DIGITS = 640
-
 # A jet label as the printer spells it, u<mu>_[i,...] or p_[i,...]: one
 # token.  Any other spelling, such as one with spaces, takes the token path.
-_LABEL = re.compile(r"(?:u([0-9]+)|p)_\[([0-9]+(?:,[0-9]+)*)\]")
+_LABEL = re.compile(r"(?:u([0-9]+)|p)_(\[([0-9]+(?:,[0-9]+)*)\])")
 
 # A token is a plain (kind, text, start, end) tuple; kind is 'num', 'word',
 # 'label', 'end' or a literal symbol.  A 'num' token adds its int value, and
@@ -95,14 +92,6 @@ _Token = tuple
 
 def _span(tok: _Token) -> SourceSpan:
     return SourceSpan(tok[2], tok[3])
-
-
-def _int(digits: str) -> int:
-    """The value of a string of ASCII digits, read below CPython's int-string limit."""
-    if len(digits) <= _SHORT_DIGITS:
-        return int(digits)
-    low = len(digits) // 2
-    return _int(digits[:-low]) * 10**low + _int(digits[-low:])
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -295,10 +284,10 @@ class _Parser:
             return T_VAR
         if word == "x":
             num = self.expect("num")
-            return xvar(self._component(num))
+            return xvar(self._component(num[4], num[2:4]))
         if word == "u":
             num = self.expect("num")
-            mu = self._component(num)
+            mu = self._component(num[4], num[2:4])
             self.expect("_")
             return JetVariable("u", mu, self.parse_index())
         if word == "p":
@@ -308,30 +297,28 @@ class _Parser:
 
     def _label(self, match: re.Match) -> JetVariable:
         """The variable of a label token, checked as the token path checks it."""
-        mu_digits, entry_digits = match.groups()
+        mu_digits, _, entry_digits = match.groups()
         if mu_digits is not None:
-            mu = int(mu_digits)
-            if not 1 <= mu <= self.m:
-                raise ExprSyntaxError(
-                    f"component {mu} out of range 1..{self.m}", SourceSpan(*match.span(1))
-                )
-        entries = tuple(map(int, entry_digits.split(",")))
-        if len(entries) != self.m:
-            raise ExprSyntaxError(
-                f"index has {len(entries)} entries, dimension is {self.m}",
-                SourceSpan(match.start(2) - 1, match.end()),
-            )
-        if mu_digits is None:
-            return JetVariable("p", 0, MultiIndex(entries))
-        return JetVariable("u", mu, MultiIndex(entries))
+            mu = self._component(int(mu_digits), match.span(1))
+        index = self._index(tuple(map(int, entry_digits.split(","))), match.span(2))
+        return JetVariable("p", 0, index) if mu_digits is None else JetVariable("u", mu, index)
 
-    def _component(self, tok: _Token) -> int:
-        mu = tok[4]
+    # The two checks of a label, shared by the label token and the token
+    # path; span is the (start, end) an error reports.
+
+    def _component(self, mu: int, span: tuple[int, int]) -> int:
         if not 1 <= mu <= self.m:
             raise ExprSyntaxError(
-                f"component {mu} out of range 1..{self.m}", _span(tok)
+                f"component {_decimal(mu)} out of range 1..{self.m}", SourceSpan(*span)
             )
         return mu
+
+    def _index(self, entries: tuple, span: tuple[int, int]) -> MultiIndex:
+        if len(entries) != self.m:
+            raise ExprSyntaxError(
+                f"index has {len(entries)} entries, dimension is {self.m}", SourceSpan(*span)
+            )
+        return MultiIndex(entries)
 
     def parse_index(self) -> MultiIndex:
         open_tok = self.expect("[")
@@ -345,12 +332,7 @@ class _Parser:
                 continue
             close = self.expect("]")
             break
-        if len(entries) != self.m:
-            raise ExprSyntaxError(
-                f"index has {len(entries)} entries, dimension is {self.m}",
-                SourceSpan(open_tok[2], close[3]),
-            )
-        return MultiIndex(tuple(entries))
+        return self._index(tuple(entries), (open_tok[2], close[3]))
 
     def finish(self, result):
         tok = self.peek()

@@ -48,7 +48,7 @@ from math import gcd, lcm, log2
 from threading import Lock
 from typing import Iterable, Mapping
 
-from .multiindex import MultiIndex
+from .multiindex import MultiIndex, _decimal
 
 _KIND_RANK = {"nu": 0, "t": 1, "x": 2, "u": 3, "p": 4}
 
@@ -351,7 +351,7 @@ class Expr:
         degree = n * max(map(len, self._terms), default=0)
         if degree > MAX_DEGREE:
             raise ExpressionTooLargeError(
-                f"a power of degree {degree} exceeds the degree bound {MAX_DEGREE}"
+                f"a power of degree {_decimal(degree)} exceeds the degree bound {MAX_DEGREE}"
             )
         top = max(max(map(abs, self._terms.values()), default=1), self._den)
         if top > 1:
@@ -508,7 +508,7 @@ def _check_degree(degree: int) -> None:
     """Refuse a monomial above MAX_DEGREE, as Expr(terms) and the parser take none."""
     if degree > MAX_DEGREE:
         raise ExpressionTooLargeError(
-            f"a monomial of degree {degree} exceeds the degree bound {MAX_DEGREE}"
+            f"a monomial of degree {_decimal(degree)} exceeds the degree bound {MAX_DEGREE}"
         )
 
 
@@ -592,10 +592,11 @@ def _monomial_str(pairs, coeff: int | Fraction) -> str:
     """A term's text from its (variable, exponent) pairs."""
     parts = [v._label if e == 1 else f"{v._label}^{e}" for v, e in pairs]
     mag = abs(coeff)
-    if not parts:
-        return str(mag)
-    if mag != 1:
-        parts.insert(0, str(mag))
+    if mag != 1 or not parts:
+        try:
+            parts.insert(0, str(mag))
+        except ValueError:  # past the interpreter's int-string limit, as only the CLI lifts it
+            parts.insert(0, _decimal(mag))
     return "*".join(parts)
 
 

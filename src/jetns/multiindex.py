@@ -12,13 +12,48 @@ so far and returns the stored index on a hit.  Only a miss validates,
 builds (through __post_init__) and stores a new index, together with its
 sort key.  Hashing and comparing an index then run no Python code, and a
 failed construction stores nothing.
+
+_int and _decimal convert between ints and decimal text past CPython's
+int-string limit, which only the CLI lifts, for the parser and printer.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
+
+# CPython converts at most sys.get_int_max_str_digits() digits between str
+# and int, never fewer than 640; a longer literal is read in halves.
+_SHORT_DIGITS = 640
+
+# Largest total order an index gives a path for.  A table of iterated
+# derivatives keeps every tail of a path, n(n+1)/2 directions for order
+# n: 2 million, 16 MB of keys, at the bound.
+MAX_ORDER = 2_000
+
+
+def _int(digits: str) -> int:
+    """The value of a string of ASCII digits, read below CPython's int-string limit."""
+    if len(digits) <= _SHORT_DIGITS:
+        return int(digits)
+    low = len(digits) // 2
+    return _int(digits[:-low]) * 10**low + _int(digits[-low:])
+
+
+def _decimal(q) -> str:
+    """str(q) of a non-negative int or Fraction, written in halves past the limit: the
+    inverse of _int."""
+    try:
+        return str(q)
+    except ValueError:  # more digits than the interpreter converts at once
+        pass
+    if type(q) is not int:  # a Fraction, printed only when not integral
+        return _decimal(q.numerator) + "/" + _decimal(q.denominator)
+    low = int(q.bit_length() * math.log10(2)) // 2
+    high, rest = divmod(q, 10**low)
+    return _decimal(high) + _decimal(rest).zfill(low)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -65,6 +100,15 @@ class MultiIndex:
         """Number of derivatives along the distinguished first direction."""
         return self.entries[0]
 
+    @cached_property
+    def path(self) -> tuple[int, ...]:
+        """Each direction repeated by its entry, ascending: [2,0,1] has (1,1,3)."""
+        if self.total > MAX_ORDER:
+            raise ValueError(
+                f"a derivative of order {_decimal(self.total)} exceeds the order bound {MAX_ORDER}"
+            )
+        return tuple(mu for mu, n in enumerate(self.entries, start=1) for _ in range(n))
+
     def _check_dim(self, other: MultiIndex) -> None:
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
@@ -104,7 +148,7 @@ class MultiIndex:
         return self._key
 
     def __str__(self) -> str:
-        return "[" + ",".join(str(e) for e in self.entries) + "]"
+        return "[" + ",".join(map(_decimal, self.entries)) + "]"
 
 
 def zero(m: int) -> MultiIndex:

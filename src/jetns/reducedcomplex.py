@@ -37,9 +37,9 @@ a coordinate and f is differentiated.  Every consumer reads those rows:
 correction, reduced_derivative and reduced_system_residuals sum them
 over a tuple's entries in the one loop of _sum_entries, and kernel
 assembly applies them to one monomial at one label, with no tuple built.
-Assembly runs monomial-major, so the columns of all labels read one
-table of D_path f per monomial, and it indexes its rows by output slot,
-then by output monomial.
+Both read D_path f from a table of iterated derivatives per entry or
+monomial; assembly runs monomial-major, so the columns of all labels
+read one table, and it indexes its rows by output slot, then monomial.
 
 Before assembly, singleton presolve over (label, monomial) pairs pins
 the unknowns every solution sets to zero, reading each label's rows.  A
@@ -87,6 +87,7 @@ from .jetalgebra import (
     xvar,
 )
 from .multiindex import indices_up_to, unit
+from .totalderiv import derivatives
 from .tuples import SHAPES, ChiTuple, ChiTupleCPE
 from .variational import euler_collect
 
@@ -200,20 +201,6 @@ def _entries(ctx: ReductionContext, rule: str, label: tuple, f: Expr, df):
         yield target, c * d if type(c) is Expr else d if c == 1 else -d
 
 
-def _derivative_table(ctx: ReductionContext, f: Expr):
-    """df with df(path) = D_path f, for up to two directions, each computed on first request."""
-    table: dict[tuple, Expr] = {(): f}
-    def df(path: tuple) -> Expr:  # not recursive: a closure naming itself is a cycle for the gc
-        d = table.get(path)
-        if d is None:
-            inner = table.get(path[1:])
-            if inner is None:  # the tail D_a f of D_(mu, a) f
-                inner = table[path[1:]] = restricted_derivative(ctx, path[1], f)
-            d = table[path] = restricted_derivative(ctx, path[0], inner)
-        return d
-    return df
-
-
 def _shape(ctx: ReductionContext, what: str) -> type[ChiTuple]:
     """The tuple class of the context's setting."""
     shape = SHAPES.get(f"chi_{ctx.setting.value}")
@@ -231,7 +218,8 @@ def _sum_entries(ctx: ReductionContext, chi: ChiTuple, rule: str, what: str, ent
             f"not a {type(chi).__name__} at m={chi.m}"
         )
     for label, f in chi.items():
-        for target, expr in _entries(ctx, rule, label, f, _derivative_table(ctx, f)):
+        df = derivatives(partial(restricted_derivative, ctx), f)
+        for target, expr in _entries(ctx, rule, label, f, df):
             entries[target] = entries.get(target, Expr.zero()) + expr
     return entries
 
@@ -411,7 +399,7 @@ def _solve_homogeneous(
     index: dict = {}  # slot -> output monomial -> its row
     for mono, mono_columns in zip(monomials, columns):
         f = _raw({mono: 1})
-        df = _derivative_table(ctx, f)
+        df = derivatives(partial(restricted_derivative, ctx), f)
         for label, col in mono_columns:
             for slot, expr in _entries(ctx, rule, label, f, df):
                 by_mono = index.setdefault(slot, {})

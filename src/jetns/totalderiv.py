@@ -6,6 +6,8 @@ explicit coordinate dependence.  It runs through derive, the one Leibniz
 loop, which Expr.diff, the restricted derivatives and the evolutionary
 field share.  The image of each (variable, direction) is built once and
 kept in a process table, as the context's restricted-derivative table is.
+Every D_i f of a multi-index i, total or restricted, is read from one
+kind of table, derivatives(derivative, f), which keeps every tail.
 """
 
 from __future__ import annotations
@@ -46,15 +48,29 @@ def total_derivative(mu: int, f: Expr) -> Expr:
 
 def total_derivative_multi(i: MultiIndex, f: Expr) -> Expr:
     """Iterated total derivative D_i; the composition order is immaterial."""
-    return iterated_derivative(total_derivative, i, f)
+    return derivatives(total_derivative, f)(i.path)
 
 
-def iterated_derivative(derivative, i: MultiIndex, f: Expr) -> Expr:
-    """derivative(mu, .) applied i^mu times for each direction mu, in order."""
-    for direction, count in enumerate(i.entries, start=1):
-        for _ in range(count):
-            f = derivative(direction, f)
-    return f
+def derivatives(derivative, f: Expr):
+    """d with d(path) = D_path f for a sorted tuple of directions, D_mu = derivative(mu, .).
+
+    A miss is derivative(path[0], D_path[1:] f), found in two lookups when the
+    tail is kept; missing tails are built in a loop, shortest first, and kept."""
+    table: dict[tuple, Expr] = {(): f}
+
+    def d(path: tuple) -> Expr:  # not recursive: a closure naming itself is a cycle for the gc
+        e = table.get(path)
+        if e is None:
+            if (tail := table.get(path[1:])) is None:
+                start = 2  # keys are closed under tails, so the first found is the longest kept
+                while (tail := table.get(path[start:])) is None:
+                    start += 1
+                for start in range(start - 1, 0, -1):
+                    tail = table[path[start:]] = derivative(path[start], tail)
+            e = table[path] = derivative(path[0], tail)
+        return e
+
+    return d
 
 
 def second_derivative_sum(derivative, f: Expr, directions) -> Expr:

@@ -5,7 +5,8 @@ total derivatives of its formal partials.  A cotuple (one expression per
 velocity slot plus one for the pressure slot) has a linearization and a
 formal adjoint, both represented as finite coefficient families of
 total-derivative operators; the cotuple is a variational derivative
-exactly when the two families coincide.
+exactly when the two families coincide.  The adjoint reads each D_l of a
+coefficient from one table of iterated derivatives.
 
 Slot convention: integers 1..m address the velocity slots, 0 addresses
 the pressure slot.
@@ -18,8 +19,8 @@ from typing import Iterable
 
 from .constraints import ReductionContext, reduce
 from .jetalgebra import Expr, expr_sum
-from .multiindex import MultiIndex
-from .totalderiv import total_derivative, total_derivative_multi
+from .multiindex import MultiIndex, sub_indices
+from .totalderiv import derivatives, total_derivative, total_derivative_multi
 from .tuples import Cotuple, CurrentTuple
 
 PRESSURE_SLOT = 0
@@ -136,27 +137,14 @@ def operator_adjoint(op: OperatorCoefficients) -> OperatorCoefficients:
     parts: dict[tuple[int, int, MultiIndex], list[Expr]] = {}
     for (target, source, i), expr in op.items():
         sign = -1 if i.total % 2 else 1
-        for l, derivative in _derivatives_below(i.entries, expr).items():
-            k = MultiIndex(tuple(a - b for a, b in zip(i.entries, l)))
+        d = derivatives(total_derivative, expr)  # l by total order: one derivative of a kept tail each
+        below = sub_indices(i)  # in canonical order, which l -> i - l reverses
+        for l, k in zip(below, reversed(below)):
             scale = sign * i.binomial(k)
             parts.setdefault((source, target, k), []).append(
-                derivative if scale == 1 else scale * derivative
+                d(l.path) if scale == 1 else scale * d(l.path)
             )
     return OperatorCoefficients({key: expr_sum(exprs) for key, exprs in parts.items()})
-
-
-def _derivatives_below(top: tuple[int, ...], expr: Expr) -> dict[tuple[int, ...], Expr]:
-    """D_l expr for every l <= top, keyed by l's entries and built direction by
-    direction, so each is one total derivative of another."""
-    found = {(): expr}
-    for mu, count in enumerate(top, start=1):
-        grown = {}
-        for head, f in found.items():
-            grown[head + (0,)] = f
-            for n in range(1, count + 1):
-                f = grown[head + (n,)] = total_derivative(mu, f)
-        found = grown
-    return found
 
 
 def helmholtz_residual(chi: Cotuple) -> OperatorCoefficients:

@@ -113,6 +113,17 @@ def test_tderiv_bad_index_is_parse_error(index, monkeypatch, capsys):
     assert re.fullmatch(r"parse error: .* at \d+\.\.\d+\n", captured.err)
 
 
+def test_tderiv_past_the_order_bound_exits_two_quickly(monkeypatch, capsys):
+    # a derivative table keeps every tail of a path, n(n+1)/2 directions
+    # for order n, so the order is bounded before any tail is built
+    monkeypatch.setattr(sys, "stdin", io.StringIO("u1_[0,0,0]"))
+    start = time.monotonic()
+    assert cli.main(["tderiv", "--constraints", "free", "--dim", "3", "--index", "[100000,0,0]"]) == 2
+    assert time.monotonic() - start < 1.0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: a derivative of order 100000 exceeds the order bound 2000\n")
+
+
 def test_symmetry_rejects_a_padded_component_name():
     # f01 once passed validation and was then dropped, so f1 = 0 passed
     proc = run_cli("symmetry", "--constraints", "free", "-", stdin="f01: x1")

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from jetns.constraints import ReductionContext, Setting, reduce, restricted_derivative_multi
+from jetns import constraints, evolutionary
 from jetns.evolutionary import (
     Characteristic,
     EvolutionField,
@@ -18,13 +19,14 @@ from jetns.evolutionary import (
     time_symmetry_residual,
     translation_characteristic,
 )
-from jetns.jetalgebra import Expr, p, t, u, x
+from jetns.exprio import parse_tuple
+from jetns.jetalgebra import Expr, expr_sum, p, t, u, x
 from jetns.multiindex import MultiIndex
 from jetns.ns_presets import evolution_field, ns_build
 from jetns.reducedcomplex import ChiTupleCPE, reduced_system_residuals
 from jetns.tuples import LabelTuple
 
-from conftest import random_characteristic, random_expr, variable_pool
+from conftest import path_derivatives, random_characteristic, random_expr, variable_pool
 
 
 def test_ev_on_jet_variable_is_derived_component(free_ctx):
@@ -223,6 +225,35 @@ def test_linearization_of_constant_coefficient_field(cpe_ctx):
     assert lin.velocity[0] == restricted_derivative_multi(cpe_ctx, MultiIndex((0, 1, 0)), f.velocity[1])
     assert lin.velocity[1] == restricted_derivative_multi(cpe_ctx, MultiIndex((0, 0, 1)), f.velocity[2])
     assert lin.velocity[2] == restricted_derivative_multi(cpe_ctx, MultiIndex((0, 1, 0)), f.velocity[0])
+
+
+def test_the_field_action_derives_each_tail_of_a_slot_once(monkeypatch):
+    # one table per slot of f: jets whose paths share a tail share its
+    # derivatives, so each distinct (slot, nonempty tail) costs one
+    # restricted derivative; the result is the textbook linearization
+    field = ns_build(3).field
+    ctx = field.context
+    f = parse_tuple(
+        "f1: u1_[0,1,0]; f2: u2_[0,1,0]; f3: u3_[0,1,0]; f: p_[0,1,0]", "characteristic", 3
+    ).reduce(ctx)
+    path = lambda i: tuple(mu for mu, n in enumerate(i.entries, start=1) for _ in range(n))
+    jets = {v for _, comp in field.characteristic.items() for v in comp.variables() if v.kind in ("u", "p")}
+    tails = {(v.mu, path(v.index)[k:]) for v in jets for k in range(v.index.total)}
+    linearize_evolution(field, f)  # the context's images are built, so only the action derives
+    calls = []
+    real = constraints.restricted_derivative
+    for module in (constraints, evolutionary):
+        monkeypatch.setattr(
+            module, "restricted_derivative", lambda c, mu, g: calls.append(mu) or real(c, mu, g)
+        )
+    lin = linearize_evolution(field, f)
+    assert len(calls) == len(tails)
+    for label, comp in field.characteristic.items():
+        expected = expr_sum(
+            comp.diff(v) * path_derivatives(ctx, f.component(v.mu))(path(v.index))
+            for v in comp.variables() if v.kind in ("u", "p")
+        )
+        assert lin[label] == expected
 
 
 def test_time_symmetry_of_evolution_itself(cpe_ctx):

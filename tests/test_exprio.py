@@ -1,6 +1,8 @@
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -234,6 +236,53 @@ def test_the_library_parser_reads_literals_past_the_int_string_limit():
         assert sys.get_int_max_str_digits() == 4300
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-string limit")
+def test_a_long_component_exponent_or_index_entry_passes_the_int_string_limit():
+    # str() of a component or exponent in its error text, or of an index
+    # entry in the variable's label, raised the conversion-limit ValueError
+    # with no span in any program that had not run the CLI
+    nines, ones = "9" * 5000, "1" * 5000
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expr("x" + nines, 3)
+        assert (err.value.message, err.value.span) == (f"component {nines} out of range 1..3", SourceSpan(1, 5001))
+        with pytest.raises(jetalgebra.ExpressionTooLargeError) as err:
+            parse_expr("x1^" + nines, 3)
+        assert str(err.value) == f"a power of degree {nines} exceeds the degree bound 10000"
+        # an index entry has no bound short of the literal's: the jet is read
+        # and printed, as the CLI always did
+        jet = parse_expr(f"u1_[{ones},0,0]", 3)
+        assert jet == u(1, ((10**5000 - 1) // 9, 0, 0))
+        assert str(jet) == f"u1_[{ones},0,0]"
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-string limit")
+def test_the_library_prints_coefficients_past_the_int_string_limit():
+    # str() of a 5000-digit coefficient raised the conversion-limit
+    # ValueError in a program that had not run the CLI; a fresh process
+    # has the default limit
+    child = (
+        "import sys, jetns\n"
+        "text = '-1/' + '3' * 4400 + ' + ' + '7' * 5000 + '*x1'\n"
+        "f = jetns.parse_expr(text, 3)\n"
+        "print(str(f) == text, jetns.parse_expr(str(f), 3) == f, str(jetns.parse_expr('7' * 5000, 3)) == '7' * 5000)\n"
+        "print(sys.get_int_max_str_digits())\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONINTMAXSTRDIGITS", "PYTHONPATH")}
+    proc = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True,
+        env={**env, "PYTHONPATH": src}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True True True\n4300\n"
 
 
 def test_a_label_token_reports_the_token_path_errors():

@@ -694,10 +694,10 @@ def test_kernel_search_evaluates_no_pinned_unknown(m, ansatz, pins, monkeypatch)
     unpinned = set(_unknowns(ctx, ansatz)) - pinned
     tables, evaluated, handed = [], [], []
     real_table, real_entries, real_nullspace = (
-        reducedcomplex._derivative_table, reducedcomplex._entries, linalg.nullspace
+        reducedcomplex.derivatives, reducedcomplex._entries, linalg.nullspace
     )
     monkeypatch.setattr(
-        reducedcomplex, "_derivative_table", lambda c, f: tables.append(f) or real_table(c, f)
+        reducedcomplex, "derivatives", lambda d, f: tables.append(f) or real_table(d, f)
     )
     monkeypatch.setattr(
         reducedcomplex, "_entries",
@@ -784,7 +784,7 @@ def test_ansatz_axes_are_cached_tuples_and_the_cap_comes_first(cpe_ctx, monkeypa
     assert list(monomials) == _ansatz_monomials(cpe_ctx, ansatz)
     assert reducedcomplex._ansatz_axes(cpe_ctx, AnsatzSpec(1, 1, 1))[1] is monomials
     # an ansatz over the cap is refused before any column is assembled
-    monkeypatch.setattr(reducedcomplex, "_derivative_table", lambda *a: pytest.fail("assembled"))
+    monkeypatch.setattr(reducedcomplex, "derivatives", lambda *a: pytest.fail("assembled"))
     with pytest.raises(AnsatzTooLargeError):
         kernel_search(cpe_ctx, ansatz, max_unknowns=len(labels) * len(monomials) - 1)
 

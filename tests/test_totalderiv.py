@@ -1,9 +1,19 @@
 import random
+from functools import partial
 
+import pytest
+
+from jetns.constraints import (
+    ReductionContext,
+    Setting,
+    restricted_derivative,
+    restricted_derivative_multi,
+)
 from jetns.jetalgebra import Expr, expr_sum, p, u, uvar, x
-from jetns.multiindex import MultiIndex, sub_indices, unit, zero
+from jetns.multiindex import MAX_ORDER, MultiIndex, sub_indices, unit, zero
 from jetns import totalderiv
 from jetns.totalderiv import (
+    derivatives,
     laplacian,
     laplacian_primed,
     total_derivative,
@@ -112,3 +122,52 @@ def test_free_images_are_built_once_per_variable_and_direction():
             assert first == totalderiv._first_free_image(v, mu)
             assert total_derivative(mu, Expr.var(v)) == first
     assert totalderiv._free_image(uvar(2, zero(3)), 3) == u(2, unit(3, 3))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("setting", list(Setting))
+def test_the_derivative_table_agrees_with_single_derivatives(setting, m):
+    # sorted paths of 0-4 directions, asked in random order, so a request
+    # finds its tails kept, partly kept or missing; each entry is a chain of
+    # single derivatives in ascending and in descending direction order,
+    # and the table takes one derivative per distinct nonempty tail
+    ctx = ReductionContext(setting, m)
+    single = total_derivative if setting is Setting.FREE else partial(restricted_derivative, ctx)
+    rng = random.Random(70 + 10 * m + len(setting.value))
+    pool = variable_pool(m, max_u_order=1, max_p_order=1, ctx=ctx)
+    for _ in range(3):
+        f = random_expr(rng, pool, n_terms=2)
+        calls = []
+        d = derivatives(lambda mu, g: calls.append(mu) or single(mu, g), f)
+        paths = [tuple(sorted(rng.choices(range(1, m + 1), k=rng.randint(0, 4)))) for _ in range(10)]
+        for path in paths:
+            ascending = descending = f
+            for mu in path:
+                ascending = single(mu, ascending)
+            for mu in reversed(path):
+                descending = single(mu, descending)
+            assert d(path) == ascending == descending
+        tails = {path[k:] for path in paths for k in range(len(path))}
+        assert len(calls) == len(tails)
+
+
+def test_an_index_path_lists_its_directions_in_order():
+    assert MultiIndex((2, 0, 1)).path == (1, 1, 3)
+    assert MultiIndex((0, 0)).path == ()
+    assert MultiIndex((2, 0, 1)).path is MultiIndex((2, 0, 1)).path
+
+
+def test_a_deep_derivative_builds_its_tails_in_a_loop():
+    # 1500 directions, past the default recursion limit
+    ctx = ReductionContext(Setting.FREE, 3)
+    assert restricted_derivative_multi(ctx, MultiIndex((1500, 0, 0)), u(2, (0, 0, 0))) == u(2, (1500, 0, 0))
+
+
+def test_a_path_past_the_order_bound_is_refused():
+    # a table keeps every tail of a path, so its keys grow with the square
+    # of the order; the refusal comes before any tail is built
+    assert len(MultiIndex((MAX_ORDER - 1, 1, 0)).path) == MAX_ORDER
+    message = f"^a derivative of order {MAX_ORDER + 1} exceeds the order bound {MAX_ORDER}$"
+    for build in (total_derivative_multi, partial(restricted_derivative_multi, ReductionContext(Setting.CE, 3))):
+        with pytest.raises(ValueError, match=message):
+            build(MultiIndex((MAX_ORDER, 0, 1)), u(2, (0, 0, 0)))

@@ -142,7 +142,7 @@ def _cmd_time_symmetry(args) -> int:
         ctx = ReductionContext(Setting.CPE, args.dim)
         e = parse_tuple(_read_input(args.evolution), "characteristic", args.dim)
         field = EvolutionField(e.reduce(ctx), ctx)
-    residual = time_symmetry_residual(field, f.reduce(field.context))
+    residual = time_symmetry_residual(field, f)
     entries = [
         (f"velocity[{mu}]", comp)
         for mu, comp in enumerate(residual.velocity, start=1)

@@ -120,7 +120,9 @@ def symmetry_residuals(ctx: ReductionContext, f: Characteristic) -> ResidualRepo
 
     The free setting has none (every characteristic generates a
     symmetry), the continuity setting has the divergence residual, and
-    the joint setting adds the pressure coupling residual.
+    the joint setting adds the pressure coupling residual.  f may be in
+    any coordinates: it is reduced in ctx first, as time_symmetry_residual
+    reduces it in its field's context.
     """
     if f.m != ctx.m:
         raise ValueError(f"characteristic has {f.m} velocity components, context m={ctx.m}")
@@ -168,8 +170,12 @@ def linearize_evolution(field: EvolutionField, f: Characteristic) -> Characteris
 def time_symmetry_residual(field: EvolutionField, f: Characteristic) -> Characteristic:
     """Componentwise evolution derivative of f minus the linearization applied to f.
 
-    Zero exactly when f generates a symmetry preserved by the evolution.
+    Zero exactly when f generates a symmetry preserved by the evolution.  f
+    may be in any coordinates: like symmetry_residuals, this reduces it in
+    the field's context first, which costs a reduced f one substitution
+    that replaces nothing.
     """
+    f = f.reduce(field.context)
     rate = {label: evolution_derivative(field, comp) for label, comp in f.items()}
     return Characteristic(f.m, rate) - linearize_evolution(field, f)
 

@@ -32,11 +32,13 @@ when a value is integral, else a Fraction, so printed text and num/den
 records do not depend on the stored form.
 
 A product refuses to start when the product of its factors' term counts,
-a bound on the size of its result, exceeds MAX_PRODUCT_TERMS; a power
-refuses when its result would pass MAX_DEGREE, or its coefficients
-need more than MAX_COEFFICIENT_BITS bits; and Expr(terms) refuses a
-monomial of degree above MAX_DEGREE.  Each raises ExpressionTooLargeError
-before the work starts instead of running without end.
+a bound on the size of its result, exceeds MAX_PRODUCT_TERMS, or when
+the sum of its factors' degrees, its own degree over Q, passes
+MAX_DEGREE; a power refuses when its result would pass MAX_DEGREE, or
+its coefficients need more than MAX_COEFFICIENT_BITS bits; and
+Expr(terms) refuses a monomial of degree above MAX_DEGREE.  Each raises
+ExpressionTooLargeError before the work starts instead of running
+without end.
 """
 
 from __future__ import annotations
@@ -268,7 +270,8 @@ class Expr:
         return not self._terms
 
     def _unsorted_items(self) -> Iterable[tuple[Monomial, int | Fraction]]:
-        """Packed monomial/coefficient pairs in storage order, for kernel assembly."""
+        """Packed monomial/coefficient pairs in storage order: kernel assembly reads the
+        coefficients c of its rows through this, never the stored form."""
         den = self._den
         if den == 1:
             return self._terms.items()
@@ -332,6 +335,10 @@ class Expr:
             raise ExpressionTooLargeError(
                 f"product of {pairs} term pairs exceeds the limit of {MAX_PRODUCT_TERMS}", pairs
             )
+        if pairs:  # over Q the product's degree is exactly the sum of its factors' degrees
+            degree = max(map(len, self._terms)) + max(map(len, other._terms))
+            if degree > MAX_DEGREE:  # compared inline: most products pass, and a call costs each one
+                _check_degree(degree)
         data: dict[Monomial, int] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
@@ -487,7 +494,7 @@ def _unpickle(terms: dict, den: int) -> Expr:
     """The stored form of a pickled Expr, repacked with this process's ranks.
 
     It skips the checks of Expr(terms): the pickled form was canonical, and a
-    product may hold a monomial above MAX_DEGREE."""
+    substitution may hold a monomial above MAX_DEGREE."""
     return _raw({_pack(pairs): c for pairs, c in terms.items()}, den)
 
 
@@ -550,24 +557,37 @@ def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
 def derive(f: Expr, arg, image) -> Expr:
     """Apply to f the derivation that sends each variable v to image(v, arg).
 
-    This is the one Leibniz loop, over every monomial: it serves diff, the
-    total and restricted derivatives and the evolutionary field.  image is
-    asked in rank order within each monomial; when it raises ValueError,
-    it is asked again in sort-key order, as in Expr.subs.
+    It serves diff, the total and restricted derivatives and the
+    evolutionary field: _leibniz over f's numerators, then one canonical
+    form.  image is asked in rank order within each monomial; when it
+    raises ValueError, it is asked again in sort-key order, as in Expr.subs.
+    """
+    try:
+        data, den = _leibniz(f._terms, arg, image)
+    except ValueError:
+        _ask_in_key_order(f, lambda v: image(v, arg))
+        raise
+    return _canonical(data, den * f._den)
+
+
+def _leibniz(terms: Mapping[Monomial, int], arg, image) -> tuple[dict[Monomial, int], int]:
+    """The one Leibniz loop: the derivation v -> image(v, arg) of the numerators terms.
+
+    It returns numerators data over den, possibly with zeros, so the
+    derivative of terms/d is data/(den * d).  Each monomial's distinct
+    ranks are derived once, times their count, and every image is added
+    into one map over one denominator.  derive builds its Expr from this,
+    and kernel assembly adds it straight into its rows.
     """
     data: dict[Monomial, int] = {}
     den = 1  # data/den is the running sum
-    for mono, coeff in f._terms.items():
+    for mono, coeff in terms.items():
         prev = None
         for pos, r in enumerate(mono):
             if r == prev:  # a repeated rank is one variable, derived once
                 continue
             prev = r
-            try:
-                img = image(_VARIABLES[r], arg)
-            except ValueError:
-                _ask_in_key_order(f, lambda v: image(v, arg))
-                raise
+            img = image(_VARIABLES[r], arg)
             if not img._terms:
                 continue
             rest = mono[:pos] + mono[pos + 1:]  # one copy of r dropped
@@ -576,9 +596,10 @@ def derive(f: Expr, arg, image) -> Expr:
                 den = _common_denominator(data, den, img._den)
                 scale *= den // img._den
             for image_mono, c in img._terms.items():
-                out = _merge_monomials(rest, image_mono) if image_mono else rest
+                # _merge_monomials inlined: a call per image term slows kernel assembly's hottest loop
+                out = tuple(sorted(rest + image_mono)) if image_mono else rest
                 data[out] = data.get(out, 0) + scale * c
-    return _canonical(data, den * f._den)
+    return data, den
 
 
 def _ask_in_key_order(f: Expr, ask) -> None:

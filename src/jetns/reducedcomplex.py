@@ -35,11 +35,16 @@ g D_path f or D_b(g D_path f).  _rows expands them through Leibniz into
 rows (target, c, path) once per (context, rule, label), so no product of
 a coordinate and f is differentiated.  Every consumer reads those rows:
 correction, reduced_derivative and reduced_system_residuals sum them
-over a tuple's entries in the one loop of _sum_entries, and kernel
-assembly applies them to one monomial at one label, with no tuple built.
-Both read D_path f from a table of iterated derivatives per entry or
-monomial; assembly runs monomial-major, so the columns of all labels
-read one table, and it indexes its rows by output slot, then monomial.
+over a tuple's entries in the one loop of _sum_entries, reading D_path f
+of each entry from totalderiv.derivatives, the one builder of D_path f
+as an Expr.  Kernel assembly applies them to one monomial at one label
+and builds no Expr at all: per ansatz monomial it keeps a table of
+D_path of the monomial, filled by jetalgebra's Leibniz core as int
+numerators over one denominator, and adds c times each numerator into
+the row of (slot, output monomial), a sparse accumulator (Gilbert, Moler
+& Schreiber, SIAM J. Matrix Anal. Appl. 13(1), 1992).  Assembly runs
+monomial-major, so the columns of all labels read one table, and it
+indexes its rows by output slot, then monomial.
 
 Before assembly, singleton presolve over (label, monomial) pairs pins
 the unknowns every solution sets to zero, reading each label's rows.  A
@@ -76,6 +81,7 @@ from .jetalgebra import (
     Expr,
     Monomial,
     T_VAR,
+    _leibniz,
     _merge_monomials,
     _monomial_key,
     _pack,
@@ -367,6 +373,42 @@ def _forced_zero_unknowns(ctx: ReductionContext, ansatz: AnsatzSpec, rule: str) 
     return tuple(frozenset(pinned[label]) for label in labels)
 
 
+class _MonomialDerivatives(dict):
+    """Sorted path -> D_path of one ansatz monomial as (numerators, denominator).
+
+    The numerators are _leibniz's with cancelled terms dropped, so each is
+    a nonzero int.  () and None both map to the monomial itself, since
+    reduce is the identity on ansatz monomials.  A miss applies _leibniz
+    along path[0] to the entry of the tail path[1:], found the same way,
+    and keeps the result.
+    """
+
+    __slots__ = ("image",)
+
+    def __init__(self, ctx: ReductionContext, mono: Monomial):
+        itself = ({mono: 1}, 1)
+        super().__init__({(): itself, None: itself})
+        self.image = ctx._derivative_image
+
+    def __missing__(self, path: tuple) -> tuple[dict[Monomial, int], int]:
+        terms, den = self[path[1:]]
+        data, d = _leibniz(terms, path[0], self.image)
+        if 0 in data.values():
+            data = {mono: c for mono, c in data.items() if c}
+        entry = self[path] = (data, d * den)
+        return entry
+
+
+def _times(c: Expr, terms: dict[Monomial, int]) -> dict:
+    """The numerators of c * terms, cancelled terms dropped as in a product of expressions."""
+    data: dict = {}
+    for c_mono, c_coeff in c._unsorted_items():
+        for mono, coeff in terms.items():
+            out = _merge_monomials(c_mono, mono) if c_mono else mono
+            data[out] = data.get(out, 0) + c_coeff * coeff
+    return {mono: v for mono, v in data.items() if v} if 0 in data.values() else data
+
+
 def _solve_homogeneous(
     ctx: ReductionContext, ansatz: AnsatzSpec, rule: str, max_unknowns: int
 ) -> list:
@@ -377,9 +419,10 @@ def _solve_homogeneous(
     monomial) of the outputs is one linear constraint on the unknown
     coefficients, and each unknown fills its column of the rows.  Assembly
     runs monomial by monomial, so each monomial's derivatives are computed
-    once for all labels.  The unknowns _forced_zero_unknowns pins get no
-    column: the others are numbered label-major, and each vector is mapped
-    back.
+    once for all labels, by the Leibniz core into _MonomialDerivatives,
+    and each row adds c times their coefficients into the rows with no
+    Expr built.  The unknowns _forced_zero_unknowns pins get no column:
+    the others are numbered label-major, and each vector is mapped back.
     """
     shape = _shape(ctx, "kernel search")
     labels, monomials = _ansatz_axes(ctx, ansatz)
@@ -391,19 +434,25 @@ def _solve_homogeneous(
         for label, zero in zip(labels, _forced_zero_unknowns(ctx, ansatz, rule))
         for pos in range(len(monomials)) if pos not in zero
     ]
-    columns: list = [[] for _ in monomials]  # monomial position -> its (label, column) pairs
+    index: dict = {}  # slot -> output monomial -> its row
+    rows_of = {  # label -> its rows, each as (the index of its slot, c, path)
+        label: [(index.setdefault(slot, {}), c, path) for slot, c, path in _rows(ctx, rule, label)]
+        for label in labels
+    }
+    columns: list = [[] for _ in monomials]  # monomial position -> its (label's rows, column) pairs
     for col, (label, pos) in enumerate(kept):
-        columns[pos].append((label, col))
+        columns[pos].append((rows_of[label], col))
 
     rows: list[dict[int, int | Fraction]] = []  # in first-seen order
-    index: dict = {}  # slot -> output monomial -> its row
     for mono, mono_columns in zip(monomials, columns):
-        f = _raw({mono: 1})
-        df = derivatives(partial(restricted_derivative, ctx), f)
-        for label, col in mono_columns:
-            for slot, expr in _entries(ctx, rule, label, f, df):
-                by_mono = index.setdefault(slot, {})
-                for out_mono, coeff in expr._unsorted_items():
+        derived = _MonomialDerivatives(ctx, mono)
+        for label_rows, col in mono_columns:
+            for by_mono, c, path in label_rows:
+                numerators, den = derived[path]
+                if type(c) is not int:
+                    numerators, c = _times(c, numerators), 1
+                for out_mono, coeff in numerators.items():  # the row of (slot, out_mono) gains c * coeff / den
+                    coeff = c * coeff if den == 1 else Fraction(c * coeff, den)
                     row = by_mono.get(out_mono)
                     if row is None:
                         row = by_mono[out_mono] = {col: coeff}

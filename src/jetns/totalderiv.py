@@ -2,12 +2,14 @@
 
 The total derivative along a spatial direction shifts every occurring jet
 variable's multi-index by one in that direction and differentiates any
-explicit coordinate dependence.  It runs through derive, the one Leibniz
-loop, which Expr.diff, the restricted derivatives and the evolutionary
-field share.  The image of each (variable, direction) is built once and
-kept in a process table, as the context's restricted-derivative table is.
-Every D_i f of a multi-index i, total or restricted, is read from one
-kind of table, derivatives(derivative, f), which keeps every tail.
+explicit coordinate dependence.  It runs through derive, which wraps
+jetalgebra's one Leibniz loop, _leibniz, into an Expr for Expr.diff, the
+restricted derivatives and the evolutionary field; kernel assembly reads
+that core directly and builds no Expr.  The image of each (variable,
+direction) is built once and kept in a process table, as the context's
+restricted-derivative table is.  Every D_i f of a multi-index i, total or
+restricted, built as an Expr is read from one kind of table,
+derivatives(derivative, f), which keeps every tail.
 """
 
 from __future__ import annotations

@@ -450,6 +450,14 @@ def test_an_oversized_power_exits_two_quickly(text, bound):
     assert elapsed < 1.0
 
 
+def test_a_product_above_the_degree_bound_exits_two():
+    # each factor passes the degree bound, and the product printed x1^20000
+    # with exit 0, text the parser refuses; the product now refuses first
+    proc = run_cli("reduce", "--dim", "2", stdin="(x1^10000)*(x1^10000)", timeout=20)
+    expected = "error: a monomial of degree 20000 exceeds the degree bound 10000\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", expected)
+
+
 def _decimal(n: int) -> str:
     """str(n), whatever this interpreter's limit on int-string conversion."""
     if not hasattr(sys, "set_int_max_str_digits"):

@@ -20,8 +20,8 @@ from jetns.evolutionary import (
     translation_characteristic,
 )
 from jetns.exprio import parse_tuple
-from jetns.jetalgebra import Expr, expr_sum, p, t, u, x
-from jetns.multiindex import MultiIndex
+from jetns.jetalgebra import Expr, expr_sum, p, t, u, uvar, x
+from jetns.multiindex import MultiIndex, unit
 from jetns.ns_presets import evolution_field, ns_build
 from jetns.reducedcomplex import ChiTupleCPE, reduced_system_residuals
 from jetns.tuples import LabelTuple
@@ -280,6 +280,22 @@ def test_time_symmetry_detects_explicit_time(cpe_ctx):
     f = Characteristic(3, {("u", 1): t})
     residual = time_symmetry_residual(field, f)
     assert not all(reduce(cpe_ctx, c).is_zero() for c in residual.velocity)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_symmetry_residuals_take_reduced_and_unreduced_input_alike(m):
+    # both residuals reduce their input first; time_symmetry_residual raised
+    # "u1_[1,0] is not a canonical coordinate here" on the unreduced one
+    ctx = ReductionContext(Setting.CPE, m)
+    field = evolution_field(ns_build(m))
+    jet = uvar(1, unit(1, m))
+    unreduced = Characteristic(m, {("u", 1): Expr.var(jet), ("p",): Expr.var(jet) * x(2)})
+    reduced = unreduced.reduce(ctx)
+    assert reduced != unreduced and ctx.image(jet) is not None
+    residual = time_symmetry_residual(field, unreduced)
+    assert residual == time_symmetry_residual(field, reduced)
+    assert not residual.velocity[0].is_zero()
+    assert symmetry_residuals(ctx, unreduced).entries == symmetry_residuals(ctx, reduced).entries
 
 
 def test_admissibility_report(cpe_ctx):

@@ -223,6 +223,42 @@ def test_partial_derivative_leibniz_and_commutes():
         assert f.diff(v).diff(w) == f.diff(w).diff(v)
 
 
+def _leibniz_oracle(f: Expr, images: dict) -> Expr:
+    """The derivation v -> images[v] of f, term by term from items() and Expr products."""
+    total = Expr.zero()
+    for pairs, coeff in f.items():
+        for k, (v, e) in enumerate(pairs):
+            rest = tuple((w, n - (j == k)) for j, (w, n) in enumerate(pairs) if n - (j == k))
+            total = total + Expr({rest: coeff * e}) * images.get(v, Expr.zero())
+    return total
+
+
+def test_derive_rescales_its_running_sum_to_the_images_common_denominator(monkeypatch):
+    # images over 2, 3 and 1 meet in one running sum over one denominator,
+    # which must grow mid-loop; f brings its own denominator on top
+    images = {
+        xvar(1): Fraction(1, 2) * x(2) - Fraction(1, 2),
+        xvar(2): Fraction(1, 3) * x(1) * x(3) + Fraction(2, 3),
+        xvar(3): 2 * nu,
+        NU_VAR: Fraction(1, 2) * x(3) ** 2 + Fraction(1, 3),
+    }
+    rng = random.Random(23)
+    pool = [xvar(1), xvar(2), xvar(3), NU_VAR]
+    fs = [Fraction(3, 5) * x(1) ** 2 * x(2) + Fraction(1, 7) * x(2) ** 3 * x(3) - x(3) * nu + Fraction(5, 4)]
+    fs += [random_expr(rng, pool, n_terms=4) for _ in range(12)]
+    real = jetalgebra._common_denominator
+    for f in fs:
+        calls = []
+        monkeypatch.setattr(
+            jetalgebra, "_common_denominator", lambda data, den, d: calls.append((den, d)) or real(data, den, d)
+        )
+        got = jetalgebra.derive(f, None, lambda v, _: images.get(v, Expr.zero()))
+        monkeypatch.undo()
+        assert got == _leibniz_oracle(f, images)
+        if f is fs[0]:
+            assert any(den != 1 and den % d for den, d in calls)  # a rescale inside the loop
+
+
 @st.composite
 def small_exprs(draw):
     rng = random.Random(draw(st.integers(min_value=0, max_value=10_000)))
@@ -290,6 +326,29 @@ def test_power_refuses_above_the_degree_bound_before_any_product(monkeypatch):
     assert merges == []
 
 
+def test_product_refuses_above_the_degree_bound_before_any_product(monkeypatch):
+    # over Q the degree of a product is the sum of its factors' degrees, so
+    # the check is exact: degree 6 passes, and a product of degree 7 or more
+    # raises before a single monomial is merged, also inside subs
+    monkeypatch.setattr(jetalgebra, "MAX_DEGREE", 6)
+    assert str((x(1) ** 2 + 1) * (x(2) ** 4 - x(1))) == "-x1 - x1^3 + x2^4 + x1^2*x2^4"
+    assert str(Expr.zero() * x(1) ** 6) == "0" and str(3 * x(1) ** 6) == "3*x1^6"
+    cases = [
+        (x(1) ** 4, x(2) ** 3, 7),
+        (x(1) * x(2) ** 2 + x(3), 1 - x(2) ** 2 * x(3) ** 3, 8),
+    ]
+    pair, swap = x(1) * x(2), {xvar(1): x(3) ** 4, xvar(2): x(3) ** 3}.get
+    merges = []
+    merge = jetalgebra._merge_monomials
+    monkeypatch.setattr(jetalgebra, "_merge_monomials", lambda a, b: merges.append(1) or merge(a, b))
+    for f, g, degree in cases:
+        with pytest.raises(ExpressionTooLargeError, match=f"^a monomial of degree {degree} exceeds the degree bound 6$"):
+            f * g
+    with pytest.raises(ExpressionTooLargeError, match="^a monomial of degree 7 exceeds the degree bound 6$"):
+        pair.subs(swap)  # each power passed the bound; their product does not
+    assert merges == []
+
+
 def test_constructor_refuses_a_monomial_above_the_degree_bound(monkeypatch):
     monkeypatch.setattr(jetalgebra, "MAX_DEGREE", 6)
     assert Expr({((xvar(1), 2), (xvar(2), 4)): 1}) == x(1) ** 2 * x(2) ** 4
@@ -304,6 +363,9 @@ def test_the_degree_bound_admits_its_own_degree():
     assert x(1) ** 10_000 == Expr({((xvar(1), 10_000),): 1})
     with pytest.raises(ExpressionTooLargeError, match="degree 10001 exceeds the degree bound 10000$"):
         x(1) ** 10_001
+    assert x(1) ** 9_999 * x(1) == x(1) ** 10_000
+    with pytest.raises(ExpressionTooLargeError, match="^a monomial of degree 20000 exceeds the degree bound 10000$"):
+        x(1) ** 10_000 * x(1) ** 10_000
 
 
 def test_power_refuses_above_the_bit_bound_before_any_product(monkeypatch):
@@ -603,8 +665,9 @@ def test_copies_are_the_interned_variable():
 
 
 def test_a_product_above_the_degree_bound_still_copies():
-    # products are not checked against MAX_DEGREE, so a copy must not be either
-    f = x(1) ** 10_000 * x(1) - Fraction(2, 3) * x(2)
+    # subs merges a kept factor with an image unchecked against MAX_DEGREE,
+    # so a copy must not check either
+    f = (x(1) ** 9_999 * x(2)).subs({xvar(2): x(1) ** 2}.get) - Fraction(2, 3) * x(2)
     assert f.items()[-1] == (((xvar(1), 10_001),), 1)  # the highest degree sorts last
     assert copy.deepcopy(f) == f
     assert pickle.loads(pickle.dumps(f)) == f

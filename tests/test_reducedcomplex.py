@@ -7,7 +7,7 @@ from math import gcd, lcm
 
 import pytest
 
-from jetns import linalg, reducedcomplex
+from jetns import jetalgebra, linalg, reducedcomplex
 from jetns.constraints import (
     ReductionContext,
     Setting,
@@ -685,30 +685,58 @@ def test_bench_ansatzes_pin_exactly(setting, m, ansatz, pins):
 def test_kernel_search_evaluates_no_pinned_unknown(m, ansatz, pins, monkeypatch):
     # assembly builds one derivative table per monomial with an unpinned
     # unknown (every monomial: chi01 only differentiates, so it is never
-    # pinned), applies the rows to the unpinned unknowns alone and hands
-    # nullspace the unpinned count
+    # pinned), reads it once per row of each unpinned label at that
+    # monomial and never for a pinned one, and hands nullspace the
+    # unpinned count
     ctx = ReductionContext(Setting.CPE, m)
     expected = kernel_search(ctx, ansatz)
     pinned = _pinned_unknowns(ctx, ansatz, "derivative")
     assert len(pinned) == pins
     unpinned = set(_unknowns(ctx, ansatz)) - pinned
-    tables, evaluated, handed = [], [], []
-    real_table, real_entries, real_nullspace = (
-        reducedcomplex.derivatives, reducedcomplex._entries, linalg.nullspace
-    )
-    monkeypatch.setattr(
-        reducedcomplex, "derivatives", lambda d, f: tables.append(f) or real_table(d, f)
-    )
-    monkeypatch.setattr(
-        reducedcomplex, "_entries",
-        lambda c, rule, label, f, df: evaluated.append((label, f)) or real_entries(c, rule, label, f, df),
-    )
+    tables, reads, handed = [], Counter(), []
+    real_table, real_nullspace = reducedcomplex._MonomialDerivatives, linalg.nullspace
+
+    class Table(real_table):
+        __slots__ = ("mono",)
+
+        def __init__(self, c, mono):
+            super().__init__(c, mono)
+            self.mono = mono
+            tables.append(mono)
+
+        def __getitem__(self, path):
+            reads[self.mono] += 1
+            return super().__getitem__(path)
+
+        def __missing__(self, path):
+            reads[self.mono] -= 1  # a miss reads its tail once, and that read is no row's
+            return super().__missing__(path)
+
+    monkeypatch.setattr(reducedcomplex, "_MonomialDerivatives", Table)
     monkeypatch.setattr(linalg, "nullspace", lambda rows, n: handed.append(n) or real_nullspace(rows, n))
     assert kernel_search(ctx, ansatz) == expected
-    monos = [mono for f in tables for mono, _ in f._unsorted_items()]
-    assert sorted(monos, key=_monomial_key) == sorted({mono for _, mono in unpinned}, key=_monomial_key)
-    assert sorted(evaluated, key=repr) == sorted(((l, Expr({_factors(mono): 1})) for l, mono in unpinned), key=repr)
+    assert sorted(tables, key=_monomial_key) == sorted({mono for _, mono in unpinned}, key=_monomial_key)
+    rows_read = Counter()
+    for label, mono in unpinned:
+        rows_read[mono] += len(reducedcomplex._rows(ctx, "derivative", label))
+    assert reads == rows_read
     assert handed == [len(unpinned)]
+
+
+def test_warm_kernel_search_builds_no_expression(monkeypatch):
+    # assembly adds each monomial's derivatives, as the Leibniz core's
+    # numerators, straight into its rows: once the rows and pins are cached,
+    # no derivative, product or negation is made into an Expr
+    built = []
+    for setting, m, ansatz, _ in _BENCH:
+        ctx = ReductionContext(setting, m)
+        expected = kernel_search(ctx, ansatz)
+        real_canonical, real_neg = jetalgebra._canonical, Expr.__neg__
+        monkeypatch.setattr(jetalgebra, "_canonical", lambda d, den: built.append(d) or real_canonical(d, den))
+        monkeypatch.setattr(Expr, "__neg__", lambda e: built.append(e) or real_neg(e))
+        assert kernel_search(ctx, ansatz) == expected
+        monkeypatch.undo()
+    assert built == []
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -784,7 +812,8 @@ def test_ansatz_axes_are_cached_tuples_and_the_cap_comes_first(cpe_ctx, monkeypa
     assert list(monomials) == _ansatz_monomials(cpe_ctx, ansatz)
     assert reducedcomplex._ansatz_axes(cpe_ctx, AnsatzSpec(1, 1, 1))[1] is monomials
     # an ansatz over the cap is refused before any column is assembled
-    monkeypatch.setattr(reducedcomplex, "derivatives", lambda *a: pytest.fail("assembled"))
+    monkeypatch.setattr(reducedcomplex, "_MonomialDerivatives", lambda *a: pytest.fail("assembled"))
+    monkeypatch.setattr(reducedcomplex, "_leibniz", lambda *a: pytest.fail("differentiated"))
     with pytest.raises(AnsatzTooLargeError):
         kernel_search(cpe_ctx, ansatz, max_unknowns=len(labels) * len(monomials) - 1)
 
@@ -803,17 +832,22 @@ def test_system_kernel_requires_the_joint_setting(setting):
 
 
 def test_system_solve_differentiates_only_table_entries(monkeypatch):
-    # on a warm context every restricted derivative of the system solve is
-    # a table entry: D_mu of an ansatz monomial or of one of its first
-    # derivatives, never of a product of a coordinate and the monomial
+    # on a warm context every Leibniz pass of the system solve, in assembly
+    # or in derive, is a table entry: D_mu of an ansatz monomial or of one of
+    # its first derivatives, never of a product of a coordinate and the
+    # monomial
     ctx = ReductionContext(Setting.CPE, 3)
     ansatz = AnsatzSpec(1, 1, 1)
     reduced_system_kernel(ctx, ansatz)
     seen = []
-    real = reducedcomplex.restricted_derivative
-    monkeypatch.setattr(
-        reducedcomplex, "restricted_derivative", lambda c, mu, g: seen.append(g) or real(c, mu, g)
-    )
+    real = jetalgebra._leibniz
+
+    def core(terms, arg, image):
+        seen.append(jetalgebra._canonical(dict(terms), 1))  # every image here is over 1
+        return real(terms, arg, image)
+
+    monkeypatch.setattr(jetalgebra, "_leibniz", core)
+    monkeypatch.setattr(reducedcomplex, "_leibniz", core)
     reduced_system_kernel(ctx, ansatz)
     allowed = set()
     for mono in _ansatz_monomials(ctx, ansatz):

@@ -160,7 +160,7 @@ def _cmd_current(args) -> int:
 
 def _cmd_reduced_system(args) -> int:
     ctx = ReductionContext(Setting.CPE, args.dim)
-    chi = parse_tuple(_read_input(args.input), "chi_cpe", args.dim).reduce(ctx)
+    chi = parse_tuple(_read_input(args.input), "chi_cpe", args.dim)
     return _emit_residuals(ResidualReport(reduced_system_residuals(ctx, chi)), args)
 
 

@@ -44,17 +44,18 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import log10, log2
+from math import log2
 
 from . import jetalgebra
 from .jetalgebra import (
-    MAX_COEFFICIENT_BITS,
+    MAX_LITERAL_DIGITS,
     Expr,
     ExpressionTooLargeError,
     JetVariable,
     NU_VAR,
     T_VAR,
     _check_degree,
+    _check_literal,
     _from_coefficients,
     xvar,
 )
@@ -74,10 +75,6 @@ class ExprSyntaxError(ValueError):
         self.message = message
         self.span = span
 
-
-# The digits of 2^MAX_COEFFICIENT_BITS, the largest coefficient a power may
-# build: the tokenizer refuses a longer numeric literal before it reads it.
-MAX_LITERAL_DIGITS = int(MAX_COEFFICIENT_BITS * log10(2)) + 1
 
 # A jet label as the printer spells it, u<mu>_[i,...] or p_[i,...]: one
 # token.  Any other spelling, such as one with spaces, takes the token path.
@@ -411,6 +408,7 @@ def print_tuple(value: LabelTuple) -> str:
 def expr_to_records(f: Expr) -> list[dict]:
     records = []
     for pairs, coeff in f.items():
+        _check_literal(coeff)
         records.append(
             {
                 "num": coeff.numerator,

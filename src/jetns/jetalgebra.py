@@ -38,7 +38,9 @@ MAX_DEGREE; a power refuses when its result would pass MAX_DEGREE, or
 its coefficients need more than MAX_COEFFICIENT_BITS bits; and
 Expr(terms) refuses a monomial of degree above MAX_DEGREE.  Each raises
 ExpressionTooLargeError before the work starts instead of running
-without end.
+without end.  Printing, in text or as records, refuses a coefficient
+with more than MAX_LITERAL_DIGITS digits, which the parser would not
+read back.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm, log2
+from math import gcd, lcm, log2, log10
 from threading import Lock
 from typing import Iterable, Mapping
 
@@ -66,6 +68,9 @@ MAX_DEGREE = 10_000
 # largest numerator or its denominator.  A one-term base never trips the
 # term bound, so this is what stops (2^100000*x1)^10000.
 MAX_COEFFICIENT_BITS = 10**6
+# The digits of 2^MAX_COEFFICIENT_BITS, the largest coefficient a power may
+# build: the parser reads no longer numeric literal, and nothing prints one.
+MAX_LITERAL_DIGITS = int(MAX_COEFFICIENT_BITS * log10(2)) + 1
 
 
 class ExpressionTooLargeError(ValueError):
@@ -270,8 +275,8 @@ class Expr:
         return not self._terms
 
     def _unsorted_items(self) -> Iterable[tuple[Monomial, int | Fraction]]:
-        """Packed monomial/coefficient pairs in storage order: kernel assembly reads the
-        coefficients c of its rows through this, never the stored form."""
+        """Packed monomial/coefficient pairs in storage order: reducedcomplex reads its rows'
+        coefficients c and the terms of tuple entries through this, never the stored form."""
         den = self._den
         if den == 1:
             return self._terms.items()
@@ -541,6 +546,16 @@ def _common_denominator(data: dict[Monomial, int], den: int, d: int) -> int:
     return den
 
 
+def _check_literal(q: int | Fraction) -> None:
+    """Refuse a numerator or denominator of more than MAX_LITERAL_DIGITS digits before any
+    decimal conversion; the power of ten is built only past MAX_COEFFICIENT_BITS bits."""
+    for n in (q.numerator, q.denominator):
+        if n.bit_length() > MAX_COEFFICIENT_BITS and abs(n) >= 10**MAX_LITERAL_DIGITS:
+            raise ExpressionTooLargeError(
+                f"a coefficient exceeds the bound of {MAX_LITERAL_DIGITS} digits"
+            )
+
+
 def _coerce(value) -> Expr:
     if isinstance(value, Expr):
         return value
@@ -616,7 +631,8 @@ def _monomial_str(pairs, coeff: int | Fraction) -> str:
     if mag != 1 or not parts:
         try:
             parts.insert(0, str(mag))
-        except ValueError:  # past the interpreter's int-string limit, as only the CLI lifts it
+        except ValueError:  # past the int-string limit, which the CLI sets to the bound
+            _check_literal(mag)
             parts.insert(0, _decimal(mag))
     return "*".join(parts)
 

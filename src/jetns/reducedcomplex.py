@@ -33,18 +33,14 @@ residual names.  _terms holds the three rules, "correction" (this
 table), "derivative" and "system", as data: per (rule, label), terms
 g D_path f or D_b(g D_path f).  _rows expands them through Leibniz into
 rows (target, c, path) once per (context, rule, label), so no product of
-a coordinate and f is differentiated.  Every consumer reads those rows:
-correction, reduced_derivative and reduced_system_residuals sum them
-over a tuple's entries in the one loop of _sum_entries, reading D_path f
-of each entry from totalderiv.derivatives, the one builder of D_path f
-as an Expr.  Kernel assembly applies them to one monomial at one label
-and builds no Expr at all: per ansatz monomial it keeps a table of
-D_path of the monomial, filled by jetalgebra's Leibniz core as int
-numerators over one denominator, and adds c times each numerator into
-the row of (slot, output monomial), a sparse accumulator (Gilbert, Moler
-& Schreiber, SIAM J. Matrix Anal. Appl. 13(1), 1992).  Assembly runs
-monomial-major, so the columns of all labels read one table, and it
-indexes its rows by output slot, then monomial.
+a coordinate and f is differentiated.  _assemble alone applies them, to
+columns that are each one monomial at one label: per monomial it keeps a
+table of D_path of the monomial, int numerators from jetalgebra's Leibniz
+core, and adds c times each numerator into the row of (slot, output
+monomial), a sparse accumulator (Gilbert, Moler & Schreiber, SIAM J.
+Matrix Anal. Appl. 13(1), 1992).  Kernel search gives it a column per
+unknown; the tuple operators reduce the tuple, give it a column per term
+of an entry and weigh each row's columns by their terms' coefficients.
 
 Before assembly, singleton presolve over (label, monomial) pairs pins
 the unknowns every solution sets to zero, reading each label's rows.  A
@@ -73,7 +69,6 @@ from . import linalg
 from .constraints import (
     ReductionContext,
     Setting,
-    reduce,
     restricted_derivative,
     velocity_gradient_entry,
 )
@@ -81,6 +76,8 @@ from .jetalgebra import (
     Expr,
     Monomial,
     T_VAR,
+    _check_degree,
+    _from_coefficients,
     _leibniz,
     _merge_monomials,
     _monomial_key,
@@ -93,7 +90,6 @@ from .jetalgebra import (
     xvar,
 )
 from .multiindex import indices_up_to, unit
-from .totalderiv import derivatives
 from .tuples import SHAPES, ChiTuple, ChiTupleCPE
 from .variational import euler_collect
 
@@ -200,13 +196,6 @@ def _rows(ctx: ReductionContext, rule: str, label: tuple) -> tuple:
     return tuple(rows)
 
 
-def _entries(ctx: ReductionContext, rule: str, label: tuple, f: Expr, df):
-    """The (target, expression) pairs of the entry f at label under rule, df(path) being D_path f."""
-    for target, c, path in _rows(ctx, rule, label):
-        d = reduce(ctx, f) if path is None else df(path)
-        yield target, c * d if type(c) is Expr else d if c == 1 else -d
-
-
 def _shape(ctx: ReductionContext, what: str) -> type[ChiTuple]:
     """The tuple class of the context's setting."""
     shape = SHAPES.get(f"chi_{ctx.setting.value}")
@@ -215,29 +204,37 @@ def _shape(ctx: ReductionContext, what: str) -> type[ChiTuple]:
     return shape
 
 
-def _sum_entries(ctx: ReductionContext, chi: ChiTuple, rule: str, what: str, entries: dict) -> dict:
-    """entries plus every entry's rows under rule, summed by target."""
+def _sum_entries(ctx: ReductionContext, chi: ChiTuple, rule: str, what: str) -> tuple:
+    """chi reduced, and slot -> the sum the rows of rule write there for it.  A term of an
+    entry is one _assemble column keyed by its coefficient, which weighs the column's sum.
+    An output monomial above MAX_DEGREE is refused, as a product of expressions refuses it."""
     shape = _shape(ctx, what)
     if type(chi) is not shape or chi.m != ctx.m:
         raise ValueError(
             f"the {ctx.setting.value} setting at m={ctx.m} takes a {shape.__name__}, "
             f"not a {type(chi).__name__} at m={chi.m}"
         )
+    chi = chi.reduce(ctx)
+    columns: dict = {}  # monomial -> its (label, coefficient) columns
     for label, f in chi.items():
-        df = derivatives(partial(restricted_derivative, ctx), f)
-        for target, expr in _entries(ctx, rule, label, f, df):
-            entries[target] = entries.get(target, Expr.zero()) + expr
-    return entries
+        for mono, coeff in f._unsorted_items():
+            columns.setdefault(mono, []).append((label, coeff))
+    index, _ = _assemble(ctx, rule, [label for label, _ in chi.items()], columns.items())
+    _check_degree(max((len(mono) for rows in index.values() for mono in rows), default=0))
+    return chi, {
+        slot: _from_coefficients({mono: sum(w * v for w, v in row.items()) for mono, row in rows.items()})
+        for slot, rows in index.items()
+    }
 
 
 def correction(ctx: ReductionContext, chi: ChiTuple) -> ChiTuple:
-    """The linear correction of the transported derivative: every entry's rows, summed."""
-    return type(chi)(chi.m, _sum_entries(ctx, chi, "correction", "correction", {}))
+    """The linear correction of the transported derivative, of chi in any coordinates."""
+    return type(chi)(chi.m, _sum_entries(ctx, chi, "correction", "correction")[1])
 
 
 def reduced_derivative(ctx: ReductionContext, chi: ChiTuple) -> ChiTuple:
-    """Componentwise restricted first derivative plus the correction."""
-    return type(chi)(chi.m, _sum_entries(ctx, chi, "derivative", "reduced derivative", {}))
+    """Componentwise restricted first derivative plus the correction, of chi in any coordinates."""
+    return type(chi)(chi.m, _sum_entries(ctx, chi, "derivative", "reduced derivative")[1])
 
 
 # -- the equivalent first-order system (joint setting) ---------------------
@@ -252,16 +249,17 @@ def reduced_system_residuals(
     transported derivative in the joint setting: the velocity block is
     slaved to the pressure entries, the top pressure entry is harmonic
     with a compatibility condition, and chi01 solves a gradient system.
+    chi may hold any coordinates: like correction, it is reduced first.
     """
     if ctx.setting is not Setting.CPE:
         raise ValueError("the reduced system lives in the cpe setting")
+    chi, entries = _sum_entries(ctx, chi, "system", "reduced system")
     alpha_range = range(2, ctx.m + 1)
     names = [f"velocity_slaved[{a}]" for a in alpha_range]
     names += [f"higher_velocity_vanish[{i1},{a}]" for i1, a in chi.chi_alpha if i1 >= 1]
     names += ["pressure_slaved", "harmonic"] + [f"compatibility[{a}]" for a in alpha_range]
     names += ["gradient_first"] + [f"gradient[{a}]" for a in alpha_range]
-    entries = dict.fromkeys(names, Expr.zero())
-    return list(_sum_entries(ctx, chi, "system", "reduced system", entries).items())
+    return [(name, entries.get(name, Expr.zero())) for name in names]
 
 
 # -- the variational derivative of the auxiliary complex -------------------
@@ -374,11 +372,11 @@ def _forced_zero_unknowns(ctx: ReductionContext, ansatz: AnsatzSpec, rule: str) 
 
 
 class _MonomialDerivatives(dict):
-    """Sorted path -> D_path of one ansatz monomial as (numerators, denominator).
+    """Sorted path -> D_path of one canonical monomial as (numerators, denominator).
 
     The numerators are _leibniz's with cancelled terms dropped, so each is
     a nonzero int.  () and None both map to the monomial itself, since
-    reduce is the identity on ansatz monomials.  A miss applies _leibniz
+    reduce is the identity on canonical monomials.  A miss applies _leibniz
     along path[0] to the entry of the tail path[1:], found the same way,
     and keeps the result.
     """
@@ -409,45 +407,20 @@ def _times(c: Expr, terms: dict[Monomial, int]) -> dict:
     return {mono: v for mono, v in data.items() if v} if 0 in data.values() else data
 
 
-def _solve_homogeneous(
-    ctx: ReductionContext, ansatz: AnsatzSpec, rule: str, max_unknowns: int
-) -> list:
-    """Nullspace basis of a chi-linear constraint map within the ansatz.
-
-    The rows of rule send the one-entry tuple f at label to (slot,
-    expression) pairs, and every one must vanish identically.  Each (slot,
-    monomial) of the outputs is one linear constraint on the unknown
-    coefficients, and each unknown fills its column of the rows.  Assembly
-    runs monomial by monomial, so each monomial's derivatives are computed
-    once for all labels, by the Leibniz core into _MonomialDerivatives,
-    and each row adds c times their coefficients into the rows with no
-    Expr built.  The unknowns _forced_zero_unknowns pins get no column:
-    the others are numbered label-major, and each vector is mapped back.
-    """
-    shape = _shape(ctx, "kernel search")
-    labels, monomials = _ansatz_axes(ctx, ansatz)
-    count = len(labels) * len(monomials)
-    if count > max_unknowns:
-        raise AnsatzTooLargeError(count, max_unknowns)
-    kept = [  # the unpinned unknowns as (label, monomial position), column by column
-        (label, pos)
-        for label, zero in zip(labels, _forced_zero_unknowns(ctx, ansatz, rule))
-        for pos in range(len(monomials)) if pos not in zero
-    ]
+def _assemble(ctx: ReductionContext, rule: str, labels, columns) -> tuple[dict, list]:
+    """The rows of rule applied to columns, (monomial, [(label, column key), ...]) pairs over
+    labels: slot -> output monomial -> {column key: coefficient}, and those rows in first-seen
+    order.  One _MonomialDerivatives table per monomial serves all of its columns."""
     index: dict = {}  # slot -> output monomial -> its row
     rows_of = {  # label -> its rows, each as (the index of its slot, c, path)
         label: [(index.setdefault(slot, {}), c, path) for slot, c, path in _rows(ctx, rule, label)]
         for label in labels
     }
-    columns: list = [[] for _ in monomials]  # monomial position -> its (label's rows, column) pairs
-    for col, (label, pos) in enumerate(kept):
-        columns[pos].append((rows_of[label], col))
-
     rows: list[dict[int, int | Fraction]] = []  # in first-seen order
-    for mono, mono_columns in zip(monomials, columns):
+    for mono, mono_columns in columns:
         derived = _MonomialDerivatives(ctx, mono)
-        for label_rows, col in mono_columns:
-            for by_mono, c, path in label_rows:
+        for label, col in mono_columns:
+            for by_mono, c, path in rows_of[label]:
                 numerators, den = derived[path]
                 if type(c) is not int:
                     numerators, c = _times(c, numerators), 1
@@ -459,6 +432,32 @@ def _solve_homogeneous(
                         rows.append(row)
                     else:
                         row[col] = row.get(col, 0) + coeff
+    return index, rows
+
+
+def _solve_homogeneous(
+    ctx: ReductionContext, ansatz: AnsatzSpec, rule: str, max_unknowns: int
+) -> list:
+    """Nullspace basis of a chi-linear constraint map within the ansatz.
+
+    Each (slot, monomial) of the rows of rule is one linear constraint.
+    Each unknown that _forced_zero_unknowns leaves is one _assemble
+    column; they are numbered label-major, and each vector is mapped back.
+    """
+    shape = _shape(ctx, "kernel search")
+    labels, monomials = _ansatz_axes(ctx, ansatz)
+    count = len(labels) * len(monomials)
+    if count > max_unknowns:
+        raise AnsatzTooLargeError(count, max_unknowns)
+    kept = [  # the unpinned unknowns as (label, monomial position), column by column
+        (label, pos)
+        for label, zero in zip(labels, _forced_zero_unknowns(ctx, ansatz, rule))
+        for pos in range(len(monomials)) if pos not in zero
+    ]
+    columns: list = [[] for _ in monomials]  # monomial position -> its (label, column) pairs
+    for col, (label, pos) in enumerate(kept):
+        columns[pos].append((label, col))
+    _, rows = _assemble(ctx, rule, labels, zip(monomials, columns))
 
     # the basis does not depend on the order of the rows (see linalg.nullspace)
     basis = []

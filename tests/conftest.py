@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from jetns.constraints import ReductionContext, Setting, restricted_derivative
+from jetns import reducedcomplex
+from jetns.constraints import ReductionContext, Setting, reduce, restricted_derivative
 from jetns.evolutionary import Characteristic
 from jetns.jetalgebra import Expr, NU_VAR, T_VAR, pvar, uvar, xvar
 from jetns.multiindex import indices_up_to
@@ -68,6 +69,24 @@ def path_derivatives(ctx: ReductionContext, f: Expr):
             g = restricted_derivative(ctx, mu, g)
         return g
     return df
+
+
+def entry_rows(ctx: ReductionContext, rule: str, label: tuple, f: Expr):
+    """(target, c * D_path f) for each row (target, c, path) of the entry f at label under
+    rule: the rows applied one Expr product at a time, path None being reduce(f), with D_path
+    f from restricted_derivative alone.  The reference for what reducedcomplex assembles."""
+    df = path_derivatives(ctx, f)
+    for target, c, path in reducedcomplex._rows(ctx, rule, label):
+        yield target, c * (reduce(ctx, f) if path is None else df(path))
+
+
+def summed_rows(ctx: ReductionContext, rule: str, chi) -> dict:
+    """target -> the sum of entry_rows over the entries of chi, each entry reduced first."""
+    out: dict = {}
+    for label, f in chi.items():
+        for target, expr in entry_rows(ctx, rule, label, reduce(ctx, f)):
+            out[target] = out.get(target, Expr.zero()) + expr
+    return out
 
 
 def random_characteristic(

@@ -458,6 +458,14 @@ def test_a_product_above_the_degree_bound_exits_two():
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", expected)
 
 
+def test_a_reduced_system_residual_above_the_degree_bound_exits_two():
+    # the system row velocity_slaved[2] multiplies chi1 by -2*u1_[0,1], so a
+    # chi1 entry of degree 10000 would give a residual the parser refuses
+    proc = run_cli("reduced-system", "--dim", "2", stdin="chi1: x1^9999*x2", timeout=20)
+    expected = "error: a monomial of degree 10001 exceeds the degree bound 10000\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", expected)
+
+
 def _decimal(n: int) -> str:
     """str(n), whatever this interpreter's limit on int-string conversion."""
     if not hasattr(sys, "set_int_max_str_digits"):
@@ -534,6 +542,23 @@ def test_an_oversized_product_of_atoms_exits_two_quickly(text, message):
     proc = run_cli("reduce", "-", stdin=text, timeout=20)
     elapsed = time.monotonic() - start
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+@pytest.mark.parametrize(
+    "text", ["(2^999999)*(2^999999)", "(2^600000+x1)*(2^600000+x1)"], ids=["power", "sum"]
+)
+def test_a_coefficient_past_the_digit_bound_is_not_printed(text, fmt):
+    # a product of expressions may build a coefficient of more digits than
+    # the parser reads back: as text the first printed 602,061 characters
+    # after 5.6 s, and as records it exited 2 with CPython's conversion-limit
+    # text; both now refuse before any decimal conversion
+    start = time.monotonic()
+    proc = run_cli("reduce", "--dim", "2", "--format", fmt, stdin=text, timeout=20)
+    elapsed = time.monotonic() - start
+    message = "error: a coefficient exceeds the bound of 301030 digits\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
     assert elapsed < 1.0
 
 

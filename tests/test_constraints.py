@@ -20,10 +20,10 @@ from jetns.constraints import (
 )
 from jetns.jetalgebra import NU_VAR, T_VAR, Expr, _factors, p, pvar, u, uvar, x, xvar
 from jetns.multiindex import MultiIndex, indices_up_to, zero
-from jetns.reducedcomplex import AnsatzSpec, _entries, _unknowns
+from jetns.reducedcomplex import AnsatzSpec, _unknowns
 from jetns.totalderiv import laplacian_primed, total_derivative, total_derivative_multi
 
-from conftest import path_derivatives, random_expr, variable_pool
+from conftest import entry_rows, random_expr, variable_pool
 
 
 def test_u1_elimination_rule():
@@ -363,9 +363,7 @@ def _kernel_columns(ctx: ReductionContext):
     """(label, monomial pairs, target, expression) for every output of every unknown's column."""
     for label, mono in _unknowns(ctx, _COLUMN_ANSATZ):
         pairs = _factors(mono)
-        f = Expr({pairs: 1})
-        df = path_derivatives(ctx, f)
-        for target, expr in _entries(ctx, "derivative", label, f, df):
+        for target, expr in entry_rows(ctx, "derivative", label, Expr({pairs: 1})):
             yield label, pairs, target, expr
 
 

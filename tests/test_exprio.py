@@ -224,6 +224,15 @@ def test_the_literal_bound_is_the_digits_of_the_coefficient_bound(monkeypatch):
         assert str(err.value) == f"{bound} at {start}..{start + 4}"
 
 
+def test_a_coefficient_the_parser_would_refuse_is_not_printed():
+    # 10^301030 has one digit more than the parser reads; neither the text
+    # nor the records form converts it, as numerator or as denominator
+    for coeff in (10**exprio.MAX_LITERAL_DIGITS, Fraction(-3, 10**exprio.MAX_LITERAL_DIGITS)):
+        for render in (str, expr_to_records):
+            with pytest.raises(jetalgebra.ExpressionTooLargeError, match="bound of 301030 digits"):
+                render(coeff * x(1) + 1)
+
+
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-string limit")
 def test_the_library_parser_reads_literals_past_the_int_string_limit():
     # int() of more than 4300 digits raised a plain ValueError with no span

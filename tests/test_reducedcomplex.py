@@ -7,7 +7,7 @@ from math import gcd, lcm
 
 import pytest
 
-from jetns import jetalgebra, linalg, reducedcomplex
+from jetns import jetalgebra, linalg, reducedcomplex, totalderiv
 from jetns.constraints import (
     ReductionContext,
     Setting,
@@ -16,7 +16,9 @@ from jetns.constraints import (
     restricted_laplacian,
     velocity_gradient_entry,
 )
-from jetns.jetalgebra import T_VAR, Expr, _factors, _monomial_key, expr_sum, p, u, x, pvar, uvar, xvar
+from jetns.jetalgebra import (
+    T_VAR, Expr, ExpressionTooLargeError, _factors, _monomial_key, expr_sum, p, u, x, pvar, uvar, xvar,
+)
 from jetns.multiindex import indices_up_to, unit
 from jetns.reducedcomplex import (
     AnsatzSpec,
@@ -29,7 +31,6 @@ from jetns.reducedcomplex import (
     reduced_system_residuals,
     reduced_variational_derivative,
     _ansatz_monomials,
-    _entries,
     _forced_zero_unknowns,
     _unknowns,
     _writes,
@@ -37,7 +38,7 @@ from jetns.reducedcomplex import (
 from jetns.tuples import ChiTupleCE, ChiTupleCPE, Cotuple
 from jetns.variational import helmholtz_residual
 
-from conftest import path_derivatives, random_expr, variable_pool
+from conftest import entry_rows, random_expr, summed_rows, variable_pool
 
 
 def density_pool(ctx, max_ord=1):
@@ -353,9 +354,36 @@ def _system_literal(ctx, chi):
     return [(name, reduce(ctx, expr)) for name, expr in out]
 
 
+def _derivative_literal(ctx, chi):
+    """The transported derivative written from the module docstring's table: D_1 of each
+    reduced entry at its own label plus the entry's contributions, chi1's from
+    _chi1_docstring_rule, each product differentiated as written."""
+    m = ctx.m
+    out: dict = {}
+
+    def add(target, g):
+        out[target] = out.get(target, Expr.zero()) + g
+
+    for label, f in chi.items():
+        f = reduce(ctx, f)
+        add(label, restricted_derivative(ctx, 1, f))
+        kind = label[0]
+        if kind == "chi01":
+            for a in range(2, m + 1):
+                add(("chi_alpha", 0, a), restricted_derivative(ctx, a, f))
+        elif kind in ("chi_alpha", "chi_p"):
+            add((kind, label[1] + 1, *label[2:]), f)
+        elif kind == "chi0":
+            add(("chi1",), f)
+        else:
+            for target, g in _chi1_docstring_rule(ctx, f).items():
+                add(target, g)
+    return type(chi)(m, out)
+
+
 def test_reduced_system_entry_behaviour(cpe_ctx):
-    # chi0 and chi_alpha enter undifferentiated and are reduced; chi01 and
-    # chi1 are differentiated, which needs canonical coordinates
+    # every tuple operator reduces its tuple first, so an entry in any
+    # coordinates, differentiated or not, gives what its reduced form gives
     non_canonical = p((2, 0, 0))
     residuals = dict(reduced_system_residuals(cpe_ctx, ChiTupleCPE(3, {("chi0",): non_canonical})))
     assert residuals["pressure_slaved"] == reduce(cpe_ctx, non_canonical)
@@ -364,9 +392,39 @@ def test_reduced_system_entry_behaviour(cpe_ctx):
     assert dict(reduced_system_residuals(cpe_ctx, chi))["higher_velocity_vanish[1,2]"] == reduce(
         cpe_ctx, u(1, (1, 0, 0))
     )
-    for label in (("chi1",), ("chi01",)):
-        with pytest.raises(ValueError, match="not a canonical coordinate"):
-            reduced_system_residuals(cpe_ctx, ChiTupleCPE(3, {label: non_canonical}))
+    for label in (("chi1",), ("chi01",), ("chi0",), ("chi_alpha", 1, 2)):
+        chi = ChiTupleCPE(3, {label: non_canonical * x(2) + u(1, (1, 0, 0))})
+        reduced = chi.reduce(cpe_ctx)
+        assert reduced != chi
+        for operator in (correction, reduced_derivative, reduced_system_residuals):
+            assert operator(cpe_ctx, chi) == operator(cpe_ctx, reduced)
+    # an entry that reduces to zero is no entry, so its residual name goes too
+    divergence = u(1, (1, 0, 0)) + u(2, (0, 1, 0)) + u(3, (0, 0, 1))
+    chi = ChiTupleCPE(3, {("chi_alpha", 1, 2): divergence, ("chi0",): x(1)})
+    assert chi.reduce(cpe_ctx) == ChiTupleCPE(3, {("chi0",): x(1)})
+    residuals = reduced_system_residuals(cpe_ctx, chi)
+    assert residuals == reduced_system_residuals(cpe_ctx, chi.reduce(cpe_ctx))
+    assert "higher_velocity_vanish[1,2]" not in dict(residuals)
+    # a jet of another dimension is still refused, by the reduction
+    for operator in (correction, reduced_derivative, reduced_system_residuals):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            operator(cpe_ctx, ChiTupleCPE(3, {("chi1",): u(1, (1, 0))}))
+
+
+def test_tuple_operators_refuse_an_output_above_the_degree_bound():
+    # a row's coefficient or the reduction's image raises the degree of an
+    # entry; an output monomial past MAX_DEGREE is refused, as a product of
+    # expressions refuses it, so every printed output parses back
+    ctx = ReductionContext(Setting.CPE, 2)
+    top = x(1) ** (jetalgebra.MAX_DEGREE - 1)
+    for operator in (correction, reduced_derivative, reduced_system_residuals):
+        with pytest.raises(ExpressionTooLargeError, match="degree 10001 exceeds the degree bound"):
+            operator(ctx, ChiTupleCPE(2, {("chi1",): top * x(2)}))
+    # D_1 p_[1,0] reduces to quadratic velocity terms
+    with pytest.raises(ExpressionTooLargeError, match="degree 10001 exceeds the degree bound"):
+        reduced_derivative(ctx, ChiTupleCPE(2, {("chi0",): top * p((1, 0))}))
+    below = dict(reduced_system_residuals(ctx, ChiTupleCPE(2, {("chi1",): top})))
+    assert below["velocity_slaved[2]"] == -2 * top * u(1, (0, 1))
 
 
 def test_reduced_system_rejects_the_continuity_shape(cpe_ctx):
@@ -453,15 +511,15 @@ def test_kernel_dimension_two():
 )
 def test_kernel_columns_are_the_transported_derivative(setting, m, ansatz):
     # kernel assembly reads each unknown's column from the "derivative" rows;
-    # summed, it must be D_1 of the entry plus the correction, and it must
-    # be what reduced_derivative gives for the one-entry tuple
+    # applied one Expr product at a time and summed, they must be D_1 of the
+    # entry plus the correction, and what reduced_derivative gives for the
+    # one-entry tuple
     ctx = ReductionContext(setting, m)
     shape = ChiTupleCE if setting is Setting.CE else ChiTupleCPE
     for label, mono in _unknowns(ctx, ansatz):
         f = Expr({_factors(mono): 1})
-        df = path_derivatives(ctx, f)
         column: dict = {}
-        for target, expr in _entries(ctx, "derivative", label, f, df):
+        for target, expr in entry_rows(ctx, "derivative", label, f):
             column[target] = column.get(target, Expr.zero()) + expr
         column = {k: v for k, v in column.items() if not v.is_zero()}
         chi = shape(m, {label: f})
@@ -478,9 +536,8 @@ def test_system_columns_are_the_literal_system(m, ansatz):
     ctx = ReductionContext(Setting.CPE, m)
     for label, mono in _unknowns(ctx, ansatz):
         f = Expr({_factors(mono): 1})
-        df = path_derivatives(ctx, f)
         column: dict = {}
-        for name, expr in _entries(ctx, "system", label, f, df):
+        for name, expr in entry_rows(ctx, "system", label, f):
             column[name] = column.get(name, Expr.zero()) + expr
         literal = dict(_system_literal(ctx, ChiTupleCPE(m, {label: f})))
         assert column.keys() <= literal.keys()
@@ -571,12 +628,12 @@ _ROW_CASES = [
 
 @pytest.mark.parametrize("setting, m, ansatz", _ROW_CASES)
 def test_kernel_rows_are_the_literal_matrix(setting, m, ansatz, monkeypatch):
-    # the oracle is read off reduced_derivative of every one-entry tuple
+    # the oracle is read off the docstring's table for every one-entry tuple
     ctx = ReductionContext(setting, m)
     shape = ChiTupleCE if setting is Setting.CE else ChiTupleCPE
     pinned = _assert_rows_are_the_pinned_literal_matrix(
         ctx, ansatz, kernel_search, "derivative",
-        lambda label, f: reduced_derivative(ctx, shape(m, {label: f})).items(), monkeypatch,
+        lambda label, f: _derivative_literal(ctx, shape(m, {label: f})).items(), monkeypatch,
     )
     _assert_pins_include_the_known_singletons(ctx, ansatz, pinned)
     if setting is Setting.CPE and ansatz.max_order:
@@ -655,7 +712,8 @@ def test_a_derivative_term_in_a_shift_row_shrinks_the_pins(monkeypatch):
         assert reduced_derivative(ctx, ChiTupleCE(3, {source: x(2)}))[target] == x(2) + 1
         after = _assert_rows_are_the_pinned_literal_matrix(
             ctx, ansatz, kernel_search, "derivative",
-            lambda label, f: reduced_derivative(ctx, ChiTupleCE(3, {label: f})).items(), monkeypatch,
+            lambda label, f: summed_rows(ctx, "derivative", ChiTupleCE(3, {label: f})).items(),
+            monkeypatch,
         )
     finally:
         monkeypatch.undo()
@@ -726,17 +784,29 @@ def test_kernel_search_evaluates_no_pinned_unknown(m, ansatz, pins, monkeypatch)
 def test_warm_kernel_search_builds_no_expression(monkeypatch):
     # assembly adds each monomial's derivatives, as the Leibniz core's
     # numerators, straight into its rows: once the rows and pins are cached,
-    # no derivative, product or negation is made into an Expr
-    built = []
+    # no derivative, product or negation is made into an Expr.  The tuple
+    # operators share that assembly, so on a reduced tuple they build one
+    # Expr per output slot, the slot's sum, and multiply no expressions.
+    built, products = [], []
     for setting, m, ansatz, _ in _BENCH:
         ctx = ReductionContext(setting, m)
         expected = kernel_search(ctx, ansatz)
-        real_canonical, real_neg = jetalgebra._canonical, Expr.__neg__
+        operators = [reduced_derivative] + [reduced_system_residuals] * (setting is Setting.CPE)
+        checked = [(op, chi, op(ctx, chi)) for op in operators for chi in expected]
+        real_canonical, real_neg, real_mul = jetalgebra._canonical, Expr.__neg__, Expr.__mul__
         monkeypatch.setattr(jetalgebra, "_canonical", lambda d, den: built.append(d) or real_canonical(d, den))
         monkeypatch.setattr(Expr, "__neg__", lambda e: built.append(e) or real_neg(e))
         assert kernel_search(ctx, ansatz) == expected
+        assert built == []
+        monkeypatch.setattr(Expr, "__mul__", lambda a, b: products.append(a) or real_mul(a, b))
+        for op, chi, out in checked:
+            assert op(ctx, chi) == out
+            rule = "derivative" if op is reduced_derivative else "system"
+            slots = {target for label, _ in chi.items() for target, _, _ in reducedcomplex._rows(ctx, rule, label)}
+            assert 0 < len(built) <= len(slots)
+            built.clear()
         monkeypatch.undo()
-    assert built == []
+    assert products == []
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -790,14 +860,81 @@ def test_chi1_correction_is_the_docstring_rule(m):
         f = random_expr(rng, pool, n_terms=4)
         expected = _chi1_docstring_rule(ctx, f)
         entries: dict = {}
-        df = path_derivatives(ctx, f)
-        for target, expr in _entries(ctx, "correction", ("chi1",), f, df):
+        for target, expr in entry_rows(ctx, "correction", ("chi1",), f):
             entries[target] = entries.get(target, Expr.zero()) + expr
         assert {k: v for k, v in entries.items() if not v.is_zero()} == expected
         assert dict(correction(ctx, ChiTupleCPE(m, {("chi1",): f})).items()) == expected
         expected[("chi1",)] = restricted_derivative(ctx, 1, f)
         assert not expected[("chi1",)].is_zero()
         assert dict(reduced_derivative(ctx, ChiTupleCPE(m, {("chi1",): f})).items()) == expected
+
+
+def _random_tuple(rng, ctx, shape, pool):
+    """A tuple of 1 to 4 entries with fractional coefficients, in any coordinates."""
+    labels = shape.labels(ctx.m, 2)
+    chosen = rng.sample(labels, rng.randint(1, min(4, len(labels))))
+    return shape(ctx.m, {label: random_expr(rng, pool, n_terms=3) for label in chosen})
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_tuple_operators_are_the_applied_rows(m):
+    # the three operators against the rows applied one Expr product at a
+    # time: multi-term entries, fractional coefficients and jets the context
+    # eliminates, a term shared by three entries, and a tuple whose terms'
+    # rows cancel in two slots
+    rng = random.Random(270 + m)
+    cases = []
+    for setting, shape in ((Setting.CE, ChiTupleCE), (Setting.CPE, ChiTupleCPE)):
+        ctx = ReductionContext(setting, m)
+        pool = variable_pool(m, max_u_order=2, max_p_order=2, allow_t=True)  # free coordinates
+        cases += [(ctx, _random_tuple(rng, ctx, shape, pool)) for _ in range(10)]
+    assert sum(chi != chi.reduce(ctx) for ctx, chi in cases) >= 10
+    ctx = ReductionContext(Setting.CPE, m)
+    shared = Fraction(-2, 3) * x(2) * u(2, unit(2, m))
+    cases.append((ctx, ChiTupleCPE(m, {("chi01",): shared, ("chi0",): shared, ("chi1",): shared})))
+    # chi0 = -D_1 chi1 cancels the chi1 slot and pressure_slaved
+    chi1 = Fraction(3, 2) * x(1) * x(2) + p((1,) + (0,) * (m - 1))
+    cancelling = ChiTupleCPE(m, {("chi1",): chi1, ("chi0",): -restricted_derivative(ctx, 1, chi1)})
+    cases.append((ctx, cancelling))
+    for ctx, chi in cases:
+        for rule, operator in (("correction", correction), ("derivative", reduced_derivative)):
+            assert operator(ctx, chi) == type(chi)(m, summed_rows(ctx, rule, chi))
+        if ctx.setting is Setting.CPE:
+            residuals = dict(reduced_system_residuals(ctx, chi))
+            expected = summed_rows(ctx, "system", chi)
+            assert residuals.keys() >= expected.keys()
+            assert residuals == {name: expected.get(name, Expr.zero()) for name in residuals}
+    assert ("chi1",) not in dict(reduced_derivative(ctx, cancelling).items())
+    assert ("chi1",) in dict(correction(ctx, cancelling).items())
+    assert dict(reduced_system_residuals(ctx, cancelling))["pressure_slaved"] == Expr.zero()
+
+
+_ENTRY_POINTS = [
+    (kernel_search, Setting.CE, AnsatzSpec(1, 1, 1)),
+    (kernel_search, Setting.CPE, AnsatzSpec(1, 1, 1)),
+    (reduced_system_kernel, Setting.CPE, AnsatzSpec(1, 1, 1)),
+    (correction, Setting.CE, ChiTupleCE(3, {("chi01",): x(2) * u(2, (0, 1, 0)), ("chi_p", 0): x(1)})),
+    (correction, Setting.CPE, ChiTupleCPE(3, {("chi1",): u(2, (1, 0, 0)), ("chi0",): x(1)})),
+    (reduced_derivative, Setting.CE, ChiTupleCE(3, {("chi_alpha", 0, 2): x(1) ** 2})),
+    (reduced_derivative, Setting.CPE, ChiTupleCPE(3, {("chi1",): p((2, 1, 0)) * x(3)})),
+    (reduced_system_residuals, Setting.CPE, ChiTupleCPE(3, {("chi01",): x(2), ("chi1",): x(1)})),
+]
+
+
+@pytest.mark.parametrize(
+    "entry, setting, argument", _ENTRY_POINTS, ids=[f"{e.__name__}-{s.value}" for e, s, _ in _ENTRY_POINTS]
+)
+def test_every_entry_point_applies_the_rows_once_through_assemble(entry, setting, argument, monkeypatch):
+    # one applier of the rows: each entry point calls _assemble once, and no
+    # table of D_path f is built as an Expr
+    calls = []
+    real = reducedcomplex._assemble
+    monkeypatch.setattr(reducedcomplex, "_assemble", lambda *a: calls.append(a[1]) or real(*a))
+    refuse = lambda *a: pytest.fail("derivatives built D_path f")
+    monkeypatch.setattr(totalderiv, "derivatives", refuse)
+    monkeypatch.setattr(reducedcomplex, "derivatives", refuse, raising=False)
+    entry(ReductionContext(setting, 3), argument)
+    assert len(calls) == 1
 
 
 def test_kernel_cap_enforced(cpe_ctx):

@@ -59,7 +59,8 @@ def _context(args) -> ReductionContext:
 
 
 def _emit_residuals(report: ResidualReport, args) -> int:
-    """Print named residuals and return the exit code."""
+    """Print named residuals, all rendered before any prints, and return the exit code."""
+    lines = []
     for name, expr in report.entries:
         checked = name not in report.informational
         if args.format == "structured":
@@ -69,10 +70,12 @@ def _emit_residuals(report: ResidualReport, args) -> int:
                 "checked": checked,
                 "residual": expr_to_records(expr),
             }
-            print(json.dumps(record, sort_keys=True))
+            lines.append(json.dumps(record, sort_keys=True))
         else:
             tag = "" if checked else " (informational)"
-            print(f"{name}: {expr}{tag}")
+            lines.append(f"{name}: {expr}{tag}")
+    for line in lines:
+        print(line)
     return EXIT_OK if report.passed else EXIT_RESIDUAL
 
 

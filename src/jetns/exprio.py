@@ -27,12 +27,12 @@ the token path, which every other spelling (spaces, a sign, no ']', a
 literal past the bound) takes.  A term of numbers and variables, with
 their powers, is one coefficient and one list of variable ranks, added
 into the expression's one map of packed monomials; the Expr is built once
-at the end.  Such a term is refused past MAX_DEGREE, and a product of its
-numbers past MAX_COEFFICIENT_BITS.  Expr arithmetic runs only from a
-term's first parenthesized factor on, and for a power past a bound, which
-Expr.__pow__ refuses with its own text.  Numeric literals are read, and
-numbers printed, below the interpreter's int-string limit, which is left
-as it is (multiindex._int and _decimal).
+at the end.  Expr arithmetic runs only from a term's first parenthesized
+factor on.  A whole term is bounded, whatever its factors: by MAX_DEGREE
+before it multiplies and by MAX_COEFFICIENT_BITS after, and a power as
+Expr.__pow__ bounds it.  Numeric literals are read, and numbers printed,
+below the interpreter's int-string limit, which is left as it is
+(multiindex._int and _decimal).
 
 The structured serialization mirrors the canonical monomial map: a list
 of records with integer numerator and denominator and a factor list of
@@ -55,8 +55,9 @@ from .jetalgebra import (
     NU_VAR,
     T_VAR,
     _check_degree,
-    _check_literal,
+    _check_power,
     _from_coefficients,
+    _size,
     xvar,
 )
 from .multiindex import _SHORT_DIGITS, MultiIndex, _decimal, _int
@@ -139,7 +140,7 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 def _check_coefficient(c: int | Fraction) -> None:
-    """Refuse a product of numbers needing more than MAX_COEFFICIENT_BITS bits."""
+    """Refuse a term's number, or its largest numerator or denominator, past MAX_COEFFICIENT_BITS bits."""
     bound = jetalgebra.MAX_COEFFICIENT_BITS
     top = max(abs(c.numerator), c.denominator)
     if top.bit_length() > bound and log2(top) > bound:
@@ -194,7 +195,7 @@ class _Parser:
         Numbers and variables, with their powers, multiply into one
         coefficient and one list of variable ranks.  From its first
         parenthesized factor on, the term is a product of Exprs, left to
-        right, each bounded by Expr.__mul__.
+        right, each bounded in degree before and in coefficient bits after.
         """
         ranks: list[int] = []
         product = None  # the term as an Expr, once a factor is one
@@ -205,7 +206,11 @@ class _Parser:
                     product = _from_coefficients({tuple(sorted(ranks)): coeff})
                 if type(factor) is list:
                     factor = _from_coefficients({tuple(factor): 1})
+                elif type(factor) is not Expr:
+                    factor = Expr.const(factor)
+                _check_degree(_size(product)[0] + _size(factor)[0])
                 product = product * factor
+                _check_coefficient(_size(product)[1])
             elif type(factor) is list:
                 ranks += factor
                 _check_degree(len(ranks))
@@ -227,24 +232,20 @@ class _Parser:
     def parse_factor(self) -> int | Fraction | list[int] | Expr:
         """A number, a variable's rank repeated by its exponent, or an Expr.
 
-        A power past the degree or coefficient-bit bound is left to
-        Expr.__pow__, which refuses it with its own text.
+        A power is refused past the degree or coefficient-bit bound by
+        the check Expr.__pow__ makes.
         """
         base = self.parse_base()
         if self.tokens[self.pos][0] != "^":
             return [base._rank] if type(base) is JetVariable else base
         self.pos += 1
         n = self.expect("num")[4]
-        if type(base) is JetVariable:
-            if n <= jetalgebra.MAX_DEGREE:
-                return [base._rank] * n
-            return Expr.var(base) ** n
         if type(base) is Expr:
             return base ** n
-        top = max(abs(base.numerator), base.denominator)
-        bound = jetalgebra.MAX_COEFFICIENT_BITS
-        if top > 1 and (n > bound or n * log2(top) > bound):
-            return Expr.const(base) ** n
+        if type(base) is JetVariable:
+            _check_power(n, 1, 1)
+            return [base._rank] * n
+        _check_power(n, 0, max(abs(base.numerator), base.denominator))
         return base ** n
 
     def parse_base(self) -> int | Fraction | JetVariable | Expr:
@@ -406,17 +407,14 @@ def print_tuple(value: LabelTuple) -> str:
 
 
 def expr_to_records(f: Expr) -> list[dict]:
-    records = []
-    for pairs, coeff in f.items():
-        _check_literal(coeff)
-        records.append(
-            {
-                "num": coeff.numerator,
-                "den": coeff.denominator,
-                "factors": [[v.label(), e] for v, e in pairs],
-            }
-        )
-    return records
+    return [
+        {
+            "num": coeff.numerator,
+            "den": coeff.denominator,
+            "factors": [[v.label(), e] for v, e in pairs],
+        }
+        for pairs, coeff in f.items()
+    ]
 
 
 def variable_from_label(label: str, m: int) -> JetVariable:

@@ -31,16 +31,16 @@ are mostly 1.  items(), coefficient() and constant_value give an int
 when a value is integral, else a Fraction, so printed text and num/den
 records do not depend on the stored form.
 
-A product refuses to start when the product of its factors' term counts,
-a bound on the size of its result, exceeds MAX_PRODUCT_TERMS, or when
-the sum of its factors' degrees, its own degree over Q, passes
-MAX_DEGREE; a power refuses when its result would pass MAX_DEGREE, or
-its coefficients need more than MAX_COEFFICIENT_BITS bits; and
-Expr(terms) refuses a monomial of degree above MAX_DEGREE.  Each raises
-ExpressionTooLargeError before the work starts instead of running
-without end.  Printing, in text or as records, refuses a coefficient
-with more than MAX_LITERAL_DIGITS digits, which the parser would not
-read back.
+Whatever prints parses back, so sizes are bounded where text crosses.  On
+the way in, the parser bounds each term by MAX_DEGREE and
+MAX_COEFFICIENT_BITS, and Expr(terms) refuses a degree past MAX_DEGREE.
+On the way out, items(), the one reader behind str, print_tuple and
+records, refuses a degree past MAX_DEGREE or a numerator or denominator
+past MAX_LITERAL_DIGITS digits: a result past them, say a substitution of
+degree 10001, is built and copied but never printed.  Inside, only an
+operation that would amplify its input is refused, before it starts: a
+product past MAX_PRODUCT_TERMS term pairs, and a power past MAX_DEGREE or
+MAX_COEFFICIENT_BITS.  Each raises ExpressionTooLargeError.
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ _INTERNING = Lock()  # a miss is looked up again, ranked and stored in one step
 
 # Term pairs a single product may multiply out, len(f) * len(g).
 MAX_PRODUCT_TERMS = 10**5
-# Largest monomial degree a power may build or Expr(terms) may take; a
-# monomial holds one tuple entry per degree.
+# Largest monomial degree a power may build, the parser or Expr(terms) may
+# take, or items() may give; a monomial holds one tuple entry per degree.
 MAX_DEGREE = 10_000
 # Bits a power may give its coefficients: n times the bits of the base's
 # largest numerator or its denominator.  A one-term base never trips the
@@ -284,8 +284,18 @@ class Expr:
 
     def items(self) -> list[tuple[tuple[tuple[JetVariable, int], ...], int | Fraction]]:
         """(pairs, coefficient) in canonical order, pairs being a monomial's factors in
-        sort-key order, as Expr(terms) takes them: Expr(dict(f.items())) == f."""
+        sort-key order, as Expr(terms) takes them: Expr(dict(f.items())) == f.  Every
+        printer reads through it, and it refuses what the parser would not read back: a
+        monomial above MAX_DEGREE, or a numerator or denominator past MAX_LITERAL_DIGITS."""
+        degree, top = _size(self)
+        _check_degree(degree)
         terms = [(mono, _factors(mono), c) for mono, c in self._unsorted_items()]
+        if top.bit_length() > MAX_COEFFICIENT_BITS:  # else each is below 10^MAX_LITERAL_DIGITS
+            limit = 10**MAX_LITERAL_DIGITS
+            if any(abs(n) >= limit for _, _, c in terms for n in (c.numerator, c.denominator)):
+                raise ExpressionTooLargeError(
+                    f"a coefficient exceeds the bound of {MAX_LITERAL_DIGITS} digits"
+                )
         terms.sort(key=lambda t: _monomial_key(t[0], t[1]))
         return [(pairs, c) for _, pairs, c in terms]
 
@@ -340,10 +350,6 @@ class Expr:
             raise ExpressionTooLargeError(
                 f"product of {pairs} term pairs exceeds the limit of {MAX_PRODUCT_TERMS}", pairs
             )
-        if pairs:  # over Q the product's degree is exactly the sum of its factors' degrees
-            degree = max(map(len, self._terms)) + max(map(len, other._terms))
-            if degree > MAX_DEGREE:  # compared inline: most products pass, and a call costs each one
-                _check_degree(degree)
         data: dict[Monomial, int] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
@@ -360,19 +366,7 @@ class Expr:
             return Expr.const(1)
         if n == 1:
             return self  # builds nothing, so no bound applies; most powers subs takes are first
-        degree = n * max(map(len, self._terms), default=0)
-        if degree > MAX_DEGREE:
-            raise ExpressionTooLargeError(
-                f"a power of degree {_decimal(degree)} exceeds the degree bound {MAX_DEGREE}"
-            )
-        top = max(max(map(abs, self._terms.values()), default=1), self._den)
-        if top > 1:
-            # bits >= 1 here, so a huge n is refused before the float product
-            bits = log2(top)
-            if n > MAX_COEFFICIENT_BITS or n * bits > MAX_COEFFICIENT_BITS:
-                raise ExpressionTooLargeError(
-                    f"a power's coefficients need more than the bound of {MAX_COEFFICIENT_BITS} bits"
-                )
+        _check_power(n, *_size(self))
         result = None
         base = self
         while True:
@@ -499,7 +493,8 @@ def _unpickle(terms: dict, den: int) -> Expr:
     """The stored form of a pickled Expr, repacked with this process's ranks.
 
     It skips the checks of Expr(terms): the pickled form was canonical, and a
-    substitution may hold a monomial above MAX_DEGREE."""
+    product, a substitution or a derivative may hold a monomial above
+    MAX_DEGREE, which only items() refuses."""
     return _raw({_pack(pairs): c for pairs, c in terms.items()}, den)
 
 
@@ -516,8 +511,13 @@ def _from_coefficients(data: dict[Monomial, int | Fraction]) -> Expr:
     return _canonical({mono: c.numerator * (den // c.denominator) for mono, c in data.items()}, den)
 
 
+def _size(f: Expr) -> tuple[int, int]:
+    """f's degree and its largest numerator or denominator, each one pass in C."""
+    return max(map(len, f._terms), default=0), max(max(map(abs, f._terms.values()), default=1), f._den)
+
+
 def _check_degree(degree: int) -> None:
-    """Refuse a monomial above MAX_DEGREE, as Expr(terms) and the parser take none."""
+    """Refuse a monomial above MAX_DEGREE, which the parser would not read back."""
     if degree > MAX_DEGREE:
         raise ExpressionTooLargeError(
             f"a monomial of degree {_decimal(degree)} exceeds the degree bound {MAX_DEGREE}"
@@ -546,14 +546,18 @@ def _common_denominator(data: dict[Monomial, int], den: int, d: int) -> int:
     return den
 
 
-def _check_literal(q: int | Fraction) -> None:
-    """Refuse a numerator or denominator of more than MAX_LITERAL_DIGITS digits before any
-    decimal conversion; the power of ten is built only past MAX_COEFFICIENT_BITS bits."""
-    for n in (q.numerator, q.denominator):
-        if n.bit_length() > MAX_COEFFICIENT_BITS and abs(n) >= 10**MAX_LITERAL_DIGITS:
-            raise ExpressionTooLargeError(
-                f"a coefficient exceeds the bound of {MAX_LITERAL_DIGITS} digits"
-            )
+def _check_power(n: int, degree: int, top: int) -> None:
+    """Refuse the n-th power of a base of that degree whose largest numerator or
+    denominator is top, when it would pass MAX_DEGREE or MAX_COEFFICIENT_BITS."""
+    if n * degree > MAX_DEGREE:
+        raise ExpressionTooLargeError(
+            f"a power of degree {_decimal(n * degree)} exceeds the degree bound {MAX_DEGREE}"
+        )
+    # log2(top) >= 1 when top > 1, so a huge n is refused before the float product
+    if top > 1 and (n > MAX_COEFFICIENT_BITS or n * log2(top) > MAX_COEFFICIENT_BITS):
+        raise ExpressionTooLargeError(
+            f"a power's coefficients need more than the bound of {MAX_COEFFICIENT_BITS} bits"
+        )
 
 
 def _coerce(value) -> Expr:
@@ -629,11 +633,7 @@ def _monomial_str(pairs, coeff: int | Fraction) -> str:
     parts = [v._label if e == 1 else f"{v._label}^{e}" for v, e in pairs]
     mag = abs(coeff)
     if mag != 1 or not parts:
-        try:
-            parts.insert(0, str(mag))
-        except ValueError:  # past the int-string limit, which the CLI sets to the bound
-            _check_literal(mag)
-            parts.insert(0, _decimal(mag))
+        parts.insert(0, _decimal(mag))
     return "*".join(parts)
 
 

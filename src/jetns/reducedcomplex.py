@@ -76,7 +76,6 @@ from .jetalgebra import (
     Expr,
     Monomial,
     T_VAR,
-    _check_degree,
     _from_coefficients,
     _leibniz,
     _merge_monomials,
@@ -206,8 +205,7 @@ def _shape(ctx: ReductionContext, what: str) -> type[ChiTuple]:
 
 def _sum_entries(ctx: ReductionContext, chi: ChiTuple, rule: str, what: str) -> tuple:
     """chi reduced, and slot -> the sum the rows of rule write there for it.  A term of an
-    entry is one _assemble column keyed by its coefficient, which weighs the column's sum.
-    An output monomial above MAX_DEGREE is refused, as a product of expressions refuses it."""
+    entry is one _assemble column keyed by its coefficient, which weighs the column's sum."""
     shape = _shape(ctx, what)
     if type(chi) is not shape or chi.m != ctx.m:
         raise ValueError(
@@ -220,7 +218,6 @@ def _sum_entries(ctx: ReductionContext, chi: ChiTuple, rule: str, what: str) -> 
         for mono, coeff in f._unsorted_items():
             columns.setdefault(mono, []).append((label, coeff))
     index, _ = _assemble(ctx, rule, [label for label, _ in chi.items()], columns.items())
-    _check_degree(max((len(mono) for rows in index.values() for mono in rows), default=0))
     return chi, {
         slot: _from_coefficients({mono: sum(w * v for w, v in row.items()) for mono, row in rows.items()})
         for slot, rows in index.items()

@@ -547,17 +547,45 @@ def test_an_oversized_product_of_atoms_exits_two_quickly(text, message):
 
 @pytest.mark.parametrize("fmt", ["text", "structured"])
 @pytest.mark.parametrize(
-    "text", ["(2^999999)*(2^999999)", "(2^600000+x1)*(2^600000+x1)"], ids=["power", "sum"]
+    "text",
+    ["(2^999999)*(2^999999)", "(2^600000+x1)*(2^600000+x1)", "*".join(["(2^999999)"] * 640)],
+    ids=["power", "sum", "640-powers"],
 )
 def test_a_coefficient_past_the_digit_bound_is_not_printed(text, fmt):
     # a product of expressions may build a coefficient of more digits than
     # the parser reads back: as text the first printed 602,061 characters
     # after 5.6 s, and as records it exited 2 with CPython's conversion-limit
-    # text; both now refuse before any decimal conversion
+    # text; the third, 7 KB of input, multiplied for 68 s and 262 MB before
+    # printing refused it.  The parser now refuses a product's coefficient
+    # bits, before the next product
     start = time.monotonic()
     proc = run_cli("reduce", "--dim", "2", "--format", fmt, stdin=text, timeout=20)
     elapsed = time.monotonic() - start
-    message = "error: a coefficient exceeds the bound of 301030 digits\n"
+    message = "error: a term's coefficient needs more than the bound of 1000000 bits\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+@pytest.mark.parametrize(
+    "args, text",
+    [
+        (["reduce", "--constraints", "cpe"], "x1^9999*p_[2,0]"),
+        (["tderiv", "--constraints", "cpe", "--index", "[1,0]"], "x1^9999*p_[1,0]"),
+        (["symmetry", "--constraints", "cpe"], "f1: 0; f2: 0; f: x1^9999*p_[1,0]"),
+    ],
+    ids=["reduce", "tderiv", "symmetry"],
+)
+def test_an_output_above_the_degree_bound_prints_nothing(args, text, fmt):
+    # the reduction of p_[2,0] is quadratic in velocity jets, so each result
+    # holds a monomial of degree 10001, which the parser refuses: the first
+    # two printed it and exited 0, and symmetry printed "divergence: 0"
+    # before it.  The printer refuses it, and no residual prints before all
+    # of them are rendered
+    start = time.monotonic()
+    proc = run_cli(*args, "--dim", "2", "--format", fmt, stdin=text, timeout=5)
+    elapsed = time.monotonic() - start
+    message = "error: a monomial of degree 10001 exceeds the degree bound 10000\n"
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
     assert elapsed < 1.0
 

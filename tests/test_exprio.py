@@ -233,6 +233,18 @@ def test_a_coefficient_the_parser_would_refuse_is_not_printed():
                 render(coeff * x(1) + 1)
 
 
+def test_the_parser_bounds_the_bits_of_a_parenthesized_product(monkeypatch):
+    # the parser checks a product's coefficients once it has multiplied, as
+    # it checks a product of numbers; a product in the library is not bounded
+    monkeypatch.setattr(jetalgebra, "MAX_COEFFICIENT_BITS", 64)
+    assert parse_expr("(2^40)*(2^20)*x1", 3) == 2**60 * x(1)
+    bound = "^a term's coefficient needs more than the bound of 64 bits$"
+    for text in ("(2^40)*(2^40)", "(2^40 + x1)*(2^30)", "x1*(x2)*2^40*2^40", "(1/2^40*x1)*(1/2^30)"):
+        with pytest.raises(jetalgebra.ExpressionTooLargeError, match=bound):
+            parse_expr(text, 3)
+    assert Expr.const(2**40) * 2**40 == 2**80
+
+
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-string limit")
 def test_the_library_parser_reads_literals_past_the_int_string_limit():
     # int() of more than 4300 digits raised a plain ValueError with no span

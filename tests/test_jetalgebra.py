@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from jetns import jetalgebra
 from jetns.constraints import ReductionContext, Setting, reduce, restricted_derivative
-from jetns.exprio import parse_expr, records_to_expr
+from jetns.exprio import expr_to_records, parse_expr, print_tuple, records_to_expr
 from jetns.jetalgebra import (
     Expr,
     ExpressionTooLargeError,
@@ -39,6 +39,7 @@ from jetns.jetalgebra import (
 from jetns.multiindex import MultiIndex
 from jetns.reducedcomplex import AnsatzSpec, kernel_search
 from jetns.totalderiv import total_derivative
+from jetns.tuples import SHAPES
 
 from conftest import random_expr, random_point, variable_pool
 
@@ -328,25 +329,33 @@ def test_power_refuses_above_the_degree_bound_before_any_product(monkeypatch):
 
 def test_product_refuses_above_the_degree_bound_before_any_product(monkeypatch):
     # over Q the degree of a product is the sum of its factors' degrees, so
-    # the check is exact: degree 6 passes, and a product of degree 7 or more
-    # raises before a single monomial is merged, also inside subs
+    # the parser's check is exact: degree 6 passes, and a parenthesized
+    # product of degree 7 or more raises before a single monomial is merged.
+    # A product inside the library is built; only its printing is refused
     monkeypatch.setattr(jetalgebra, "MAX_DEGREE", 6)
-    assert str((x(1) ** 2 + 1) * (x(2) ** 4 - x(1))) == "-x1 - x1^3 + x2^4 + x1^2*x2^4"
-    assert str(Expr.zero() * x(1) ** 6) == "0" and str(3 * x(1) ** 6) == "3*x1^6"
+    assert str(parse_expr("(x1^2 + 1)*(x2^4 - x1)", 3)) == "-x1 - x1^3 + x2^4 + x1^2*x2^4"
+    assert str(parse_expr("0*(x1^6)", 3)) == "0" and str(parse_expr("(3)*x1^6", 3)) == "3*x1^6"
+    # (the admitted factors, the refused one, the degree): the refused
+    # product merges no monomial beyond those of the factors before it
     cases = [
-        (x(1) ** 4, x(2) ** 3, 7),
-        (x(1) * x(2) ** 2 + x(3), 1 - x(2) ** 2 * x(3) ** 3, 8),
+        ("(x1^4)", "*(x2^3)", 7), ("(x1*x2^2 + x3)", "*(1 - x2^2*x3^3)", 8),
+        ("(x1^4)", "*x2^3", 7), ("x1^4*(x2)", "*x3^2", 7), ("2*(x1^3)*(x2^3)", "*(x3)", 7),
     ]
-    pair, swap = x(1) * x(2), {xvar(1): x(3) ** 4, xvar(2): x(3) ** 3}.get
     merges = []
     merge = jetalgebra._merge_monomials
     monkeypatch.setattr(jetalgebra, "_merge_monomials", lambda a, b: merges.append(1) or merge(a, b))
-    for f, g, degree in cases:
+    for admitted, refused, degree in cases:
+        merges.clear()
+        parse_expr(admitted, 3)
+        before = len(merges)
+        merges.clear()
         with pytest.raises(ExpressionTooLargeError, match=f"^a monomial of degree {degree} exceeds the degree bound 6$"):
-            f * g
+            parse_expr(admitted + refused, 3)
+        assert len(merges) == before, admitted + refused
+    built = x(1) ** 4 * x(2) ** 3
+    assert merges and built.evaluate({xvar(1): 2, xvar(2): 3}) == 2**4 * 3**3
     with pytest.raises(ExpressionTooLargeError, match="^a monomial of degree 7 exceeds the degree bound 6$"):
-        pair.subs(swap)  # each power passed the bound; their product does not
-    assert merges == []
+        str(built)
 
 
 def test_constructor_refuses_a_monomial_above_the_degree_bound(monkeypatch):
@@ -364,8 +373,10 @@ def test_the_degree_bound_admits_its_own_degree():
     with pytest.raises(ExpressionTooLargeError, match="degree 10001 exceeds the degree bound 10000$"):
         x(1) ** 10_001
     assert x(1) ** 9_999 * x(1) == x(1) ** 10_000
+    assert str(x(1) ** 10_000) == "x1^10000"
+    # a product past the bound is built, and refused where it would print
     with pytest.raises(ExpressionTooLargeError, match="^a monomial of degree 20000 exceeds the degree bound 10000$"):
-        x(1) ** 10_000 * x(1) ** 10_000
+        str(x(1) ** 10_000 * x(1) ** 10_000)
 
 
 def test_power_refuses_above_the_bit_bound_before_any_product(monkeypatch):
@@ -665,12 +676,24 @@ def test_copies_are_the_interned_variable():
 
 
 def test_a_product_above_the_degree_bound_still_copies():
-    # subs merges a kept factor with an image unchecked against MAX_DEGREE,
-    # so a copy must not check either
-    f = (x(1) ** 9_999 * x(2)).subs({xvar(2): x(1) ** 2}.get) - Fraction(2, 3) * x(2)
-    assert f.items()[-1] == (((xvar(1), 10_001),), 1)  # the highest degree sorts last
-    assert copy.deepcopy(f) == f
-    assert pickle.loads(pickle.dumps(f)) == f
+    # a product, a substitution and a derivative check no degree: each is
+    # built past MAX_DEGREE, and copied, but every printer refuses it,
+    # since the parser would not read it back
+    top = x(1) ** 9_999
+    ctx = ReductionContext(Setting.CPE, 2)
+    built = [
+        top * x(1) ** 2 - Fraction(2, 3) * x(2),
+        (top * x(2)).subs({xvar(2): x(1) ** 2}.get) - Fraction(2, 3) * x(2),
+        restricted_derivative(ctx, 1, top * p((1, 0))),
+    ]
+    assert built[0] == built[1] and built[0].coefficient(((xvar(1), 10_001),)) == 1
+    characteristic = SHAPES["characteristic"]
+    for f in built:
+        for render in (Expr.items, str, expr_to_records, lambda g: print_tuple(characteristic(2, {("p",): g}))):
+            with pytest.raises(ExpressionTooLargeError, match="^a monomial of degree 10001 exceeds the degree bound 10000$"):
+                render(f)
+        assert copy.deepcopy(f) == f
+        assert pickle.loads(pickle.dumps(f)) == f
 
 
 def test_a_failing_image_names_the_least_variable_whatever_the_creation_order():

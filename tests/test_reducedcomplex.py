@@ -16,6 +16,7 @@ from jetns.constraints import (
     restricted_laplacian,
     velocity_gradient_entry,
 )
+from jetns.exprio import print_tuple
 from jetns.jetalgebra import (
     T_VAR, Expr, ExpressionTooLargeError, _factors, _monomial_key, expr_sum, p, u, x, pvar, uvar, xvar,
 )
@@ -413,18 +414,27 @@ def test_reduced_system_entry_behaviour(cpe_ctx):
 
 def test_tuple_operators_refuse_an_output_above_the_degree_bound():
     # a row's coefficient or the reduction's image raises the degree of an
-    # entry; an output monomial past MAX_DEGREE is refused, as a product of
-    # expressions refuses it, so every printed output parses back
+    # entry; an output monomial past MAX_DEGREE is built, and refused where
+    # it would print, so every printed output parses back
     ctx = ReductionContext(Setting.CPE, 2)
     top = x(1) ** (jetalgebra.MAX_DEGREE - 1)
-    for operator in (correction, reduced_derivative, reduced_system_residuals):
-        with pytest.raises(ExpressionTooLargeError, match="degree 10001 exceeds the degree bound"):
-            operator(ctx, ChiTupleCPE(2, {("chi1",): top * x(2)}))
+    chi1 = ChiTupleCPE(2, {("chi1",): top * x(2)})
     # D_1 p_[1,0] reduces to quadratic velocity terms
-    with pytest.raises(ExpressionTooLargeError, match="degree 10001 exceeds the degree bound"):
-        reduced_derivative(ctx, ChiTupleCPE(2, {("chi0",): top * p((1, 0))}))
+    chi0 = ChiTupleCPE(2, {("chi0",): top * p((1, 0))})
+    residuals = dict(reduced_system_residuals(ctx, chi1))
+    assert residuals["velocity_slaved[2]"] == -2 * top * x(2) * u(1, (0, 1))
+    printed = [
+        lambda: print_tuple(correction(ctx, chi1)),
+        lambda: print_tuple(reduced_derivative(ctx, chi1)),
+        lambda: print_tuple(reduced_derivative(ctx, chi0)),
+        lambda: str(residuals["velocity_slaved[2]"]),
+    ]
+    for render in printed:
+        with pytest.raises(ExpressionTooLargeError, match="^a monomial of degree 10001 exceeds the degree bound 10000$"):
+            render()
     below = dict(reduced_system_residuals(ctx, ChiTupleCPE(2, {("chi1",): top})))
     assert below["velocity_slaved[2]"] == -2 * top * u(1, (0, 1))
+    assert str(below["velocity_slaved[2]"]) == "-2*x1^9999*u1_[0,1]"
 
 
 def test_reduced_system_rejects_the_continuity_shape(cpe_ctx):

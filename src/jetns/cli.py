@@ -8,7 +8,6 @@ check ran and left a nonzero residual, 2 on usage or parse errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .constraints import (
@@ -58,6 +57,13 @@ def _context(args) -> ReductionContext:
     return ReductionContext(Setting(args.constraints), args.dim)
 
 
+def _structured(record: dict) -> str:
+    """One line of --format structured output; json is imported only for that format."""
+    import json
+
+    return json.dumps(record, sort_keys=True)
+
+
 def _emit_residuals(report: ResidualReport, args) -> int:
     """Print named residuals, all rendered before any prints, and return the exit code."""
     lines = []
@@ -70,7 +76,7 @@ def _emit_residuals(report: ResidualReport, args) -> int:
                 "checked": checked,
                 "residual": expr_to_records(expr),
             }
-            lines.append(json.dumps(record, sort_keys=True))
+            lines.append(_structured(record))
         else:
             tag = "" if checked else " (informational)"
             lines.append(f"{name}: {expr}{tag}")
@@ -82,7 +88,7 @@ def _emit_residuals(report: ResidualReport, args) -> int:
 def _emit_expr(result: Expr, args) -> int:
     """Print one expression result and return the exit code."""
     if args.format == "structured":
-        print(json.dumps({"result": expr_to_records(result)}, sort_keys=True))
+        print(_structured({"result": expr_to_records(result)}))
     else:
         print(result)
     return EXIT_OK
@@ -112,7 +118,7 @@ def _cmd_euler(args) -> int:
             "velocity": [expr_to_records(c) for c in result.velocity],
             "pressure": expr_to_records(result.pressure),
         }
-        print(json.dumps(record, sort_keys=True))
+        print(_structured(record))
     else:
         print(print_tuple(result))
     return EXIT_OK
@@ -178,8 +184,8 @@ def _cmd_kernel(args) -> int:
     basis = kernel_search(ctx, ansatz, max_unknowns=args.max_unknowns)
     if args.format == "structured":
         for k, chi in enumerate(basis):
-            print(json.dumps({"basis": k, "tuple": print_tuple(chi)}, sort_keys=True))
-        print(json.dumps({"count": len(basis)}, sort_keys=True))
+            print(_structured({"basis": k, "tuple": print_tuple(chi)}))
+        print(_structured({"count": len(basis)}))
     else:
         for chi in basis:
             print(print_tuple(chi))
@@ -206,7 +212,7 @@ def _cmd_ns_check(args) -> int:
 def _cmd_ns_show(args) -> int:
     for name, expr in preset_table(ns_build(args.dim, _viscosity_value(args))):
         if args.format == "structured":
-            print(json.dumps({"expr": expr_to_records(expr), "name": name}, sort_keys=True))
+            print(_structured({"expr": expr_to_records(expr), "name": name}))
         else:
             print(f"{name}: {expr}")
     return EXIT_OK

@@ -11,7 +11,6 @@ symmetry exactly when its determining residuals vanish.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 from .constraints import (
@@ -22,7 +21,7 @@ from .constraints import (
     velocity_gradient_entry,
 )
 from .jetalgebra import Expr, T_VAR, expr_sum, p
-from .multiindex import unit
+from .multiindex import Frozen, unit
 from .totalderiv import derivatives, derive
 from .tuples import Characteristic
 
@@ -63,15 +62,15 @@ def commutator_with_total(
     )
 
 
-@dataclass
 class ResidualReport:
     """Named residual expressions; a check passes when all reduce to zero.
 
     An entry named in informational reports a value without pass/fail weight.
     """
 
-    entries: list[tuple[str, Expr]]
-    informational: frozenset[str] = frozenset()
+    def __init__(self, entries: list[tuple[str, Expr]], informational: frozenset[str] = frozenset()):
+        self.entries = entries
+        self.informational = informational
 
     @property
     def passed(self) -> bool:
@@ -135,8 +134,7 @@ def symmetry_residuals(ctx: ReductionContext, f: Characteristic) -> ResidualRepo
     return ResidualReport(entries)
 
 
-@dataclass(frozen=True, eq=False)
-class EvolutionField:
+class EvolutionField(Frozen):
     """A time-evolution derivation generated by a characteristic; equality is identity.
 
     Admissibility is not assumed: symmetry_residuals(field.context,
@@ -144,8 +142,8 @@ class EvolutionField:
     joint setting.  The pressure component may be left unresolved.
     """
 
-    characteristic: Characteristic
-    context: ReductionContext
+    def __init__(self, characteristic: Characteristic, context: ReductionContext):
+        self._set(characteristic=characteristic, context=context)
 
 
 def evolution_derivative(field: EvolutionField, g: Expr) -> Expr:

@@ -30,7 +30,8 @@ into the expression's one map of packed monomials; the Expr is built once
 at the end.  Expr arithmetic runs only from a term's first parenthesized
 factor on.  A whole term is bounded, whatever its factors: by MAX_DEGREE
 before it multiplies and by MAX_COEFFICIENT_BITS after, and a power as
-Expr.__pow__ bounds it.  Numeric literals are read, and numbers printed,
+Expr.__pow__ bounds it.  So is the sum's common denominator, before each
+term is added (_widen).  Numeric literals are read, and numbers printed,
 below the interpreter's int-string limit, which is left as it is
 (multiindex._int and _decimal).
 
@@ -42,9 +43,8 @@ of records with integer numerator and denominator and a factor list of
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from math import log2
+from math import lcm, log2
 
 from . import jetalgebra
 from .jetalgebra import (
@@ -60,14 +60,20 @@ from .jetalgebra import (
     _size,
     xvar,
 )
-from .multiindex import _SHORT_DIGITS, MultiIndex, _decimal, _int
+from .multiindex import _SHORT_DIGITS, Frozen, MultiIndex, _decimal, _int
 from .tuples import SHAPES, LabelTuple
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    start: int
-    end: int
+class SourceSpan(Frozen):
+    """The characters start..end of the parsed text; equal spans compare equal."""
+
+    def __init__(self, start: int, end: int):
+        self._set(start=start, end=end)
+
+    def __eq__(self, other):
+        if type(other) is not SourceSpan:
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
 class ExprSyntaxError(ValueError):
@@ -149,6 +155,24 @@ def _check_coefficient(c: int | Fraction) -> None:
         )
 
 
+def _widen(den: int, d: int) -> int:
+    """lcm(den, d): the common denominator of a parsed sum once a term over d joins it.
+
+    A gcd is quadratic in the size of its arguments, and one of two
+    10^6-bit numbers takes seconds.  So when den and d together pass
+    MAX_COEFFICIENT_BITS bits, the term joins only if one divides the other.
+    """
+    small, large = sorted((den, d))
+    if large % small == 0:
+        return large
+    bound = jetalgebra.MAX_COEFFICIENT_BITS
+    if den.bit_length() + d.bit_length() > bound:
+        raise ExpressionTooLargeError(
+            f"a sum's common denominator needs more than the bound of {bound} bits"
+        )
+    return lcm(den, d)
+
+
 class _Parser:
     def __init__(self, text: str, m: int):
         self.tokens = _tokenize(text)
@@ -175,22 +199,29 @@ class _Parser:
         return self.advance()
 
     def parse_expr(self) -> Expr:
-        """The sum of the terms, added into one map of packed monomials and built once."""
+        """The sum of the terms, added into one map of packed monomials and built once.
+
+        Each term's denominators join the common denominator before it is added.
+        """
         data: dict[tuple[int, ...], int | Fraction] = {}
+        den = 1
         sign = 1
         if self.kind() == "-":
             self.advance()
             sign = -1
         while True:
-            self.parse_term(data, sign)
+            for mono, c in self.parse_term(sign):
+                if type(c) is not int:
+                    den = _widen(den, c.denominator)
+                data[mono] = data.get(mono, 0) + c
             kind = self.kind()
             if kind != "+" and kind != "-":
                 return _from_coefficients(data)
             self.advance()
             sign = 1 if kind == "+" else -1
 
-    def parse_term(self, data: dict, coeff: int | Fraction) -> None:
-        """Add coeff times the next term into data.
+    def parse_term(self, coeff: int | Fraction):
+        """The (monomial, coefficient) pairs of coeff times the next term.
 
         Numbers and variables, with their powers, multiply into one
         coefficient and one list of variable ranks.  From its first
@@ -223,11 +254,8 @@ class _Parser:
                 break
             self.pos += 1
         if product is None:
-            mono = tuple(sorted(ranks))
-            data[mono] = data.get(mono, 0) + coeff
-        else:
-            for mono, c in product._unsorted_items():
-                data[mono] = data.get(mono, 0) + c
+            return ((tuple(sorted(ranks)), coeff),)
+        return product._unsorted_items()
 
     def parse_factor(self) -> int | Fraction | list[int] | Expr:
         """A number, a variable's rank repeated by its exponent, or an Expr.
@@ -376,18 +404,17 @@ def parse_tuple(text: str, shape: str, m: int) -> LabelTuple:
             )
         name_text, expr_text = part.split(":", 1)
         name = name_text.strip()
-        span = SourceSpan(start, start + len(name_text))
+        end = start + len(name_text)
         try:
             label = cls.label(name, m)
         except ValueError as err:
-            raise ExprSyntaxError(str(err), span) from None
+            raise ExprSyntaxError(str(err), SourceSpan(start, end)) from None
         if label in components:
-            raise ExprSyntaxError(f"duplicate component {name!r}", span)
+            raise ExprSyntaxError(f"duplicate component {name!r}", SourceSpan(start, end))
         try:
             components[label] = parse_expr(expr_text, m)
         except ExprSyntaxError as err:  # the span is within expr_text: make it the input's
-            shift = start + len(name_text) + 1
-            span = SourceSpan(err.span.start + shift, err.span.end + shift)
+            span = SourceSpan(err.span.start + end + 1, err.span.end + end + 1)
             raise ExprSyntaxError(err.message, span) from None
     return cls(m, components)
 

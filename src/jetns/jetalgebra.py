@@ -45,14 +45,13 @@ MAX_COEFFICIENT_BITS.  Each raises ExpressionTooLargeError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm, log2, log10
 from threading import Lock
-from typing import Iterable, Mapping
 
-from .multiindex import MultiIndex, _decimal
+from .multiindex import Frozen, MultiIndex, _decimal
 
 _KIND_RANK = {"nu": 0, "t": 1, "x": 2, "u": 3, "p": 4}
 
@@ -81,8 +80,7 @@ class ExpressionTooLargeError(ValueError):
         self.pairs = pairs
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class JetVariable:
+class JetVariable(Frozen):
     """A single jet coordinate: x^mu, u^mu_i, p_i, nu or t.
 
     Variables key every monomial, so there is one object per value;
@@ -90,13 +88,6 @@ class JetVariable:
     validates and builds the variable, with its sort key and label, and
     stores it with the next rank; a hit returns the stored variable.
     """
-
-    kind: str
-    mu: int = 0
-    index: MultiIndex | None = None
-    _key: tuple = field(init=False, repr=False)
-    _label: str = field(init=False, repr=False)
-    _rank: int = field(init=False, repr=False)
 
     _interned = {}  # (kind, mu, index) -> the one variable with those fields
 
@@ -112,7 +103,7 @@ class JetVariable:
                 if stored is None:
                     # ranked before it is stored: a lookup outside the lock
                     # never finds a variable without a rank
-                    object.__setattr__(self, "_rank", len(_VARIABLES))
+                    self._set(_rank=len(_VARIABLES))
                     _VARIABLES.append(self)
                     stored = cls._interned[key] = self
             return stored
@@ -134,14 +125,13 @@ class JetVariable:
             key, label = (rank, 0, index.sort_key()), f"p_{index}"
         else:
             key, label = (rank, mu, ((), ())), (f"x{mu}" if kind == "x" else kind)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_label", label)
+        self._set(kind=kind, mu=mu, index=index, _key=key, _label=label)
 
     def __reduce__(self):
         return (type(self), (self.kind, self.mu, self.index))
+
+    def __repr__(self) -> str:
+        return f"JetVariable(kind={self.kind!r}, mu={self.mu!r}, index={self.index!r})"
 
     def sort_key(self):
         return self._key

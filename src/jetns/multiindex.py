@@ -20,7 +20,6 @@ int-string limit, which only the CLI lifts, for the parser and printer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 
@@ -56,12 +55,27 @@ def _decimal(q) -> str:
     return _decimal(high) + _decimal(rest).zfill(low)
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class MultiIndex:
-    """An element of Z^m with non-negative entries."""
+class Frozen:
+    """Base of the package's immutable values.
 
-    entries: tuple[int, ...]
-    _key: tuple[int, tuple[int, ...]] = field(init=False, repr=False)
+    Construction writes the fields with _set, through object.__setattr__;
+    afterwards assigning or deleting an attribute raises AttributeError.
+    Instances keep a __dict__, which functools.cached_property fills directly.
+    """
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class MultiIndex(Frozen):
+    """An element of Z^m with non-negative entries; equality is identity."""
 
     _interned = {}  # entries -> the one index with those entries
 
@@ -80,11 +94,13 @@ class MultiIndex:
         for e in entries:
             if e < 0:
                 raise ValueError(f"negative multi-index entry: {entries}")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_key", (sum(entries), entries))
+        self._set(entries=entries, _key=(sum(entries), entries))
 
     def __reduce__(self):
         return (type(self), (self.entries,))
+
+    def __repr__(self) -> str:
+        return f"MultiIndex(entries={self.entries!r})"
 
     @property
     def dim(self) -> int:

@@ -24,14 +24,13 @@ follows from the instance alone -- the reduced evolution field, the free
 divergence D_mu E^mu, the three pressure-independent identity residuals
 and the informational Poisson source -- is computed on first use and then
 kept on the instance, which is frozen; ns_verify hands out a new report
-each call.  An instance made by dataclasses.replace is not interned and
-computes its own values.
+each call.  An instance made by calling NsInstance directly is not
+interned and computes its own values.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -46,23 +45,22 @@ from .constraints import (
 )
 from .evolutionary import Characteristic, EvolutionField, ResidualReport, _pressure_coupling
 from .jetalgebra import Expr, expr_sum, nu, p, u
-from .multiindex import unit, zero
+from .multiindex import Frozen, unit, zero
 from .totalderiv import laplacian, total_derivative
 from .variational import CurrentTuple, current_divergence
 
 
-@dataclass(frozen=True, eq=False)
-class NsInstance:
+class NsInstance(Frozen):
     """The flow system at a fixed dimension and viscosity; equality is identity.
 
     The cached properties depend on the instance alone, so each is
     computed on first use and kept.
     """
 
-    m: int
-    viscosity: Expr
-    context: ReductionContext
-    evolution_velocity: tuple[Expr, ...]
+    def __init__(
+        self, m: int, viscosity: Expr, context: ReductionContext, evolution_velocity: tuple[Expr, ...]
+    ):
+        self._set(m=m, viscosity=viscosity, context=context, evolution_velocity=evolution_velocity)
 
     @cached_property
     def field(self) -> EvolutionField:

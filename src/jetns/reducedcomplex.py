@@ -60,7 +60,6 @@ vectors of full assembly, and so the basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations_with_replacement, product
@@ -88,29 +87,35 @@ from .jetalgebra import (
     uvar,
     xvar,
 )
-from .multiindex import indices_up_to, unit
+from .multiindex import Frozen, indices_up_to, unit
 from .tuples import SHAPES, ChiTuple, ChiTupleCPE
 from .variational import euler_collect
 
 
-@dataclass(frozen=True)
-class AnsatzSpec:
+class AnsatzSpec(Frozen):
     """Finite truncation of the tuple space for kernel search.
 
     max_order bounds the jet order of the ansatz variables and the
     first-direction support of the velocity block; max_degree bounds the
     total monomial degree; max_x_degree bounds the coordinate degree
-    within it; include_t admits the time symbol.
+    within it; include_t admits the time symbol.  Equal bounds give equal
+    specs, which key the caches below.
     """
 
-    max_order: int = 0
-    max_degree: int = 0
-    max_x_degree: int = 0
-    include_t: bool = False
-
-    def __post_init__(self) -> None:
-        if self.max_order < 0 or self.max_degree < 0 or self.max_x_degree < 0:
+    def __init__(self, max_order=0, max_degree=0, max_x_degree=0, include_t=False):
+        if max_order < 0 or max_degree < 0 or max_x_degree < 0:
             raise ValueError("ansatz bounds must be non-negative")
+        self._set(
+            max_order=max_order, max_degree=max_degree, max_x_degree=max_x_degree, include_t=include_t
+        )
+
+    def __eq__(self, other):
+        if type(other) is not AnsatzSpec:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
 
 
 class AnsatzTooLargeError(ValueError):

@@ -14,8 +14,8 @@ the pressure slot.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 from .constraints import ReductionContext, reduce
 from .jetalgebra import Expr, expr_sum

@@ -590,6 +590,19 @@ def test_an_output_above_the_degree_bound_prints_nothing(args, text, fmt):
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("text", ["1/3^600000 + 1/2^999999*x1", "1/3^600000 + 1/2^999999"])
+def test_a_sum_past_the_common_denominator_bound_exits_two_quickly(text):
+    # each term passes the bit bound, but the lcm of the two denominators,
+    # or the Fraction sum of the second, took a gcd of two 10^6-bit numbers,
+    # and neither input ended within 10 s
+    start = time.monotonic()
+    proc = run_cli("reduce", "--dim", "2", stdin=text, timeout=5)
+    elapsed = time.monotonic() - start
+    message = "error: a sum's common denominator needs more than the bound of 1000000 bits\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
+    assert elapsed < 1.0
+
+
 def test_the_degree_bound_refuses_parsed_input(monkeypatch, capsys):
     monkeypatch.setattr(jetalgebra, "MAX_DEGREE", 6)
     monkeypatch.setattr(sys, "stdin", io.StringIO("x1*x2^5"))
@@ -615,3 +628,17 @@ def test_oversized_product_exits_two_quickly():
     assert "term pairs exceeds the limit" in proc.stderr
     assert proc.stdout == ""
     assert elapsed < 1.0
+
+
+def test_importing_the_cli_loads_no_heavy_stdlib_modules():
+    # every jetns call is a fresh process that pays its imports first:
+    # dataclasses alone (with inspect, ast and dis) took about 10 ms, and
+    # json serves only --format structured.  -S keeps site's imports out
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import jetns.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'json'} & sys.modules.keys()))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, SRC], capture_output=True, text=True, timeout=20
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

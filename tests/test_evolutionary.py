@@ -21,7 +21,7 @@ from jetns.evolutionary import (
 )
 from jetns.exprio import parse_tuple
 from jetns.jetalgebra import Expr, expr_sum, p, t, u, uvar, x
-from jetns.multiindex import MultiIndex, unit
+from jetns.multiindex import MultiIndex, unit, zero
 from jetns.ns_presets import evolution_field, ns_build
 from jetns.reducedcomplex import ChiTupleCPE, reduced_system_residuals
 from jetns.tuples import LabelTuple
@@ -334,3 +334,46 @@ def test_residuals_of_reduced_inputs_are_canonical(m):
     assert sum(not expr.is_zero() for _, expr in outputs) > len(outputs) // 2
     for ctx, expr in outputs:
         assert all(ctx.image(v) is None for v in expr.variables()), (ctx, expr)
+
+
+# -- a literature oracle: classical point symmetries of the flow ------------
+
+
+def _point_characteristic(m, xi, eta, pi=0):
+    """The characteristic of a point symmetry with no time part: Q^a = eta^a -
+    xi^mu u^a_(mu) and Q_p = pi - xi^mu p_(mu), xi and eta keyed by direction
+    (Olver, Applications of Lie Groups to Differential Equations, ch. 2 and 5)."""
+    def along_xi(jet):
+        return expr_sum(c * jet(unit(mu, m)) for mu, c in xi.items())
+
+    parts = {("u", a): eta.get(a, 0) - along_xi(lambda i: u(a, i)) for a in range(1, m + 1)}
+    return Characteristic(m, {**parts, ("p",): pi - along_xi(p)})
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_classical_point_symmetries_of_the_flow(m):
+    # the Lie point symmetries of the incompressible flow are classical
+    # (Bytev 1972; Lloyd, Acta Mechanica 38, 1981), so they check the x- and
+    # t-dependence of the residuals against something outside this code
+    inst = ns_build(m)  # symbolic nu
+    field, ctx = evolution_field(inst), inst.context
+
+    def velocity_residual(f):
+        return time_symmetry_residual(field, f).velocity
+
+    u0 = lambda a: u(a, zero(m))
+    turn = {1: -x(2), 2: x(1)}  # the rotation in (1,2)
+    rotation = _point_characteristic(m, turn, {1: -u0(2), 2: u0(1)})
+    assert all(c.is_zero() for c in velocity_residual(rotation))
+    assert symmetry_residuals(ctx, rotation).passed
+    bent = _point_characteristic(m, turn, {1: u0(2), 2: -u0(1)})
+    assert not all(c.is_zero() for c in velocity_residual(bent))
+    assert not symmetry_residuals(ctx, bent).passed
+    # x1 -> x1 + t^2 accelerates the flow by 2 along direction 1, which the
+    # pressure -2*x1 balances; without it that acceleration is the residual
+    accelerated = _point_characteristic(m, {1: t**2}, {1: 2 * t}, -2 * x(1))
+    assert all(c.is_zero() for c in velocity_residual(accelerated))
+    assert symmetry_residuals(ctx, accelerated).passed
+    unbalanced = _point_characteristic(m, {1: t**2}, {1: 2 * t})
+    assert velocity_residual(unbalanced) == (Expr.const(2),) + (Expr.zero(),) * (m - 1)
+    assert symmetry_residuals(ctx, unbalanced).passed

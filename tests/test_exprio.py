@@ -245,6 +245,25 @@ def test_the_parser_bounds_the_bits_of_a_parenthesized_product(monkeypatch):
     assert Expr.const(2**40) * 2**40 == 2**80
 
 
+def test_the_parser_bounds_a_sums_common_denominator(monkeypatch):
+    # the lcm of two coprime 10^6-bit denominators took a gcd of seconds;
+    # past the bound together, a term joins only when one denominator
+    # divides the other.  The refusal is conservative: 6^12 and 10^11 have
+    # 31 and 37 bits and an lcm of 56, and are refused
+    monkeypatch.setattr(jetalgebra, "MAX_COEFFICIENT_BITS", 64)
+    half = Fraction(1, 2**40)
+    assert parse_expr("1/2^40 + 1/2^40*x1 - 1/2^20*x2 + 1/2^50", 3) == (
+        half + half * x(1) - Fraction(1, 2**20) * x(2) + Fraction(1, 2**50)
+    )
+    assert parse_expr("1/3^20 + 1/2^20*x1", 3) == Fraction(1, 3**20) + Fraction(1, 2**20) * x(1)
+    bound = "^a sum's common denominator needs more than the bound of 64 bits$"
+    refused = ("1/3^30 + 1/2^40*x1", "1/3^30 + 1/2^40", "x1*(1/3^30 + 1/2^40)",
+               "(1/3^30)*x1 - 1/2^40*x2", "1/6^12 + 1/10^11*x1")
+    for text in refused:
+        with pytest.raises(jetalgebra.ExpressionTooLargeError, match=bound):
+            parse_expr(text, 3)
+
+
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-string limit")
 def test_the_library_parser_reads_literals_past_the_int_string_limit():
     # int() of more than 4300 digits raised a plain ValueError with no span
